@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import FieldElement, build_field, build_tower
-from .intmath import factor_prime_power_order, factorize, multiplicative_order
+from .intmath import factorize, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,7 @@ class P2Context:
             raise ValidationError("b must be an element of F_{2^r}")
         if b.is_zero():
             raise ValidationError("b must be nonzero")
-        if self.q == 2:
-            return 0
-        return self.field.dlog(
-            b,
-            self.field.generator,
-            self.q - 1,
-            factored=factor_prime_power_order(2, self.r),
-        )
+        return self.field.dlog(b)
 
     def resolve_gauss(self, n: int) -> tuple[QuadPow, int]:
         """The small-field Gauss sum for modulus n and its resolved sign c.
@@ -155,7 +148,8 @@ class P2Context:
             cand = _GAUSS_CANDIDATES[n](c)
             if val == cand.to_cyc(n):
                 norm = cand.norm()
-                assert norm.denominator == 1 and int(norm) == 2**r_small
+                if norm != 2**r_small:
+                    raise InvariantError(f"Gauss sum candidate for N = {n} has norm {norm}")
                 if n == 21:
                     # the same sum at chi^3 must be the negative (and carries
                     # the same c as the order-7 resolution by the lift)

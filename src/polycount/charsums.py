@@ -146,12 +146,7 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
     if t == 1:
         return CycInt.integer(n, 1)  # lambda(1)
 
-    dlogs: list[int | None] = [None] * q
-    cur = field.one
-    g = field.generator
-    for e in range(q - 1):
-        dlogs[cur.index] = e
-        cur = cur * g
+    dlogs = field.log_table().tolist()
 
     if field.r == 1:
         add = lambda a, b: (a + b) % q

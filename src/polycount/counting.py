@@ -24,7 +24,7 @@ generator choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,7 +45,7 @@ from .fields import (
     build_field,
     build_tower,
 )
-from .intmath import divisors, factor_prime_power_order, mobius, multiplicative_order
+from .intmath import divisors, mobius, multiplicative_order
 from .jacobi import CubicParams, QuarticParams, cubic_params, quartic_params
 
 TABLE_NAMES = ("s2", "s3", "s4", "semiprimitive")
@@ -54,7 +54,11 @@ CLOSED_PATHS = ("monomial", "jacobi")
 
 @dataclass(frozen=True)
 class CountSpec:
-    """A counting query.  The coset is always held as an explicit b."""
+    """A counting query.  The coset is held as an explicit b and its label h.
+
+    h = dlog(b) mod s for the canonical generator of F_q, computed once when
+    the spec is built, so it always agrees with b.
+    """
 
     p: int
     r: int
@@ -62,6 +66,10 @@ class CountSpec:
     s: int
     a: FieldElement
     b: FieldElement
+    h: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", self.base.dlog(self.b) % self.s)
 
     @classmethod
     def make(cls, p, r, m, s, a=0, b=None, h=None) -> "CountSpec":
@@ -76,12 +84,13 @@ class CountSpec:
         if b is not None and h is not None:
             raise ValidationError("give the coset as b or as h, not both")
         if b is None:
-            h = 0 if h is None else h % max(s, 1)
+            h = 0 if h is None else h % s
             b = base.generator**h if q > 2 else base.one
-        elif isinstance(b, int):
-            b = base.from_int(b) if r == 1 else base.from_index(b)
-        if b.is_zero():
-            raise ValidationError("b must be nonzero")
+        else:
+            if isinstance(b, int):
+                b = base.from_int(b) if r == 1 else base.from_index(b)
+            if b.is_zero():
+                raise ValidationError("b must be nonzero")
         return cls(p=p, r=r, m=m, s=s, a=a, b=b)
 
     @property
@@ -91,35 +100,6 @@ class CountSpec:
     @property
     def base(self):
         return build_field(self.p, self.r)
-
-    @property
-    def h(self) -> int:
-        """Coset label of b relative to the serialized base-field generator."""
-        return self.dlog_b() % self.s
-
-    def dlog_b(self) -> int:
-        base = self.base
-        if base.order == 2:
-            return 0
-        return base.dlog(
-            self.b,
-            base.generator,
-            base.group_order,
-            factored=factor_prime_power_order(self.p, self.r),
-        )
-
-    def dlog_a0(self, t: int) -> int:
-        """Discrete log (canonical generator) of a0 = -(m/t) a^{-1}."""
-        a0 = self.a0(t)
-        base = self.base
-        if base.order == 2:
-            return 0
-        return base.dlog(
-            a0,
-            base.generator,
-            base.group_order,
-            factored=factor_prime_power_order(self.p, self.r),
-        )
 
     def a0(self, t: int) -> FieldElement:
         """a0 = -(m/t mod p) * a^{-1}; needs a != 0 and p not dividing m/t."""
@@ -169,7 +149,8 @@ def derive_params(spec: CountSpec, t: int, h: int | None = None) -> TParams:
     l = math.gcd(t, sd)
     u = sd // l
     t0 = (q**t - 1) // (q - 1)
-    assert l == math.gcd(t0, sd), "gcd(t, s/d) must agree with gcd(t0, s/d)"
+    if l != math.gcd(t0, sd):
+        raise InvariantError("gcd(t, s/d) must agree with gcd(t0, s/d)")
     if h is None:
         h = spec.h
     if h % d != 0:
@@ -193,7 +174,8 @@ def n_t_special(spec: CountSpec, t: int):
         if not spec.a.is_zero():
             return 0
         val = params.d * (spec.q**t - 1)
-        assert val % spec.s == 0
+        if val % spec.s != 0:
+            raise InvariantError("d (q^t - 1) must be divisible by s")
         return val // spec.s
     return None
 
@@ -284,10 +266,6 @@ def _jacobi_value(spec: CountSpec, t: int, order: int, k: int, allow_brute: bool
     return jacobi_brute(spec.base, order, k, t, cap)
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 @lru_cache(maxsize=None)
 def _quartic(p, g) -> QuarticParams:
     return quartic_params(p, g)
@@ -316,7 +294,7 @@ def m_t_jacobi(
     sign_t = -1 if t % 2 == 0 else 1  # (-1)^{t-1} = -(-1)^t
     if spec.a.is_zero():
         n = params.l
-        L = _lcm(12, n) if n > 1 else 12
+        L = math.lcm(12, n)
         acc = CycInt.integer(L, 0)
         for j in range(1, n):
             order, k = _canonical_char_decompose(j, n)
@@ -328,10 +306,10 @@ def m_t_jacobi(
     n = spec.s // params.d
     if n == 1:
         return 1
-    log_neg_a0 = _dlog_of(spec, -spec.a0(t))
+    log_neg_a0 = spec.base.dlog(-spec.a0(t))
     # lambda_j(g^e) = zeta_{s/d}^{j e}, and the argument is (-a0)^t g^{i0}
     arg_log = (t * log_neg_a0 + params.i0) % (q - 1)
-    L = _lcm(12, n)
+    L = math.lcm(12, n)
     acc = CycInt.integer(L, 0)
     for j in range(1, n):
         order, k = _canonical_char_decompose((-j) % n, n)
@@ -340,15 +318,6 @@ def m_t_jacobi(
         acc = acc + jval * lam
     inner = acc.expect_integer("a!=0 Jacobi inner sum")
     return 1 + sign_t * q * inner
-
-
-def _dlog_of(spec: CountSpec, x: FieldElement) -> int:
-    base = spec.base
-    if base.order == 2:
-        return 0
-    return base.dlog(
-        x, base.generator, base.group_order, factored=factor_prime_power_order(spec.p, spec.r)
-    )
 
 
 def m_t_monomial(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None) -> int:
@@ -401,7 +370,8 @@ def m_t_lifted(spec: CountSpec, t: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     for j in range(1, l):
         order, k_red = _canonical_char_decompose((-j) % l, l)
         r_small = multiplicative_order(2, order)
-        assert r % r_small == 0
+        if r % r_small != 0:
+            raise InvariantError(f"a character of order {order} needs F_{{2^{r_small}}} inside F_q")
         sub = build_tower(2, r_small, r // r_small)
         g_val = gauss_sum_lifted(
             sub, MultChar(level=1, order=order, k=k_red), (r * t) // r_small, cap
@@ -468,7 +438,7 @@ def _table_s2(spec: CountSpec, t: int) -> int:
     else:
         if (d, l) == (1, 1):
             w = spec.a0(t) * -1  # (m/t) a^{-1} = -a0
-            log_w = _dlog_of(spec, w)
+            log_w = spec.base.dlog(w)
             rho = _rho_of_log(log_w) * (rho_m1 ** (((t - 1) // 2) % 2))
             val = Fraction(q ** (t - 1) + (-1) ** h * q ** ((t - 1) // 2) * rho, 2)
         elif (d, l) == (1, 2):
@@ -510,7 +480,7 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
             else:  # (4, 1)
                 val = Fraction(p ** (t - 1) - 1)
         else:
-            log_a0 = spec.dlog_a0(t)
+            log_a0 = spec.base.dlog(spec.a0(t))
             rho_a0 = _rho_of_log(log_a0)
             if (d, l) == (1, 1):
                 qt4 = _q_t4(spec, t, par, i0)
@@ -567,7 +537,7 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
 
 def _q_t4(spec: CountSpec, t: int, par: QuarticParams, i0: int) -> GaussianInt:
     p = spec.p
-    log_neg_a0 = _dlog_of(spec, -spec.a0(t))
+    log_neg_a0 = spec.base.dlog(-spec.a0(t))
     if t % 4 == 1:
         chi_bar = GaussianInt.i_power(-log_neg_a0)
         return GaussianInt(p ** ((t - 1) // 4)) * par.pi ** ((t - 1) // 2) * chi_bar * GaussianInt.i_power(i0)
@@ -585,7 +555,7 @@ def _q_t4(spec: CountSpec, t: int, par: QuarticParams, i0: int) -> GaussianInt:
 
 def _q_t3(spec: CountSpec, t: int, par: CubicParams, i0: int) -> EisensteinInt:
     p = spec.p
-    log_a0 = spec.dlog_a0(t)
+    log_a0 = spec.base.dlog(spec.a0(t))
     if t % 3 == 1:
         chi_bar = EisensteinInt.zeta_power((-log_a0) % 3)
         return (
@@ -642,7 +612,7 @@ def _table_semiprimitive(spec: CountSpec, t: int) -> int:
             val = ds * (q ** (t - 1) - 1 - sign_nt * (q - 1) * (l - 1) * root)
     else:
         k_sd = _k_value(p, e, n * t, sd)
-        ind_a0 = params.t0 % sd * spec.dlog_a0(t) % sd if sd > 1 else 0
+        ind_a0 = params.t0 % sd * spec.base.dlog(spec.a0(t)) % sd if sd > 1 else 0
         kk = (k_sd - i0 - ind_a0) % sd if sd > 1 else 0
         if sd > 1 and kk % l != 0:
             val = ds * (q ** (t - 1) - sign_nt * root)
@@ -808,14 +778,14 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
         if spec.a.is_zero():
             val = Fraction(q ** (m - 1) - q, 2 * m) if m == p else Fraction(q ** (m - 1) - 1, 2 * m)
         else:
-            log_a = _dlog_of(spec, spec.a)
+            log_a = spec.base.dlog(spec.a)
             rho_arg = _rho_of_log(log_a) * rho_m1 ** ((((m - 1) // 2)) % 2)
             big_s = (-1) ** h * q ** ((m - 1) // 2) * rho_arg
             if m == p:
                 val = Fraction(q ** (m - 1) + big_s, 2 * m)
             else:
                 ma = spec.a * (m % p)
-                rho_ma = _rho_of_log(_dlog_of(spec, ma)) if not ma.is_zero() else 0
+                rho_ma = _rho_of_log(spec.base.dlog(ma)) if not ma.is_zero() else 0
                 val = Fraction(q ** (m - 1) + big_s - (-1) ** h * rho_ma - 1, 2 * m)
     elif s == 4:
         if spec.r != 1 or (p - 1) % 4 != 0 or m <= 2:
@@ -825,7 +795,7 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
         if spec.a.is_zero():
             val = Fraction(p ** (p - 2) - 1, 4) if m == p else Fraction(p ** (m - 1) - 1, 4 * m)
         else:
-            log_a = _dlog_of(spec, spec.a)
+            log_a = spec.base.dlog(spec.a)
             rho_a = _rho_of_log(log_a)
             chi_a = GaussianInt.i_power(log_a)
             if m == p:
@@ -836,7 +806,7 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
                     4 * p,
                 )
             else:
-                log_m = _dlog_of(spec, spec.base.from_int(m))
+                log_m = spec.base.dlog(spec.base.from_int(m))
                 rho_m = _rho_of_log(log_m)
                 chi_m3a = GaussianInt.i_power(3 * log_m + log_a)
                 if m % 4 == 1:
@@ -865,13 +835,13 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
         if spec.a.is_zero():
             val = Fraction(p ** (p - 2) - 1, 3) if m == p else Fraction(p ** (m - 1) - 1, 3 * m)
         else:
-            log_a = _dlog_of(spec, spec.a)
+            log_a = spec.base.dlog(spec.a)
             chi_a = EisensteinInt.zeta_power(log_a)
             if m == p:
                 inner = pi ** ((p - 1) // 3) * chi_a * EisensteinInt.zeta_power(2 * h)
                 val = Fraction(p ** (p - 1) + 2 * p ** ((p - 1) // 3) * Fraction(inner.twice_real(), 2), 3 * p)
             else:
-                log_m = _dlog_of(spec, spec.base.from_int(m))
+                log_m = spec.base.dlog(spec.base.from_int(m))
                 chi_m_bar = EisensteinInt.zeta_power(-log_m)
                 if m % 3 == 1:
                     l_m = ((p * pi) ** ((m - 1) // 3) - chi_m_bar) * chi_a * EisensteinInt.zeta_power(2 * h)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import OrderMismatch
+from .errors import InvariantError, OrderMismatch
 from .intmath import cyclotomic_poly, legendre, poly_divmod_z
 
 
@@ -254,7 +254,8 @@ class GaussianInt:
         return 2 * self.a
 
     def to_cyc(self, order: int = 4) -> CycInt:
-        assert order % 4 == 0
+        if order % 4 != 0:
+            raise InvariantError(f"Z[i] does not embed in Z[zeta_{order}]")
         return (CycInt.integer(4, self.a) + CycInt.root(4, 1, self.b)).embed(order)
 
     def __eq__(self, other):
@@ -331,7 +332,8 @@ class EisensteinInt:
         return 2 * self.a - self.b
 
     def to_cyc(self, order: int = 3) -> CycInt:
-        assert order % 3 == 0
+        if order % 3 != 0:
+            raise InvariantError(f"Z[zeta_3] does not embed in Z[zeta_{order}]")
         return (CycInt.integer(3, self.a) + CycInt.root(3, 1, self.b)).embed(order)
 
     def __eq__(self, other):

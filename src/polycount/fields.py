@@ -35,6 +35,9 @@ DEFAULT_ENUM_CAP = 1 << 24
 
 _ORBIT_BLOCK = 4096
 
+# fields of at most this order keep a full log table, one int32 per element
+LOG_TABLE_MAX_ORDER = 1 << 16
+
 
 # -- dense polynomial helpers over F_p (tuples, low degree first) --
 
@@ -223,7 +226,8 @@ class FieldCtx:
         self._gen_factored = None
         self._frob1 = None
         self._frob_pows: dict[int, np.ndarray] = {}
-        self._dlog_baby: dict[tuple, dict] = {}
+        self._log_table: np.ndarray | None = None
+        self._baby_steps: dict[tuple, dict] = {}
 
     # -- construction --
 
@@ -346,11 +350,15 @@ class FieldCtx:
         if length == 0:
             return out
         nb = min(block, length)
-        rows = np.zeros((nb, r), dtype=np.int64)
-        cur = gamma**start if start else self.one
-        for i in range(nb):
-            rows[i] = cur.coords
-            cur = cur * gamma
+        rows = np.empty((nb, r), dtype=np.int64)
+        rows[0] = (gamma**start if start else self.one).coords
+        # seed the block by doubling: rows[f:2f] = rows[:f] * gamma^f
+        f, gamma_f = 1, gamma
+        while f < nb:
+            n = min(f, nb - f)
+            rows[f : f + n] = (rows[:n] @ self.mul_matrix(gamma_f)) % p
+            f += n
+            gamma_f = gamma_f * gamma_f
         step = self.mul_matrix(gamma**nb)
         pos = 0
         while pos < length:
@@ -369,53 +377,107 @@ class FieldCtx:
         """Column of base-p place values; digits @ this = element index."""
         return np.array([[self.p**i] for i in range(self.r)], dtype=np.int64).reshape(-1)
 
-    # -- discrete logarithms (Pohlig-Hellman over BSGS) --
+    # -- discrete logarithms --
 
-    def dlog(self, x: FieldElement, base: FieldElement, order: int, factored=None) -> int:
-        """Exponent e in [0, order) with base^e = x; base must have that order."""
+    def dlog(self, x: FieldElement, base: FieldElement | None = None, order: int | None = None) -> int:
+        """Exponent e in [0, order) with base^e = x.
+
+        base defaults to the canonical generator, of order q - 1; an explicit
+        base needs its order n.  For q <= LOG_TABLE_MAX_ORDER both logs come
+        from the table: with k = (q - 1) / n, k must be gcd(log base, q - 1)
+        and must divide log x.  Above it, Pohlig-Hellman runs in the subgroup
+        of order n.
+        """
+        if x.ctx is not self:
+            raise ValueError("element from a different field")
         if x.is_zero():
             raise ZeroHasNoLog("zero has no discrete logarithm")
-        if factored is None:
-            from .intmath import factorize
+        n = self.group_order
+        if base is None:
+            if order not in (None, n):
+                raise InvariantError(f"the generator has order {n}, not {order}")
+            base, order = self.generator, n
+        elif order is None:
+            raise ValueError("an explicit base needs its order")
+        if n % order:
+            raise InvariantError(f"{order} does not divide q - 1 = {n}")
+        if self.order > LOG_TABLE_MAX_ORDER:
+            return self._pohlig_hellman(x, base, order)
+        table = self.log_table()
+        log_x, log_b = int(table[x.index]), int(table[base.index])
+        k = n // order
+        if math.gcd(log_b, n) != k:
+            raise InvariantError(f"base does not have order {order}")
+        if log_x % k:
+            raise InvariantError("x is not a power of base")
+        return log_x // k * pow(log_b // k, -1, order) % order
 
-            factored = tuple(sorted(factorize(order).items()))
-        residues = []
-        moduli = []
-        for q, e in factored:
+    def log_table(self) -> np.ndarray:
+        """int32 array whose entry i is the log of the element of index i (-1 at 0).
+
+        Built from one orbit of the generator and checked to be a permutation
+        of F_q*.  Kept on the field when q <= LOG_TABLE_MAX_ORDER, built
+        afresh on each call above it.
+        """
+        if self._log_table is not None:
+            return self._log_table
+        n = self.group_order
+        eye = np.eye(self.r, dtype=np.int64)
+        powers = self.linear_orbit(self.generator, eye, n, weights=self.power_weights())
+        table = np.full(self.order, -1, dtype=np.int32)
+        table[powers] = np.arange(n, dtype=np.int32)
+        if table[0] != -1 or np.count_nonzero(table < 0) != 1:
+            raise InvariantError("powers of the generator are not a permutation of F_q*")
+        if self.order <= LOG_TABLE_MAX_ORDER:
+            self._log_table = table
+        return table
+
+    def _pohlig_hellman(self, x: FieldElement, base: FieldElement, order: int) -> int:
+        """Log of nonzero x to base of the given order (a divisor of q - 1).
+
+        Digit by digit in each prime-power subgroup, then CRT.  base must have
+        exactly that order, and base^e == x is checked at the end.
+        """
+        factors = []
+        for q, _ in self.order_factorization():
+            e = 0
+            while order % q ** (e + 1) == 0:
+                e += 1
+            if e:
+                factors.append((q, e))
+        if not base**order == self.one:
+            raise InvariantError(f"base does not have order {order}")
+        result, mod = 0, 1
+        for q, e in factors:
             pe = q**e
-            # digits of the log base q inside the subgroup of order q^e
             g_sub = base ** (order // pe)
             x_sub = x ** (order // pe)
-            gq = g_sub ** (q ** (e - 1))  # order q
+            gq = g_sub ** (q ** (e - 1))  # base^(order/q), of order q
+            if gq == self.one:
+                raise InvariantError(f"base does not have order {order}")
             log = 0
             for i in range(e):
                 t = (x_sub * (g_sub**log).inverse()) ** (q ** (e - 1 - i))
-                d = self._bsgs(t, gq, q)
-                log += d * q**i
-            residues.append(log)
-            moduli.append(pe)
-        # CRT
-        result, mod = 0, 1
-        for rres, rmod in zip(residues, moduli):
-            inv = pow(mod % rmod, -1, rmod) if rmod > 1 else 0
-            result = result + mod * ((rres - result) * inv % rmod)
-            mod *= rmod
+                log += self._bsgs(t, gq, q) * q**i
+            # CRT
+            result += mod * ((log - result) * pow(mod, -1, pe) % pe)
+            mod *= pe
         if not (base**result == x):
-            raise InvariantError("dlog postcondition failed")
+            raise InvariantError("x is not a power of base")
         return result % order
 
     def _bsgs(self, x: FieldElement, g: FieldElement, n: int) -> int:
         """Log of x base g in the cyclic group of prime order n."""
         m = math.isqrt(n - 1) + 1
         key = (g.coords, n)
-        baby = self._dlog_baby.get(key)
+        baby = self._baby_steps.get(key)
         if baby is None:
             baby = {}
             cur = self.one
             for j in range(m):
                 baby.setdefault(cur.coords, j)
                 cur = cur * g
-            self._dlog_baby[key] = baby
+            self._baby_steps[key] = baby
         giant = (g**m).inverse()
         cur = x
         for i in range(m + 1):
@@ -533,7 +595,7 @@ class TowerCtx:
         self._orbit_traces: dict[int, np.ndarray] = {}
         self._embed_rows: list[list[int]] | None = None
         self._solver: _FpSolver | None = None
-        self._g_index_cache: int | None = None
+        self._g_base: FieldElement | None = None
         self._verify_tower()
 
     def _verify_tower(self):
@@ -541,10 +603,13 @@ class TowerCtx:
         for t in divisors(self.m):
             n = self.q**t - 1
             gt = self.gamma[t]
-            assert gt**n == self.top.one
+            if not gt**n == self.top.one:
+                raise InvariantError(f"gamma_{t}^(q^{t} - 1) != 1")
             for qq, _ in factor_prime_power_order(self.p, self.r * t):
-                assert not gt ** (n // qq) == self.top.one, "gamma_t order too small"
-            assert self.norm_rel(gt, t) == self.g
+                if gt ** (n // qq) == self.top.one:
+                    raise InvariantError(f"gamma_{t} order too small")
+            if not self.norm_rel(gt, t) == self.g:
+                raise InvariantError(f"the norm of gamma_{t} is not g")
 
     # -- subfield structure --
 
@@ -683,16 +748,16 @@ class TowerCtx:
 
     def dlog_gamma(self, x: FieldElement, t: int) -> int:
         """Index of x in the cyclic group generated by gamma_t."""
+        if t == 1:
+            return self.dlog_g(x)
         self._require_subfield(x, t)
-        n = self.q**t - 1
-        return self.top.dlog(
-            x, self.gamma[t], n, factored=factor_prime_power_order(self.p, self.r * t)
-        )
+        return self.top.dlog(x, self.gamma[t], self.q**t - 1)
 
     def dlog_g(self, x: FieldElement) -> int:
-        if x.ctx is self.base:
-            x = self.embed(x)
-        return self.dlog_gamma(x, 1)
+        """Index of x in the group generated by g, taken in F_q; x may be given in the top field."""
+        if self._g_base is None:
+            self._g_base = self.to_base(self.g)
+        return self.base.dlog(self.to_base(x), self._g_base, self.q - 1)
 
     # -- bulk enumeration --
 
@@ -741,7 +806,8 @@ def min_poly(tower: TowerCtx, x: FieldElement):
     for _ in range(t):
         conjugates.append(cur)
         cur = cur**q
-    assert cur == x
+    if not cur == x:
+        raise InvariantError("conjugates of x do not close up")
     # product of (X - conj) with top-field coefficients
     poly = [tower.top.one]
     for c in conjugates:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import InvariantError
+
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -160,7 +162,8 @@ def legendre(a: int, p: int) -> int:
 def necklace_count(q: int, m: int) -> int:
     """Number of monic irreducible polynomials of degree m over F_q."""
     total = sum(mobius(m // t) * q**t for t in divisors(m))
-    assert total % m == 0
+    if total % m != 0:
+        raise InvariantError("the necklace sum must be divisible by m")
     return total // m
 
 
@@ -178,7 +181,8 @@ def poly_mul_z(a: list[int], b: list[int]) -> list[int]:
 
 def poly_divmod_z(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Division of integer polynomials; b must be monic."""
-    assert b[-1] == 1
+    if b[-1] != 1:
+        raise InvariantError("the divisor must be monic")
     a = list(a)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
@@ -213,7 +217,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
             dens.append(term)
     for term in dens:
         num, rem = poly_divmod_z(num, term)
-        assert rem == [0], "cyclotomic division must be exact"
+        if rem != [0]:
+            raise InvariantError("cyclotomic division must be exact")
     return tuple(num)
 
 
@@ -235,5 +240,6 @@ def factor_prime_power_order(p: int, n: int) -> tuple[tuple[int, int], ...]:
     check = 1
     for q, e in merged.items():
         check *= q**e
-    assert check == p**n - 1
+    if check != p**n - 1:
+        raise InvariantError(f"factors of {p}^{n} - 1 do not multiply back")
     return tuple(sorted(merged.items()))

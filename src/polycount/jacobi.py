@@ -105,18 +105,10 @@ def cubic_params(p: int, g: int) -> CubicParams:
     if len(found) != 1:
         raise BadResidue(f"cubic parameter search found {found}, expected one pair")
     a3, b3 = found[0]
-    # chi(2) = zeta^{dlog_g(2) mod 3}
-    dlog2 = _dlog_mod(p, g, 2)
-    return CubicParams(p=p, g=g, a3=a3, b3=b3, chi2_exp=dlog2 % 3)
-
-
-def _dlog_mod(p: int, g: int, x: int) -> int:
-    cur = 1
-    for e in range(p - 1):
-        if cur == x % p:
-            return e
-        cur = cur * g % p
-    raise ValidationError(f"{x} has no discrete log (is it zero mod {p}?)")
+    # chi(2) = zeta^{dlog_g(2) mod 3}, read off 2^{(p-1)/3} = gp^j
+    two = pow(2, (p - 1) // 3, p)
+    chi2_exp = next(j for j in range(3) if pow(gp, j, p) == two)
+    return CubicParams(p=p, g=g, a3=a3, b3=b3, chi2_exp=chi2_exp)
 
 
 def rho_minus_one(q: int) -> int:

@@ -51,6 +51,12 @@ def test_spec_validation():
         CountSpec.make(5, 1, 3, 3)  # 3 does not divide 4
     with pytest.raises(ValidationError):
         CountSpec.make(5, 1, 3, 2, b=0)
+    # h is derived from b, also when the spec is built directly
+    base = build_field(13, 1)
+    direct = CountSpec(13, 1, 3, 4, a=base.one, b=base.generator**6)
+    assert direct.h == 2 == CountSpec.make(13, 1, 3, 4, a=1, h=6).h
+    with pytest.raises(TypeError):
+        CountSpec(13, 1, 3, 4, a=base.one, b=base.one, h=1)
 
 
 def test_derive_params_examples():

@@ -1,12 +1,22 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import polycount
 from polycount.errors import (
     InvalidDegree,
     InvalidPrime,
+    InvariantError,
     SubfieldViolation,
     ZeroHasNoLog,
 )
 from polycount.fields import (
+    FieldCtx,
     build_field,
     build_tower,
     field_poly_is_irreducible,
@@ -161,6 +171,8 @@ def test_subfield_membership_and_violation():
         tw.trace_rel(tw.gamma[4], 2)
     with pytest.raises(SubfieldViolation):
         tw.to_base(tw.gamma[4])
+    with pytest.raises(SubfieldViolation):
+        tw.dlog_g(tw.gamma[4])
 
 
 def test_dlog_examples_and_round_trip():
@@ -173,15 +185,118 @@ def test_dlog_examples_and_round_trip():
         assert tw.dlog_gamma(g2**e, 2) == e
     with pytest.raises(ZeroHasNoLog):
         tw.top.dlog(tw.top.zero, g2, 24)
+    with pytest.raises(ValueError):
+        tw.top.dlog(g2, g2)  # an explicit base needs its order
+    # gamma_2 is not a power of g, and g does not have order 8
+    with pytest.raises(InvariantError):
+        tw.top.dlog(g2, tw.g, 4)
+    with pytest.raises(InvariantError):
+        tw.top.dlog(tw.g, tw.g, 8)
+    # the same failures above LOG_TABLE_MAX_ORDER, where Pohlig-Hellman runs
+    tw = build_tower(2, 1, 18)
+    g9 = tw.gamma[9]
+    assert tw.top.dlog(g9**5, g9, 2**9 - 1) == 5
+    with pytest.raises(InvariantError):
+        tw.top.dlog(tw.gamma[18], g9, 2**9 - 1)
+    with pytest.raises(InvariantError):
+        tw.top.dlog(g9, g9, 2**18 - 1)
 
 
 def test_dlog_exp_identity_many():
-    for p, r, m in [(2, 2, 2), (3, 1, 3), (7, 1, 2)]:
+    # (2, 2, 9), (2, 1, 18) and (3, 1, 12) lie above LOG_TABLE_MAX_ORDER: Pohlig-Hellman
+    for p, r, m in [(2, 2, 2), (3, 1, 3), (7, 1, 2), (5, 2, 2), (2, 2, 9), (2, 1, 18), (3, 1, 12)]:
         tw = build_tower(p, r, m)
         n = tw.q**m - 1
         g = tw.gamma[m]
         for e in range(0, n, max(1, n // 50)):
             assert tw.dlog_gamma(g**e, m) == e
+        # dlog_g is a log in F_q, for x given in F_q or in the top field
+        for e in range(tw.q - 1):
+            x = tw.g**e
+            assert tw.dlog_g(x) == tw.dlog_g(tw.to_base(x)) == e
+
+
+def test_log_table_matches_pohlig_hellman():
+    for p, r in [(2, 9), (3, 5), (5, 4)]:
+        ctx = build_field(p, r)
+        g, n = ctx.generator, ctx.group_order
+        for idx in range(1, ctx.order):
+            x = ctx.from_index(idx)
+            assert ctx.dlog(x) == ctx._pohlig_hellman(x, g, n)
+    ctx = build_field(2, 16)
+    g, n = ctx.generator, ctx.group_order
+    for idx in random.Random(16).sample(range(1, ctx.order), 200):
+        x = ctx.from_index(idx)
+        assert ctx.dlog(x) == ctx._pohlig_hellman(x, g, n)
+
+
+def test_forged_generator_fails_the_table_check():
+    ctx = FieldCtx(2, 4)
+    ctx._gen = ctx.generator**3  # order 5, not 15
+    with pytest.raises(InvariantError):
+        ctx.dlog(ctx.one)
+
+
+def test_broken_tower_invariant_raises_under_optimize():
+    # python -O strips assert statements; the tower checks must survive it
+    code = "\n".join([
+        "import sys",
+        "from polycount.errors import InvariantError",
+        "from polycount.fields import TowerCtx, build_field",
+        "assert sys.flags.optimize",
+        "top = build_field(2, 4)",
+        "top._gen = top.generator**3",  # gamma_4 of order 5
+        "try:",
+        "    TowerCtx(2, 1, 4)",
+        "except InvariantError as exc:",
+        "    print('InvariantError:', exc)",
+    ])
+    src = str(Path(polycount.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError:"), proc.stdout
+
+
+@pytest.mark.parametrize("p, r", [(2, 7), (3, 4)])
+def test_linear_orbit_matches_naive_powers(p, r):
+    ctx = build_field(p, r)
+    gamma = ctx.generator**5
+    eye = np.eye(r, dtype=np.int64)
+    weights = ctx.power_weights()
+    for start, length in [(0, 1), (0, 37), (11, 50), (100, 9)]:
+        naive = [gamma ** (start + j) for j in range(length)]
+        coords = np.array([x.coords for x in naive], dtype=np.int64)
+        indices = np.array([x.index for x in naive], dtype=np.int64)
+        for block in (1, 3, 5, 4096):
+            got = ctx.linear_orbit(gamma, eye, length, start=start, block=block)
+            assert np.array_equal(got, coords)
+            got = ctx.linear_orbit(gamma, eye, length, weights=weights, start=start, block=block)
+            assert np.array_equal(got, indices)
+
+
+def test_p_m_cold_and_warm_caches_agree():
+    from polycount.catalog import p2_context
+    from polycount.counting import CountSpec, p_m
+
+    grid = [(2, 2, 3, 3), (3, 1, 4, 2), (5, 1, 3, 4), (7, 1, 2, 3)]
+
+    def values():
+        out = []
+        for p, r, m, s in grid:
+            for a in range(min(p**r, 3)):
+                for h in range(s):
+                    spec = CountSpec.make(p, r, m, s, a=a, h=h)
+                    out.append((spec.h, p_m(spec, "auto"), p_m(spec, "general")))
+        return out
+
+    build_field.cache_clear()
+    build_tower.cache_clear()
+    p2_context.cache_clear()  # it holds fields from build_field
+    cold = values()
+    assert values() == cold
 
 
 def test_min_poly_examples():

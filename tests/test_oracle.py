@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from polycount.counting import CountSpec
 from polycount.errors import ListingCapExceeded, OracleCapExceeded
 from polycount.fields import build_field, build_tower, field_poly_is_irreducible
 from polycount.intmath import divisors, necklace_count
-from polycount.oracle import brute_n_t, brute_p_m, brute_t_t, list_polys
+from polycount import oracle
+from polycount.oracle import brute_n_t, brute_p_m, brute_scan, brute_t_t, list_polys
 
 
 def test_brute_p_m_reference_values():
@@ -45,6 +47,19 @@ def test_degree_count_divisibility():
                     p, r, m, q - 1 if q > 2 else 1, a=base.from_index(ai), h=h
                 )
                 assert brute_t_t(spec, m) % m == 0
+
+
+def test_brute_scan_is_independent_of_jobs():
+    # orbits longer than one 4096-element block are split across the pool
+    for p, r, m in [(2, 1, 14), (3, 1, 9)]:
+        tower = build_tower(p, r, m)
+        results = []
+        for jobs in (1, 2):
+            oracle._scan_cache.pop((p, r, m, m), None)
+            results.append(brute_scan(tower, m, jobs=jobs))
+        one, two = results
+        assert one.labels == two.labels
+        assert np.array_equal(one.counts, two.counts)
 
 
 def test_oracle_cap():
