@@ -34,7 +34,6 @@ from .counting import (
     TParams,
     applicable_tables,
     derive_params,
-    m_t_closed,
     m_t_general,
     m_t_jacobi,
     m_t_lifted,

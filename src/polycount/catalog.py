@@ -33,7 +33,7 @@ from .errors import (
     OutOfCatalog,
     ValidationError,
 )
-from .fields import FieldElement, build_field, build_tower
+from .fields import DEFAULT_ENUM_CAP, FieldElement, build_field, build_tower
 from .intmath import factorize, multiplicative_order
 
 
@@ -114,18 +114,23 @@ class P2Context:
     def __init__(self, r: int):
         self.r = r
         self.q = 2**r
-        self.field = build_field(2, r)
         self._signs: dict[int, tuple[QuadPow, int]] = {}
+
+    @property
+    def field(self):
+        """F_{2^r} as build_field currently serves it (never a stale copy)."""
+        return build_field(2, self.r)
 
     def ind(self, b) -> int:
         """dlog of b relative to the canonical generator of F_{2^r}."""
+        field = self.field
         if isinstance(b, int):
-            b = self.field.from_index(b)
-        if not isinstance(b, FieldElement) or b.ctx is not self.field:
+            b = field.from_index(b)
+        if not isinstance(b, FieldElement) or b.ctx is not field:
             raise ValidationError("b must be an element of F_{2^r}")
         if b.is_zero():
             raise ValidationError("b must be nonzero")
-        return self.field.dlog(b)
+        return field.dlog(b)
 
     def resolve_gauss(self, n: int) -> tuple[QuadPow, int]:
         """The small-field Gauss sum for modulus n and its resolved sign c.
@@ -610,22 +615,10 @@ def p2_closed_pm(r: int, m: int, b) -> int:
     return p2_closed_detail(r, m, b).value
 
 
-def p2_general_pm(r: int, m: int, b, cap: int | None = None) -> int:
+def p2_general_pm(r: int, m: int, b, cap: int = DEFAULT_ENUM_CAP) -> int:
     """The same count through Davenport-Hasse-lifted Gauss sums (no tables)."""
     field = build_field(2, r)
     if isinstance(b, int):
         b = field.from_index(b)
     spec = CountSpec.make(2, r, m, field.order - 1, a=0, b=b)
-    kwargs = {}
-    if cap is not None:
-        kwargs["cap"] = cap
-    return p_m(spec, method="closed", **kwargs)
-
-
-def trace_zero_total(r: int, m: int, cap: int | None = None) -> int:
-    """P_m(0, 1, 0): all degree-m irreducibles with zero trace coefficient."""
-    spec = CountSpec.make(2, r, m, 1, a=0)
-    kwargs = {}
-    if cap is not None:
-        kwargs["cap"] = cap
-    return p_m(spec, method="closed", **kwargs)
+    return p_m(spec, "closed", cap)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt
-from .errors import EnumerationCapExceeded, InvariantError, ValidationError
+from .errors import EnumerationCapExceeded, ValidationError
 from .fields import FieldCtx, FieldElement, TowerCtx, build_tower
 
 
@@ -130,54 +130,73 @@ def gauss_sum_lifted(tower: TowerCtx, chi: MultChar, t_prime: int, cap: int | No
     return -((-f) ** t_prime)
 
 
+# the trailing coordinates of jacobi_brute are enumerated together, this many at most (or q)
+_JACOBI_BLOCK = 1 << 12
+
+
+def _index_add(a, b, p: int, r: int, sign: int = 1):
+    """Index of x + sign*y from the indices of x and y, for ints or numpy arrays.
+
+    An index holds the coordinates as base-p digits, so field addition is
+    digit-wise addition mod p (xor when p = 2) and needs no table."""
+    if p == 2:
+        return a ^ b
+    out, place = 0, 1
+    for _ in range(r):
+        out = out + (a // place + sign * (b // place)) % p * place
+        place *= p
+    return out
+
+
 def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None) -> CycInt:
     """J_t(lambda) = sum over x_1 + ... + x_t = 1 of lambda(x_1 ... x_t).
 
     lambda is the k-th power of the canonical order-n character of F_q*
     (sending field.generator to zeta_n).  Iterates the t - 1 free
-    coordinates directly; exact in Z[zeta_n].
+    coordinates directly, the trailing ones as numpy blocks of element
+    indices, in O(q) memory; exact in Z[zeta_n].
     """
-    q = field.order
+    q, p, r = field.order, field.p, field.r
     if (q - 1) % n != 0:
         raise ValidationError("character order must divide q - 1")
     cap = (1 << 24) if cap is None else cap
     _check_cap(q ** max(t - 1, 0), cap, f"Jacobi sum with {t} variables")
-    trivial = k % n == 0
     if t == 1:
         return CycInt.integer(n, 1)  # lambda(1)
 
-    dlogs = field.log_table().tolist()
-
-    if field.r == 1:
-        add = lambda a, b: (a + b) % q
-        neg = [(-i) % q for i in range(q)]
-    else:
-        elems = [field.from_index(i) for i in range(q)]
-        addtab = [[(elems[i] + elems[j]).index for j in range(q)] for i in range(q)]
-        add = lambda a, b: addtab[a][b]
-        neg = [(-elems[i]).index for i in range(q)]
+    # exponent of lambda at each nonzero index (entry 0 is never read unmasked)
+    exps = field.log_table().astype(np.int64) * k % n
+    exps_list = exps.tolist()
+    # all w-tuples of the trailing coordinates: index of their sum, exponent, any zero
+    width = 1
+    while width < t - 1 and q ** (width + 1) <= max(q, _JACOBI_BLOCK):
+        width += 1
+    xs = np.arange(q, dtype=np.int64)
+    tail_sum, tail_exp, tail_zero = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, bool)
+    for _ in range(width):
+        tail_sum = _index_add(tail_sum[:, None], xs[None, :], p, r).ravel()
+        tail_exp = ((tail_exp[:, None] + exps[None, :]) % n).ravel()
+        tail_zero = (tail_zero[:, None] | (xs == 0)[None, :]).ravel()
 
     one_idx = field.one.index
-    coeffs = [0] * n
-    const = 0
-    for tup in itertools.product(range(q), repeat=t - 1):
-        s = 0
-        logsum = 0
-        zero_seen = False
-        for i in tup:
-            if i == 0:
-                zero_seen = True
-            else:
-                logsum += dlogs[i]
-            s = add(s, i)
-        last = add(one_idx, neg[s])
-        if zero_seen or last == 0:
-            if trivial:
-                const += 1  # lambda_0 takes value 1 even at 0
+    coeffs = np.zeros(n, dtype=np.int64)
+    with_zero = 0  # tuples with a zero coordinate: lambda_0 takes value 1 there
+    for head in itertools.product(range(q), repeat=t - 1 - width):
+        if 0 in head:
+            with_zero += len(tail_sum)
             continue
-        coeffs[(logsum + dlogs[last]) * k % n] += 1
-    coeffs[0] += const
-    return CycInt(n, coeffs)
+        s, e = 0, 0
+        for i in head:
+            s = _index_add(s, i, p, r)
+            e += exps_list[i]
+        last = _index_add(one_idx, _index_add(s, tail_sum, p, r), p, r, sign=-1)
+        dead = tail_zero | (last == 0)
+        live = ~dead
+        coeffs += np.bincount((e + tail_exp[live] + exps[last[live]]) % n, minlength=n)
+        with_zero += int(np.count_nonzero(dead))
+    if k % n == 0:
+        coeffs[0] += with_zero
+    return CycInt(n, coeffs.tolist())
 
 
 @dataclass
@@ -212,15 +231,6 @@ def char_connect_check(tower: TowerCtx, t: int, alpha: FieldElement, n: int) -> 
         rhs = rhs + g_val.embed(order) * lam_val
     lhs_e = lhs.embed(order)
     return ConnectReport(lhs=lhs_e, rhs=rhs, equal=lhs_e == rhs)
-
-
-def gauss_sum_conjugate_product(tower: TowerCtx, t: int, chi: MultChar) -> int:
-    """|G|^2 extracted exactly; equals q^t for nontrivial chi."""
-    g = gauss_sum(tower, t, chi)
-    val = (g * g.conjugate()).as_integer()
-    if val is None:
-        raise InvariantError("|G|^2 must be a rational integer")
-    return val
 
 
 def monomial_closed_semiprimitive(p: int, e: int, n: int, t: int, s: int, i: int) -> int:

@@ -15,6 +15,10 @@ character sum M_t by one of several routes:
     the Davenport-Hasse lift, and
   * the literal double character sum over F_q* x F_{q^t}*.
 
+`plan` picks the route of every N_t up front, from the spec alone, and
+refuses a method or cap it cannot serve before any work; `n_t` and `p_m`
+run what it picks.
+
 All routes return the same integer; disagreement is a test failure, never
 something to smooth over.  Internally every route keys the coset by an
 explicit representative b, so labels stay consistent under different
@@ -49,7 +53,6 @@ from .intmath import divisors, mobius, multiplicative_order
 from .jacobi import CubicParams, QuarticParams, cubic_params, quartic_params
 
 TABLE_NAMES = ("s2", "s3", "s4", "semiprimitive")
-CLOSED_PATHS = ("monomial", "jacobi")
 
 
 @dataclass(frozen=True)
@@ -646,11 +649,95 @@ def applicable_tables(spec: CountSpec) -> list[str]:
     return out
 
 
+# -- the route planner --
+
+METHODS = ("auto", "closed", "general", "table")
+
+
+def plan(spec: CountSpec, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, int, str]]:
+    """[(t, mu(m/t), route)] for every N_t that P_m needs, decided up front.
+
+    The route of each N_t is chosen from the spec alone, by integer
+    arithmetic, before any tower is built or any orbit is walked, so a
+    method or cap that cannot be served refuses here (TableNotApplicable
+    or EnumerationCapExceeded) instead of part way through the work.
+    """
+    tables = _tables_for(spec, method)
+    out = []
+    for t in divisors(spec.m):
+        mu = mobius(spec.m // t)
+        if mu:
+            out.append((t, mu, _route(spec, t, method, cap, tables)))
+    return out
+
+
+def _tables_for(spec: CountSpec, method: str) -> list[str]:
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}")
+    return applicable_tables(spec) if method in ("auto", "table") else []
+
+
+def _route(spec: CountSpec, t: int, method: str, cap: int, tables: list[str]) -> str:
+    """The route of N_t under `method`.
+
+    N_t is special when d = gcd(m/t, s) does not divide h or p divides m/t;
+    otherwise its characters have orders dividing n = gcd(t, s/d) (a = 0) or
+    s/d (a != 0).  'auto' tries Jacobi when n = 1, a table, the closed route,
+    then general, monomial and brute Jacobi while q^{t+1}, q^t, q^{t-1} fit the cap.
+    """
+    q, s = spec.q, spec.s
+    mt = spec.m // t
+    d = math.gcd(mt, s)
+    if spec.h % d or mt % spec.p == 0:
+        return "special"
+    n = math.gcd(t, s // d) if spec.a.is_zero() else s // d
+    if method == "general":
+        if q ** (t + 1) > cap:
+            raise EnumerationCapExceeded(f"q^(t+1) = {q ** (t + 1)} exceeds cap {cap}; use a closed route")
+        return "general"
+    if method == "table":
+        if not tables:
+            raise TableNotApplicable(f"no closed table applies to s={s}, q={q}")
+        return tables[0]
+    if method == "auto":
+        if n == 1:
+            return "jacobi"
+        if tables:
+            return tables[0]
+    closed, refusal = _closed_route(spec, n, cap)
+    if method == "closed" and refusal:
+        raise refusal
+    if not refusal:
+        return closed
+    if q ** (t + 1) <= cap:
+        return "general"
+    if q**t <= cap:
+        return "monomial"
+    if q ** (t - 1) <= cap:
+        return "jacobi_brute"
+    raise EnumerationCapExceeded(
+        f"N_{t} needs a Jacobi sum over q^(t-1) = {q ** (t - 1)} tuples, beyond cap {cap}"
+    )
+
+
+def _closed_route(spec: CountSpec, n: int, cap: int):
+    """The closed route for characters of order dividing n, and its refusal (or None)."""
+    if spec.p == 2 and spec.a.is_zero():
+        # the lifted Gauss sums enumerate F_{2^{ord_n 2}}, a subfield of F_q
+        small = 1 if n == 1 or spec.q <= cap else 2 ** multiplicative_order(2, n)
+        if small > cap:
+            return "lifted", EnumerationCapExceeded(f"the lifted Gauss sums enumerate F_{small}, beyond cap {cap}")
+        return "lifted", None
+    if n in (1, 2) or (spec.r == 1 and n in (3, 4)):
+        return "jacobi", None
+    return "jacobi", TableNotApplicable(f"no closed Jacobi form for character order {n} at q = {spec.q}")
+
+
 # -- N_t and P_m --
 
 
 def _n_from_m(spec: CountSpec, t: int, m_t: int) -> int:
-    num = derive_params(spec, t).d * (spec.q**t - 1 + m_t)
+    num = math.gcd(spec.m // t, spec.s) * (spec.q**t - 1 + m_t)
     den = spec.s * spec.q
     if num % den != 0:
         raise InvariantError("d (q^t - 1 + M_t) must be divisible by s q")
@@ -660,100 +747,36 @@ def _n_from_m(spec: CountSpec, t: int, m_t: int) -> int:
     return n
 
 
-def m_t_closed(
-    spec: CountSpec,
-    t: int,
-    path: str,
-    tower: TowerCtx | None = None,
-    allow_brute_jacobi: bool = False,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> int:
-    """M_t by a closed route: 'jacobi' or 'monomial' (see module docstring)."""
-    if path == "jacobi":
-        return m_t_jacobi(spec, t, allow_brute=allow_brute_jacobi, cap=cap)
-    if path == "monomial":
-        if spec.p == 2 and spec.a.is_zero():
-            return m_t_lifted(spec, t, cap)
-        if tower is None:
-            tower = build_tower(spec.p, spec.r, spec.m)
-        return m_t_monomial(tower, spec, t, cap)
-    raise ValidationError(f"unknown closed path {path!r}")
+def _run_route(spec: CountSpec, t: int, route: str, tower: TowerCtx | None, cap: int) -> int:
+    """N_t along one planned route; general and monomial build the tower."""
+    if route == "special":
+        return n_t_special(spec, t)
+    if route in TABLE_NAMES:
+        return n_t_table(spec, t, route)
+    if route == "lifted":
+        m_t = m_t_lifted(spec, t, cap)
+    elif route in ("jacobi", "jacobi_brute"):
+        m_t = m_t_jacobi(spec, t, allow_brute=route == "jacobi_brute", cap=cap)
+    else:
+        tower = build_tower(spec.p, spec.r, spec.m) if tower is None else tower
+        m_t = (m_t_general if route == "general" else m_t_monomial)(tower, spec, t, cap)
+    return _n_from_m(spec, t, m_t)
 
 
 def n_t(
-    spec: CountSpec,
-    t: int,
-    method: str = "auto",
-    tower: TowerCtx | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    spec: CountSpec, t: int, method: str = "auto", tower: TowerCtx | None = None, cap: int = DEFAULT_ENUM_CAP
 ) -> int:
-    """N_t = |S_t| by the requested route; 'auto' picks the cheapest exact one."""
-    special = n_t_special(spec, t)
-    if special is not None:
-        return special
-    if method == "general":
-        if tower is None:
-            tower = build_tower(spec.p, spec.r, spec.m)
-        return _n_from_m(spec, t, m_t_general(tower, spec, t, cap))
-    if method == "table":
-        tables = applicable_tables(spec)
-        if not tables:
-            raise TableNotApplicable(f"no closed table applies to s={spec.s}, q={spec.q}")
-        return n_t_table(spec, t, tables[0])
-    if method == "closed":
-        return _n_t_closed(spec, t, tower, cap)
-    if method == "auto":
-        params = derive_params(spec, t)
-        if spec.a.is_zero() and params.l == 1:
-            return _n_from_m(spec, t, 1 - spec.q)
-        if not spec.a.is_zero() and spec.s // params.d == 1:
-            return _n_from_m(spec, t, 1)
-        tables = applicable_tables(spec)
-        if tables:
-            return n_t_table(spec, t, tables[0])
-        try:
-            return _n_t_closed(spec, t, tower, cap)
-        except (TableNotApplicable, EnumerationCapExceeded):
-            pass
-        q = spec.q
-        if q * q**t <= cap:
-            if tower is None:
-                tower = build_tower(spec.p, spec.r, spec.m)
-            return _n_from_m(spec, t, m_t_general(tower, spec, t, cap))
-        if q**t <= cap:
-            if tower is None:
-                tower = build_tower(spec.p, spec.r, spec.m)
-            return _n_from_m(spec, t, m_t_monomial(tower, spec, t, cap))
-        # cheapest exact route left: Jacobi sums enumerate q^{t-1} tuples
-        return _n_from_m(spec, t, m_t_jacobi(spec, t, allow_brute=True, cap=cap))
-    raise ValidationError(f"unknown method {method!r}")
+    """N_t = |S_t| along the route the planner picks for t (see plan)."""
+    if spec.m % t != 0:
+        raise ValidationError(f"{t} does not divide m = {spec.m}")
+    route = _route(spec, t, method, cap, _tables_for(spec, method))
+    return _run_route(spec, t, route, tower, cap)
 
 
-def _n_t_closed(spec, t, tower, cap) -> int:
-    if spec.p == 2 and spec.a.is_zero():
-        return _n_from_m(spec, t, m_t_lifted(spec, t, cap))
-    return _n_from_m(spec, t, m_t_jacobi(spec, t, allow_brute=False, cap=cap))
-
-
-def p_m(
-    spec: CountSpec,
-    method: str = "auto",
-    cap: int = DEFAULT_ENUM_CAP,
-) -> int:
-    """P_m(a, s, h) via Moebius inversion over the N_t."""
-    if method == "brute":
-        from .oracle import brute_p_m
-
-        return brute_p_m(spec, cap=cap)
-    tower = None
-    if method == "general":
-        tower = build_tower(spec.p, spec.r, spec.m)
-    total = 0
-    for t in divisors(spec.m):
-        mu = mobius(spec.m // t)
-        if mu == 0:
-            continue
-        total += mu * n_t(spec, t, method=method, tower=tower, cap=cap)
+def p_m(spec: CountSpec, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> int:
+    """P_m(a, s, h) via Moebius inversion over the N_t, along plan(spec, method, cap)."""
+    steps = plan(spec, method, cap)
+    total = sum(mu * _run_route(spec, t, route, None, cap) for t, mu, route in steps)
     if total % spec.m != 0:
         raise InvariantError("Moebius sum must be divisible by m")
     out = total // spec.m

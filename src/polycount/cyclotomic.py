@@ -436,9 +436,6 @@ class QuadPow:
             return Fraction(2 * self.u * (1 << (e // 2)))
         return Fraction(2 * self.u, 1 << (-e // 2))
 
-    def twice_real_sqrt2(self, extra: int = 0) -> Fraction:
-        return self.trace_sqrt2(extra)
-
     def to_cyc(self, order: int) -> CycInt:
         """Embed into Z[zeta_order]; only supported for k = 0."""
         if self.k != 0:

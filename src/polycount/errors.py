@@ -79,10 +79,6 @@ class OutOfCatalog(NotApplicable):
     pass
 
 
-class Unsupported(NotApplicable):
-    pass
-
-
 class VerificationFailed(PolycountError):
     exit_code = 5
 

@@ -92,22 +92,8 @@ def _pgcd(a, b, p):
         # make b monic before reducing
         inv = pow(b[-1], p - 2, p)
         b = [c * inv % p for c in b]
-        a, b = b, _ptrim([c % p for c in _polyrem(a, b, p)])
+        a, b = b, _ptrim(_pmod(a, b, p) or [0])
     return a
-
-
-def _polyrem(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    if df == 0:
-        return [0]
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for j in range(df):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
-    return a[:df] if len(a) >= df else a + [0] * (df - len(a))
 
 
 def poly_is_irreducible(coeffs, p: int) -> bool:
@@ -210,7 +196,7 @@ class FieldElement:
 class FieldCtx:
     """F_{p^r} with canonical modulus and generator."""
 
-    def __init__(self, p: int, r: int, enum_cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, p: int, r: int):
         if not is_prime(p):
             raise InvalidPrime(f"{p} is not prime")
         if r < 1:
@@ -219,7 +205,6 @@ class FieldCtx:
         self.r = r
         self.order = p**r
         self.group_order = self.order - 1
-        self.enum_cap = enum_cap
         self.modulus = self._canonical_modulus()
         self._mod_list = list(self.modulus)
         self._gen = None

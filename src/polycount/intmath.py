@@ -116,7 +116,7 @@ def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/n)*; a must be coprime to n."""
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} not a unit mod {n}")
-    order = _euler_phi(n)
+    order = euler_phi(n)
     for p, e in factorize(order).items():
         for _ in range(e):
             if pow(a, order // p, n) == 1:
@@ -126,15 +126,11 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
-def _euler_phi(n: int) -> int:
+def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def euler_phi(n: int) -> int:
-    return _euler_phi(n)
 
 
 def primitive_root(p: int) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .counting import CountSpec
 from .errors import InvariantError, ListingCapExceeded, OracleCapExceeded
 from .fields import TowerCtx, build_tower, field_poly_is_irreducible, min_poly
-from .intmath import divisors
+from .intmath import divisors, factorize
 
 DEFAULT_ORACLE_CAP = 1 << 22
 DEFAULT_LISTING_CAP = 10**5
@@ -172,7 +172,7 @@ def list_polys(
     big_q = q**m - 1
     a_idx = tower.embed(spec.a).index
     h = _h_for_tower(spec, tower)
-    maximal = [m // ell for ell in set(_prime_factors(m))]
+    maximal = [m // ell for ell in factorize(m)]
     polys = []
     gamma = tower.gamma[m]
     tr_map = tower.trace_matrix(1)
@@ -222,9 +222,3 @@ def _verify_listed(spec: CountSpec, tower: TowerCtx, root, coeffs):
         hn = tower.dlog_g(tower.embed(nrm)) % spec.s
         if hb != hn:
             raise InvariantError("listed polynomial has norm outside the coset")
-
-
-def _prime_factors(n: int):
-    from .intmath import factorize
-
-    return list(factorize(n).keys())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import CountSpec, applicable_tables, p_m, p_m_prime_closed
+from .counting import CountSpec, p_m, p_m_prime_closed, plan
 from .errors import CapExceeded, NotApplicable
 from .fields import DEFAULT_ENUM_CAP, build_field
 from .intmath import divisors, is_prime
@@ -33,14 +33,12 @@ def verify_cell(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> VerifyRow:
     """Evaluate one cell by every applicable route and compare exactly."""
     row = VerifyRow(spec=spec)
     row.values["brute"] = brute_p_m(spec)
-    if spec.q * spec.q**spec.m <= cap:
-        row.values["general"] = p_m(spec, "general", cap=cap)
-    if applicable_tables(spec):
-        row.values["table"] = p_m(spec, "table", cap=cap)
-    try:
-        row.values["closed"] = p_m(spec, "closed", cap=cap)
-    except (NotApplicable, CapExceeded):
-        pass
+    for method in ("general", "table", "closed"):
+        try:
+            plan(spec, method, cap)
+        except (NotApplicable, CapExceeded):
+            continue
+        row.values[method] = p_m(spec, method, cap=cap)
     if is_prime(spec.m):
         try:
             row.values["prime_closed"] = p_m_prime_closed(spec)

@@ -10,7 +10,7 @@ from polycount.catalog import (
 )
 from polycount.counting import CountSpec, p_m
 from polycount.errors import InvalidInput, OutOfCatalog, ValidationError
-from polycount.fields import build_field
+from polycount.fields import build_field, build_tower
 from polycount.oracle import brute_p_m
 
 
@@ -155,3 +155,12 @@ def test_deep_semiprimitive_prime_branches():
         for ind in (0, 1, v):
             b = f.generator**ind
             assert p2_closed_pm(r, m, b) == p2_general_pm(r, m, b), (r, m, ind)
+
+
+def test_catalog_context_survives_a_field_cache_clear():
+    # the cached context reads F_{2^r} from build_field, so a rebuilt field
+    # is accepted after the field cache is cleared
+    assert p2_closed_detail(3, 5, build_field(2, 3).generator).value == 117
+    build_field.cache_clear()
+    build_tower.cache_clear()  # towers hold fields too
+    assert p2_closed_detail(3, 5, build_field(2, 3).generator).value == 117

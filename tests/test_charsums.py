@@ -223,6 +223,10 @@ def test_jacobi_extension_field():
     f9 = build_field(3, 2)
     for n, k, t in [(2, 1, 2), (4, 1, 2), (8, 3, 2), (2, 1, 3)]:
         assert jacobi_brute(f9, n, k, t) == naive_jacobi(f9, n, k, t)
+    # characteristic 2, where indices add by xor; F_{2^12} is 4096 elements
+    for r, n, k, t in [(4, 15, 1, 2), (4, 5, 2, 3), (4, 3, 0, 2), (8, 17, 3, 2), (8, 255, 1, 2), (12, 13, 1, 2), (12, 4095, 7, 2)]:
+        f = build_field(2, r)
+        assert jacobi_brute(f, n, k, t) == naive_jacobi(f, n, k, t), (r, n, k, t)
 
 
 def test_jacobi_hermitian_symmetry():

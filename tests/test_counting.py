@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycount.counting import (
     CountSpec,
@@ -13,8 +15,15 @@ from polycount.counting import (
     n_t_table,
     p_m,
     p_m_prime_closed,
+    plan,
 )
-from polycount.errors import NotApplicable, TableNotApplicable, ValidationError
+from polycount.errors import (
+    CapExceeded,
+    EnumerationCapExceeded,
+    NotApplicable,
+    TableNotApplicable,
+    ValidationError,
+)
 from polycount.fields import build_field, build_tower
 from polycount.intmath import divisors, necklace_count
 from polycount.oracle import brute_n_t, brute_p_m
@@ -134,19 +143,15 @@ def test_m_t_routes_agree_with_naive():
 
 
 def test_m_t_closed_paths_surface():
-    from polycount.counting import m_t_closed
-
     # q=4, t=2, s=3, a != 0: the split monomial route equals the double sum
     spec = CountSpec.make(2, 2, 2, 3, a=2, h=1)
     tower = build_tower(2, 2, 2)
     want = m_t_general(tower, spec, 2)
-    assert m_t_closed(spec, 2, "monomial", tower=tower) == want
-    assert m_t_closed(spec, 2, "jacobi", allow_brute_jacobi=True) == want
-    with pytest.raises(ValidationError):
-        m_t_closed(spec, 2, "no-such-path")
+    assert m_t_monomial(tower, spec, 2) == want
+    assert m_t_jacobi(spec, 2, allow_brute=True) == want
     # without brute Jacobi the order-3 sum at r = 2 has no closed form
     with pytest.raises(TableNotApplicable):
-        m_t_closed(spec, 2, "jacobi", allow_brute_jacobi=False)
+        m_t_jacobi(spec, 2, allow_brute=False)
 
 
 def test_general_route_beyond_catalog():
@@ -328,3 +333,106 @@ def test_auto_matches_brute_random_sweep():
                 h = rng.randrange(s) if s > 1 else 0
                 spec = CountSpec.make(p, r, m, s, a=base.from_index(ai), h=h)
                 assert p_m(spec) == brute_p_m(spec), (p, r, m, s, ai, h)
+
+
+def test_plan_routes():
+    # q = 13, s = 4, m = 4: t = 1 drops out (mu(4) = 0), t = 2 and t = 4
+    # take the s = 4 table; 'closed' uses Jacobi sums
+    spec = CountSpec.make(13, 1, 4, 4, a=0, h=2)
+    assert plan(spec) == [(2, -1, "s4"), (4, 1, "s4")]
+    assert plan(spec, "closed") == [(2, -1, "jacobi"), (4, 1, "jacobi")]
+    assert plan(spec, "general") == [(2, -1, "general"), (4, 1, "general")]
+    # q = 32, s = 31: no table and no closed Jacobi form, so auto walks down
+    # the enumerations as the cap shrinks
+    spec = CountSpec.make(2, 5, 4, 31, a=3, h=5)
+    assert plan(spec) == [(2, -1, "special"), (4, 1, "monomial")]
+    assert plan(spec, cap=1 << 15) == [(2, -1, "special"), (4, 1, "jacobi_brute")]
+    # p = 2, a = 0: the closed route is the lifted one; n = 1 takes Jacobi
+    spec = CountSpec.make(2, 4, 3, 15, a=0, h=0)
+    assert plan(spec, "closed") == [(1, -1, "lifted"), (3, 1, "lifted")]
+    assert plan(spec)[0] == (1, -1, "jacobi")
+    with pytest.raises(ValidationError):
+        plan(spec, "brute")
+
+
+@pytest.mark.parametrize(
+    "args, method, cap, error",
+    [
+        ((7, 1, 3, 6, 1, 0), "general", 100, EnumerationCapExceeded),  # t = 1 fits, t = 3 does not
+        ((7, 1, 3, 6, 1, 0), "table", 1 << 24, TableNotApplicable),
+        ((7, 1, 3, 6, 1, 0), "closed", 1 << 24, TableNotApplicable),  # order 2 at t = 1, 6 at t = 3
+        ((7, 1, 3, 6, 1, 0), "auto", 16, EnumerationCapExceeded),
+        ((2, 4, 3, 15, 0, 0), "closed", 2, EnumerationCapExceeded),  # lifted from F_4 at t = 3
+    ],
+)
+def test_unservable_method_refuses_before_any_work(monkeypatch, args, method, cap, error):
+    import polycount.counting as counting
+    from polycount import fields
+
+    p, r, m, s, ai, h = args
+    spec = CountSpec.make(p, r, m, s, a=build_field(p, r).from_index(ai), h=h)
+    ran = []
+
+    def forbidden(name):
+        def call(*a, **k):
+            ran.append(name)
+            raise AssertionError(f"{name} ran before the plan refused")
+
+        return call
+
+    monkeypatch.setattr(fields.FieldCtx, "linear_orbit", forbidden("linear_orbit"))
+    for name in ("build_tower", "n_t_special", "n_t_table", "m_t_general", "m_t_monomial", "m_t_jacobi", "m_t_lifted"):
+        monkeypatch.setattr(counting, name, forbidden(name))
+    with pytest.raises(error):
+        p_m(spec, method, cap=cap)
+    assert ran == []
+
+
+def test_verify_cell_raises_when_a_planned_route_fails(monkeypatch):
+    # the plan accepts 'closed' here, so a failure inside the route must surface
+    import polycount.counting as counting
+    from polycount.verify import verify_cell
+
+    spec = CountSpec.make(13, 1, 4, 4, a=0, h=2)
+
+    def broken(*args, **kwargs):
+        raise TableNotApplicable("injected")
+
+    monkeypatch.setattr(counting, "m_t_jacobi", broken)
+    with pytest.raises(TableNotApplicable):
+        verify_cell(spec)
+
+
+# (p, r, m) with q^{m+1} <= 2^12, where the brute oracle is quick
+_SMALL_TOWERS = [
+    (p, r, m)
+    for p, r in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+    for m in range(2, 12)
+    if (p**r) ** (m + 1) <= 1 << 12
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    tower=st.sampled_from(_SMALL_TOWERS),
+    cap=st.sampled_from([1 << 24, 1 << 12, 1 << 8, 1 << 4]),
+    data=st.data(),
+)
+def test_every_planned_method_matches_brute(tower, cap, data):
+    p, r, m = tower
+    base = build_field(p, r)
+    q = p**r
+    s = data.draw(st.sampled_from(divisors(q - 1)), label="s")
+    a = base.from_index(data.draw(st.integers(0, q - 1), label="a"))
+    h = data.draw(st.integers(0, s - 1), label="h")
+    spec = CountSpec.make(p, r, m, s, a=a, h=h)
+    want = brute_p_m(spec)
+    for method in ("auto", "closed", "general", "table"):
+        try:
+            plan(spec, method, cap)
+        except (NotApplicable, CapExceeded):
+            continue
+        assert p_m(spec, method, cap=cap) == want, method
+    # the cosets of the index-s subgroup partition the norms
+    total = sum(p_m(CountSpec.make(p, r, m, s, a=a, h=hh)) for hh in range(s))
+    assert total == brute_p_m(CountSpec.make(p, r, m, 1, a=a))

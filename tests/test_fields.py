@@ -278,7 +278,6 @@ def test_linear_orbit_matches_naive_powers(p, r):
 
 
 def test_p_m_cold_and_warm_caches_agree():
-    from polycount.catalog import p2_context
     from polycount.counting import CountSpec, p_m
 
     grid = [(2, 2, 3, 3), (3, 1, 4, 2), (5, 1, 3, 4), (7, 1, 2, 3)]
@@ -294,7 +293,6 @@ def test_p_m_cold_and_warm_caches_agree():
 
     build_field.cache_clear()
     build_tower.cache_clear()
-    p2_context.cache_clear()  # it holds fields from build_field
     cold = values()
     assert values() == cold
 
