@@ -79,7 +79,7 @@ def _emit(rows, args, header=None):
 def cmd_count(args) -> int:
     spec = _spec_from_args(args)
     if args.method == "brute":
-        value = brute_p_m(spec, cap=args.oracle_cap, jobs=args.jobs)
+        value = brute_p_m(spec, cap=args.oracle_cap)
     else:
         value = p_m(spec, method=args.method, cap=args.enum_cap)
     prov = {
@@ -99,7 +99,7 @@ def cmd_count(args) -> int:
 
 def cmd_list(args) -> int:
     spec = _spec_from_args(args)
-    polys = list_polys(spec, cap=args.oracle_cap, listing_cap=args.listing_cap, jobs=args.jobs)
+    polys = list_polys(spec, cap=args.oracle_cap, listing_cap=args.listing_cap)
     if args.format == "json":
         print(
             json.dumps(
@@ -125,7 +125,7 @@ def cmd_table5(args) -> int:
         b = field.one if tag == "1" else field.generator
         for m, want in expected.items():
             spec = CountSpec.make(2, r, m, q - 1, a=0, b=b)
-            got_oracle = brute_p_m(spec, cap=args.oracle_cap, jobs=args.jobs)
+            got_oracle = brute_p_m(spec, cap=args.oracle_cap)
             got_formula = p2_general_pm(r, m, b)
             got_catalog = p2_closed_detail(r, m, b).value
             ok = got_oracle == got_formula == got_catalog == want
@@ -305,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_env_cap("POLYCOUNT_ORACLE_CAP", DEFAULT_ORACLE_CAP),
         help="max field size the brute-force oracle may scan",
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for enumeration passes",
     )
     ap = argparse.ArgumentParser(
         prog="polycount",

@@ -90,12 +90,13 @@ class CycInt:
         self._check(other)
         L = self.order
         out = [0] * L
+        # a root of unity has one nonzero term: multiplying by it is a rotation
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = i + j
-                        out[k - L if k >= L else k] += a * b
+                for j, b in terms:
+                    k = i + j
+                    out[k - L if k >= L else k] += a * b
         return CycInt(L, out)
 
     __rmul__ = __mul__

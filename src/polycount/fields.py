@@ -321,10 +321,9 @@ class FieldCtx:
         out_map: np.ndarray,
         length: int,
         weights: np.ndarray | None = None,
-        start: int = 0,
         block: int = _ORBIT_BLOCK,
     ) -> np.ndarray:
-        """Values of (gamma^j @ out_map) mod p for j in [start, start+length).
+        """Values of (gamma^j @ out_map) mod p for j in [0, length).
 
         With `weights` the mod-p rows are additionally folded to integers
         (rows @ weights), giving one int64 per exponent.
@@ -336,7 +335,7 @@ class FieldCtx:
             return out
         nb = min(block, length)
         rows = np.empty((nb, r), dtype=np.int64)
-        rows[0] = (gamma**start if start else self.one).coords
+        rows[0] = self.one.coords
         # seed the block by doubling: rows[f:2f] = rows[:f] * gamma^f
         f, gamma_f = 1, gamma
         while f < nb:
@@ -575,7 +574,6 @@ class TowerCtx:
         for t in divisors(m):
             self.gamma[t] = gm ** (top_group // (self.q**t - 1))
         self.g = self.gamma[1]
-        self._trace_mats: dict[int, np.ndarray] = {}
         self._abs_trace_cols: dict[int, np.ndarray] = {}
         self._orbit_traces: dict[int, np.ndarray] = {}
         self._embed_rows: list[list[int]] | None = None
@@ -608,18 +606,23 @@ class TowerCtx:
         out = (v @ self.frob_q_matrix(t)) % self.p
         return tuple(out.tolist()) == x.coords
 
-    def trace_matrix(self, t: int) -> np.ndarray:
-        """Matrix of the relative trace F_{q^m} -> F_{q^t} (sum over Frobenius)."""
-        if t not in self._trace_mats:
-            n = self.r * self.m
-            acc = np.zeros((n, n), dtype=np.int64)
-            f = np.eye(n, dtype=np.int64)
-            step = self.frob_q_matrix(t)
-            for _ in range(self.m // t):
-                acc = (acc + f) % self.p
-                f = (f @ step) % self.p
-            self._trace_mats[t] = acc
-        return self._trace_mats[t]
+    def base_trace_form(self) -> np.ndarray:
+        """The rm x r form taking x to the F_q coordinates of Tr_{q^m/q}(x).
+
+        The trace matrix T (sum of the q-Frobenius powers) lands in the
+        embedded F_q, so composing it with the base-field solver,
+        T[:, pivots] @ ops, reads the base coordinates off directly.
+        """
+        n = self.r * self.m
+        trace = np.zeros((n, n), dtype=np.int64)
+        f = np.eye(n, dtype=np.int64)
+        step = self.frob_q_matrix(1)
+        for _ in range(self.m):
+            trace = (trace + f) % self.p
+            f = (f @ step) % self.p
+        self._embedding()
+        ops = np.array(self._solver.ops, dtype=np.int64)
+        return (trace[:, self._solver.pivots] @ ops) % self.p
 
     def abs_trace_column(self, t: int) -> np.ndarray:
         """Linear form giving the absolute trace of F_{q^t}-subfield elements."""

@@ -26,72 +26,47 @@ DEFAULT_LISTING_CAP = 10**5
 class BruteResult:
     """Bucketed counts from one exhaustive pass over F_{q^t}*.
 
-    counts[di][label][w] is the number of x = gamma_t^e of exact degree
-    divs[di] with Tr_m(x) having top-field index label and
+    counts[di][a][w] is the number of x = gamma_t^e of exact degree
+    divs[di] with Tr_m(x) the base-field element of index a and
     dlog_g(Norm_m(x)) = w.
     """
 
     tower: TowerCtx
     t: int
     divs: list[int]
-    labels: list[int]
     counts: np.ndarray
 
-    def cell(self, exact_degree: int, a_top_index: int, residue: int, s: int) -> int:
+    def cell(self, exact_degree: int, a_index: int, residue: int, s: int) -> int:
         """Count of exact-degree elements with trace a and norm-log = residue mod s."""
-        if exact_degree not in self.divs or a_top_index not in self.labels:
+        if exact_degree not in self.divs:
             return 0
-        di = self.divs.index(exact_degree)
-        li = self.labels.index(a_top_index)
-        row = self.counts[di, li]
+        row = self.counts[self.divs.index(exact_degree), a_index]
         return int(row[residue % s :: s].sum()) if s > 1 else int(row.sum())
 
 
+# (p, r, m, t) -> BruteResult, oldest first; holds the last _SCAN_CACHE_SIZE scans
 _scan_cache: dict[tuple, BruteResult] = {}
+_SCAN_CACHE_SIZE = 8
 
 
-def _orbit_partitioned(tower, gamma, out_map, weights, length, jobs):
-    """gamma-orbit values, split into contiguous ranges across a thread pool."""
-    jobs = max(1, min(jobs, length // 4096 + 1))
-    if jobs == 1:
-        return tower.top.linear_orbit(gamma, out_map, length, weights=weights)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [length * k // jobs for k in range(jobs + 1)]
-
-    def work(k):
-        start, stop = bounds[k], bounds[k + 1]
-        return tower.top.linear_orbit(
-            gamma, out_map, stop - start, weights=weights, start=start
-        )
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(work, range(jobs)))
-    return np.concatenate(parts)
-
-
-def brute_scan(
-    tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP, jobs: int = 1
-) -> BruteResult:
+def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteResult:
     """Exhaustive bucketing pass over F_{q^t}* inside the tower.
 
-    The orbit walk partitions cleanly: with jobs > 1 each worker generates
-    a contiguous exponent range from its own seed power, and the histograms
-    merge by addition, so the result is independent of jobs.
+    One orbit walk through the composed trace form labels every element
+    by the base-field index of its trace; one bincount then buckets
+    (exact degree, trace, norm log).  The bucket table has q(q-1) cells
+    per degree, so the cap bounds it as well as the walk.
     """
     q, m = tower.q, tower.m
     big_q = q**t - 1
-    if big_q + 1 > cap:
-        raise OracleCapExceeded(f"q^t = {big_q + 1} exceeds the oracle cap {cap}")
+    if max(big_q + 1, q * (q - 1)) > cap:
+        raise OracleCapExceeded(f"q^t = {big_q + 1} (or q(q-1) buckets) exceeds the oracle cap {cap}")
     key = (tower.p, tower.r, tower.m, t)
     if key in _scan_cache:
         return _scan_cache[key]
-    # trace labels: Tr_{F_{q^m} -> F_q}(x) for x = gamma_t^e, as top indices
-    tr_map = tower.trace_matrix(1)
-    weights = tower.top.power_weights()
-    labels_arr = _orbit_partitioned(tower, tower.gamma[t], tr_map, weights, big_q, jobs)
-    uniq, inverse = np.unique(labels_arr, return_inverse=True)
-    nlab = len(uniq)
+    labels = tower.top.linear_orbit(
+        tower.gamma[t], tower.base_trace_form(), big_q, weights=tower.base.power_weights()
+    )
     e = np.arange(big_q, dtype=np.int64)
     # exact degree over F_q: smallest t' | t with x in F_{q^t'}
     divs = divisors(t)
@@ -104,13 +79,12 @@ def brute_scan(
         assigned |= mask
     # norm log: dlog_g Norm_m(gamma_t^e) = e * (m/t) mod (q - 1)
     wnorm = (e * (m // t)) % (q - 1) if q > 2 else np.zeros(big_q, dtype=np.int64)
-    combined = (deg_pos * nlab + inverse) * (q - 1) + wnorm
-    counts = np.bincount(combined, minlength=len(divs) * nlab * (q - 1))
-    counts = counts.reshape(len(divs), nlab, q - 1)
-    result = BruteResult(
-        tower=tower, t=t, divs=divs, labels=[int(v) for v in uniq], counts=counts
-    )
+    combined = (deg_pos * q + labels) * (q - 1) + wnorm
+    counts = np.bincount(combined, minlength=len(divs) * q * (q - 1))
+    result = BruteResult(tower=tower, t=t, divs=divs, counts=counts.reshape(len(divs), q, q - 1))
     _scan_cache[key] = result
+    while len(_scan_cache) > _SCAN_CACHE_SIZE:
+        del _scan_cache[next(iter(_scan_cache))]
     return result
 
 
@@ -122,41 +96,37 @@ def _h_for_tower(spec: CountSpec, tower: TowerCtx) -> int:
     return tower.dlog_g(spec.b) % spec.s if spec.s > 1 else 0
 
 
-def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP, jobs: int = 1) -> int:
+def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """P_m by exhaustion: degree-exactly-m roots with matching (a, coset), / m."""
     tower = _spec_tower(spec)
-    scan = brute_scan(tower, spec.m, cap, jobs)
-    a_idx = tower.embed(spec.a).index
+    scan = brute_scan(tower, spec.m, cap)
     h = _h_for_tower(spec, tower)
-    total = scan.cell(spec.m, a_idx, h, spec.s)
+    total = scan.cell(spec.m, spec.a.index, h, spec.s)
     if total % spec.m != 0:
         raise InvariantError("root count must be divisible by m")
     return total // spec.m
 
 
-def brute_t_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP, jobs: int = 1) -> int:
+def brute_t_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """|T_t|: elements of F_{q^t} of exact degree t meeting the (a, coset) cell."""
     tower = _spec_tower(spec)
-    scan = brute_scan(tower, t, cap, jobs)
-    a_idx = tower.embed(spec.a).index
+    scan = brute_scan(tower, t, cap)
     h = _h_for_tower(spec, tower)
-    return scan.cell(t, a_idx, h, spec.s)
+    return scan.cell(t, spec.a.index, h, spec.s)
 
 
-def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP, jobs: int = 1) -> int:
+def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """|S_t|: all x in F_{q^t} with Tr_m(x) = a and Norm_m(x) in the coset."""
     tower = _spec_tower(spec)
-    scan = brute_scan(tower, t, cap, jobs)
-    a_idx = tower.embed(spec.a).index
+    scan = brute_scan(tower, t, cap)
     h = _h_for_tower(spec, tower)
-    return sum(scan.cell(tt, a_idx, h, spec.s) for tt in divisors(t))
+    return sum(scan.cell(tt, spec.a.index, h, spec.s) for tt in divisors(t))
 
 
 def list_polys(
     spec: CountSpec,
     cap: int = DEFAULT_ORACLE_CAP,
     listing_cap: int = DEFAULT_LISTING_CAP,
-    jobs: int = 1,
 ):
     """All matching degree-m irreducibles, as base-coefficient tuples low->high.
 
@@ -164,22 +134,21 @@ def list_polys(
     polynomial is re-verified: irreducible, monic, trace coefficient a,
     norm coefficient in the coset (Vieta against an actual root).
     """
-    count = brute_p_m(spec, cap, jobs)
+    count = brute_p_m(spec, cap)
     if count > listing_cap:
         raise ListingCapExceeded(f"{count} polynomials exceed the listing cap {listing_cap}")
     tower = _spec_tower(spec)
     q, m = tower.q, spec.m
     big_q = q**m - 1
-    a_idx = tower.embed(spec.a).index
     h = _h_for_tower(spec, tower)
     maximal = [m // ell for ell in factorize(m)]
     polys = []
     gamma = tower.gamma[m]
-    tr_map = tower.trace_matrix(1)
-    weights = tower.top.power_weights()
-    labels_arr = tower.top.linear_orbit(gamma, tr_map, big_q, weights=weights)
+    labels = tower.top.linear_orbit(
+        gamma, tower.base_trace_form(), big_q, weights=tower.base.power_weights()
+    )
     e_arr = np.arange(big_q, dtype=np.int64)
-    mask = labels_arr == a_idx
+    mask = labels == spec.a.index
     if q > 2:
         mask &= (e_arr % (q - 1)) % spec.s == h
     for mm in maximal:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from polycount.cli import main
 
 
@@ -156,16 +158,16 @@ def test_sum_jacobi():
     assert out.strip().endswith("-1")
 
 
-def test_jobs_flag_does_not_change_output():
-    args = ("count", "--p", "2", "--m", "13", "--a", "0", "--s", "1", "--method", "brute")
-    from polycount.oracle import _scan_cache
+def test_count_brute_degree_13():
+    code, out, _ = run_cli("count", "--p", "2", "--m", "13", "--a", "0", "--s", "1", "--method", "brute")
+    assert code == 0
+    assert out.splitlines()[0] == "315"
 
-    _scan_cache.clear()
-    one = run_cli(*args, "--jobs", "1")
-    _scan_cache.clear()
-    four = run_cli(*args, "--jobs", "4")
-    assert one == four
-    assert one[1].splitlines()[0] == "315"
+
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("count", "--p", "2", "--m", "3", "--a", "0", "--s", "1", "--jobs", "2")
+    assert exc.value.code == 2
 
 
 def test_console_script_installed():

@@ -355,6 +355,21 @@ def test_plan_routes():
         plan(spec, "brute")
 
 
+def test_jacobi_brute_route_matches_brute():
+    # p | m makes N_1 special; N_m has characters of order s with no closed form,
+    # and the cap admits only the q^(m-1) Jacobi tuples
+    for p, r, m, s, cap in [(2, 3, 2, 7, 16), (3, 2, 3, 8, 100), (2, 6, 2, 63, 64)]:
+        base = build_field(p, r)
+        total = 0
+        for h in range(0, s, max(1, s // 8)):
+            spec = CountSpec.make(p, r, m, s, a=base.one, h=h)
+            assert plan(spec, cap=cap)[-1][2] == "jacobi_brute"
+            got = p_m(spec, cap=cap)
+            assert got == brute_p_m(spec), (p, r, m, s, h)
+            total += got
+        assert total > 0, (p, r, m, s)
+
+
 @pytest.mark.parametrize(
     "args, method, cap, error",
     [

@@ -266,14 +266,14 @@ def test_linear_orbit_matches_naive_powers(p, r):
     gamma = ctx.generator**5
     eye = np.eye(r, dtype=np.int64)
     weights = ctx.power_weights()
-    for start, length in [(0, 1), (0, 37), (11, 50), (100, 9)]:
-        naive = [gamma ** (start + j) for j in range(length)]
+    for length in (1, 37):
+        naive = [gamma**j for j in range(length)]
         coords = np.array([x.coords for x in naive], dtype=np.int64)
         indices = np.array([x.index for x in naive], dtype=np.int64)
         for block in (1, 3, 5, 4096):
-            got = ctx.linear_orbit(gamma, eye, length, start=start, block=block)
+            got = ctx.linear_orbit(gamma, eye, length, block=block)
             assert np.array_equal(got, coords)
-            got = ctx.linear_orbit(gamma, eye, length, weights=weights, start=start, block=block)
+            got = ctx.linear_orbit(gamma, eye, length, weights=weights, block=block)
             assert np.array_equal(got, indices)
 
 

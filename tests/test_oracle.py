@@ -49,23 +49,56 @@ def test_degree_count_divisibility():
                 assert brute_t_t(spec, m) % m == 0
 
 
-def test_brute_scan_is_independent_of_jobs():
-    # orbits longer than one 4096-element block are split across the pool
-    for p, r, m in [(2, 1, 14), (3, 1, 9)]:
-        tower = build_tower(p, r, m)
-        results = []
-        for jobs in (1, 2):
-            oracle._scan_cache.pop((p, r, m, m), None)
-            results.append(brute_scan(tower, m, jobs=jobs))
-        one, two = results
-        assert one.labels == two.labels
-        assert np.array_equal(one.counts, two.counts)
+@pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_base_trace_form_gives_the_base_index_of_the_trace(p, r, m):
+    tower = build_tower(p, r, m)
+    form = tower.base_trace_form()
+    weights = tower.base.power_weights()
+    for x in tower.top.elements():
+        got = int((np.array(x.coords, dtype=np.int64) @ form) % p @ weights)
+        assert got == tower.to_base(tower.trace_rel(x, m)).index
+
+
+@pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_brute_scan_matches_naive_buckets(p, r, m):
+    # one element of F_{q^t}* at a time, not by powers of gamma_t: trace,
+    # log of the norm, and exact degree
+    tower = build_tower(p, r, m)
+    q = p**r
+    for t in divisors(m):
+        oracle._scan_cache.pop((p, r, m, t), None)
+        scan = brute_scan(tower, t)
+        assert scan.divs == divisors(t)
+        want = np.zeros((len(scan.divs), q, q - 1), dtype=np.int64)
+        for x in tower.top.elements():
+            if x.is_zero() or not tower.subfield_contains(x, t):
+                continue
+            a = tower.to_base(tower.trace_rel(x, m)).index
+            w = tower.dlog_g(tower.norm_rel(x, m))
+            degree = next(d for d in scan.divs if tower.subfield_contains(x, d))
+            want[scan.divs.index(degree), a, w] += 1
+        assert np.array_equal(scan.counts, want)
+
+
+def test_scan_cache_keeps_the_last_eight_scans():
+    oracle._scan_cache.clear()
+    keys = [(2, 1, m, m) for m in range(2, 11)]
+    first = {key: brute_scan(build_tower(*key[:3]), key[3]).counts.copy() for key in keys[:8]}
+    assert list(oracle._scan_cache) == keys[:8]
+    brute_scan(build_tower(*keys[8][:3]), keys[8][3])
+    assert list(oracle._scan_cache) == keys[1:]
+    for key, counts in first.items():
+        assert np.array_equal(brute_scan(build_tower(*key[:3]), key[3]).counts, counts)
+    assert len(oracle._scan_cache) == 8
 
 
 def test_oracle_cap():
     spec = CountSpec.make(2, 1, 8, 1, a=0)
     with pytest.raises(OracleCapExceeded):
         brute_p_m(spec, cap=100)
+    # F_{2^12} is within the cap, but its q(q-1) bucket table is not
+    with pytest.raises(OracleCapExceeded):
+        brute_n_t(CountSpec.make(2, 12, 2, 1, a=0), 1)
 
 
 def test_listing_examples():
