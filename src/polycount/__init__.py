@@ -97,4 +97,22 @@ from .oracle import (
     list_polys,
 )
 
+from . import counting as _counting
+from . import oracle as _oracle
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module cache that holds fields or values derived from them.
+
+    Answers never depend on cache state; this only returns the process to
+    a cold start.  intmath's caches hold pure integer functions and stay.
+    """
+    build_field.cache_clear()
+    build_tower.cache_clear()
+    p2_context.cache_clear()
+    _counting._quartic.cache_clear()
+    _counting._cubic.cache_clear()
+    quadratic_gauss_sum.cache_clear()
+    _oracle._scan_cache.clear()

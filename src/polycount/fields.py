@@ -12,6 +12,9 @@ realized inside the single field F_{p^{rm}}; the subfield test is
 x^{q^t} == x.  Bulk enumeration (orbits of a generator mapped through an
 F_p-linear form) is vectorized with numpy in fixed-size blocks, since the
 Frobenius, traces, and multiplication-by-a-constant are all linear maps.
+In characteristic 2 an orbit element is packed machine words, bit i
+holding coordinate i, and each linear map is applied as byte-sliced XOR
+tables; odd p multiplies coordinate rows by integer matrices.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .intmath import divisors, factor_prime_power_order, is_prime
 DEFAULT_ENUM_CAP = 1 << 24
 
 _ORBIT_BLOCK = 4096
+
+# packed F_2 vectors: coordinate i is bit i % 64 of word i // 64
+_WORD = np.dtype("<u8")
 
 # fields of at most this order keep a full log table, one int32 per element
 LOG_TABLE_MAX_ORDER = 1 << 16
@@ -119,6 +125,45 @@ def poly_is_irreducible(coeffs, p: int) -> bool:
     for _ in range(deg // 2, deg):
         xp = _ppowmod(xp, p, f, p)
     return _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp)]) == [0]
+
+
+def _xor_tables(matrix: np.ndarray) -> list[np.ndarray]:
+    """An F_2 matrix as byte-sliced XOR tables, one per 8 rows.
+
+    Table b, shape (words, 2^8), holds the XOR of every subset of the packed
+    rows 8b..8b+7, built by doubling; entry v is the image of byte value v.
+    """
+    bits = (matrix % 2).astype(_WORD)
+    words = -(-bits.shape[1] // 64)
+    rows = np.zeros((words, len(bits)), dtype=_WORD)
+    for w in range(words):
+        chunk = bits[:, 64 * w : 64 * w + 64]
+        rows[w] = (chunk << np.arange(chunk.shape[1], dtype=_WORD)).sum(axis=1, dtype=_WORD)
+    tables = []
+    for b in range(0, len(bits), 8):
+        table = np.zeros((words, 1), dtype=_WORD)
+        for j in range(b, min(b + 8, len(bits))):
+            table = np.concatenate([table, table ^ rows[:, j : j + 1]], axis=1)
+        tables.append(table)
+    return tables
+
+
+def _xor_apply(tables: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Packed F_2 row vectors x, shape (n, words), times the tabled matrix."""
+    x8 = x.view(np.uint8)  # column b is byte b of each vector
+    y = np.zeros((len(x), len(tables[0])), dtype=_WORD)
+    for b, table in enumerate(tables):
+        for w in range(len(table)):
+            y[:, w] ^= table[w][x8[:, b]]
+    return y
+
+
+def _times(matrix: np.ndarray, p: int):
+    """The map rows -> (rows @ matrix) mod p; for p = 2 on packed words, by XOR tables."""
+    if p == 2:
+        tables = _xor_tables(matrix)
+        return lambda x: _xor_apply(tables, x)
+    return lambda rows: (rows @ matrix) % p
 
 
 class FieldElement:
@@ -316,50 +361,47 @@ class FieldCtx:
         return m
 
     def linear_orbit(
-        self,
-        gamma: FieldElement,
-        out_map: np.ndarray,
-        length: int,
-        weights: np.ndarray | None = None,
-        block: int = _ORBIT_BLOCK,
+        self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int = _ORBIT_BLOCK
     ) -> np.ndarray:
-        """Values of (gamma^j @ out_map) mod p for j in [0, length).
+        """Base-p index of (gamma^j @ out_map) mod p, one int64 for each j in [0, length).
 
-        With `weights` the mod-p rows are additionally folded to integers
-        (rows @ weights), giving one int64 per exponent.
+        For a one-column map the index is the digit itself.  The orbit is
+        walked in blocks of `block` rows: the first is seeded by doubling,
+        rows[f:2f] = rows[:f] * gamma^f, and each next one is the last times
+        gamma^block.  For p = 2 a row is packed words and every map is a set
+        of XOR tables; odd p multiplies coordinate rows by integer matrices.
         """
         p, r = self.p, self.r
         k = out_map.shape[1]
-        out = np.empty((length, k) if weights is None else (length,), dtype=np.int64)
+        if p**k > 1 << 63:
+            raise ValueError(f"an index of {k} base-{p} digits does not fit in int64")
+        out = np.empty(length, dtype=np.int64)
         if length == 0:
             return out
         nb = min(block, length)
-        rows = np.empty((nb, r), dtype=np.int64)
-        rows[0] = self.one.coords
-        # seed the block by doubling: rows[f:2f] = rows[:f] * gamma^f
+        if p == 2:
+            rows = np.zeros((nb, -(-r // 64)), dtype=_WORD)
+        else:
+            rows = np.zeros((nb, r), dtype=np.int64)
+        rows[0, 0] = 1
         f, gamma_f = 1, gamma
         while f < nb:
             n = min(f, nb - f)
-            rows[f : f + n] = (rows[:n] @ self.mul_matrix(gamma_f)) % p
+            rows[f : f + n] = _times(self.mul_matrix(gamma_f), p)(rows[:n])
             f += n
             gamma_f = gamma_f * gamma_f
-        step = self.mul_matrix(gamma**nb)
+        step = _times(self.mul_matrix(gamma**nb), p)
+        to_out = _times(out_map, p)
+        weights = p ** np.arange(k, dtype=np.int64)
         pos = 0
         while pos < length:
             n = min(nb, length - pos)
-            vals = (rows[:n] @ out_map) % p
-            if weights is None:
-                out[pos : pos + n] = vals
-            else:
-                out[pos : pos + n] = vals @ weights
+            vals = to_out(rows[:n])
+            out[pos : pos + n] = vals[:, 0] if p == 2 else vals @ weights
             pos += n
             if pos < length:
-                rows = (rows @ step) % p
+                rows = step(rows)
         return out
-
-    def power_weights(self) -> np.ndarray:
-        """Column of base-p place values; digits @ this = element index."""
-        return np.array([[self.p**i] for i in range(self.r)], dtype=np.int64).reshape(-1)
 
     # -- discrete logarithms --
 
@@ -406,8 +448,7 @@ class FieldCtx:
         if self._log_table is not None:
             return self._log_table
         n = self.group_order
-        eye = np.eye(self.r, dtype=np.int64)
-        powers = self.linear_orbit(self.generator, eye, n, weights=self.power_weights())
+        powers = self.linear_orbit(self.generator, np.eye(self.r, dtype=np.int64), n)
         table = np.full(self.order, -1, dtype=np.int32)
         table[powers] = np.arange(n, dtype=np.int32)
         if table[0] != -1 or np.count_nonzero(table < 0) != 1:
@@ -760,7 +801,7 @@ class TowerCtx:
                     f"Davenport-Hasse lift remain available where applicable"
                 )
             vals = self.top.linear_orbit(self.gamma[t], self.abs_trace_column(t), n - 1)
-            self._orbit_traces[t] = vals.reshape(-1).astype(np.uint8)
+            self._orbit_traces[t] = vals.astype(np.uint8)
         return self._orbit_traces[t]
 
     def to_json(self) -> dict:

@@ -64,22 +64,24 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     key = (tower.p, tower.r, tower.m, t)
     if key in _scan_cache:
         return _scan_cache[key]
-    labels = tower.top.linear_orbit(
-        tower.gamma[t], tower.base_trace_form(), big_q, weights=tower.base.power_weights()
-    )
-    e = np.arange(big_q, dtype=np.int64)
-    # exact degree over F_q: smallest t' | t with x in F_{q^t'}
+    labels = tower.top.linear_orbit(tower.gamma[t], tower.base_trace_form(), big_q)
+    # exact degree over F_q: the smallest t' | t with gamma_t^e in F_{q^t'},
+    # i.e. with (q^t - 1)/(q^t' - 1) | e; the smallest subfield is written last
     divs = divisors(t)
     deg_pos = np.full(big_q, len(divs) - 1, dtype=np.int64)
-    assigned = np.zeros(big_q, dtype=bool)
-    for di, tt in enumerate(divs[:-1]):
-        stride = big_q // (q**tt - 1)
-        mask = (~assigned) & (e % stride == 0)
-        deg_pos[mask] = di
-        assigned |= mask
-    # norm log: dlog_g Norm_m(gamma_t^e) = e * (m/t) mod (q - 1)
-    wnorm = (e * (m // t)) % (q - 1) if q > 2 else np.zeros(big_q, dtype=np.int64)
-    combined = (deg_pos * q + labels) * (q - 1) + wnorm
+    for di in range(len(divs) - 2, -1, -1):
+        deg_pos[:: big_q // (q ** divs[di] - 1)] = di
+    # bucket (deg_pos * q + label) * (q - 1) + norm log, built in place; the
+    # norm log is dlog_g Norm_m(gamma_t^e) = e * (m/t) mod (q - 1)
+    combined = deg_pos
+    combined *= q
+    combined += labels
+    if q > 2:
+        wnorm = np.arange(big_q, dtype=np.int64)
+        wnorm *= m // t
+        wnorm %= q - 1
+        combined *= q - 1
+        combined += wnorm
     counts = np.bincount(combined, minlength=len(divs) * q * (q - 1))
     result = BruteResult(tower=tower, t=t, divs=divs, counts=counts.reshape(len(divs), q, q - 1))
     _scan_cache[key] = result
@@ -144,16 +146,13 @@ def list_polys(
     maximal = [m // ell for ell in factorize(m)]
     polys = []
     gamma = tower.gamma[m]
-    labels = tower.top.linear_orbit(
-        gamma, tower.base_trace_form(), big_q, weights=tower.base.power_weights()
-    )
-    e_arr = np.arange(big_q, dtype=np.int64)
+    labels = tower.top.linear_orbit(gamma, tower.base_trace_form(), big_q)
     mask = labels == spec.a.index
-    if q > 2:
-        mask &= (e_arr % (q - 1)) % spec.s == h
     for mm in maximal:
-        mask &= e_arr % (big_q // (q**mm - 1)) != 0
-    exps = e_arr[mask]
+        mask[:: big_q // (q**mm - 1)] = False
+    exps = np.flatnonzero(mask)
+    if q > 2:
+        exps = exps[exps % (q - 1) % spec.s == h]
     seen = set()
     for e in exps.tolist():
         orbit = frozenset((e * q**i) % big_q for i in range(m))

@@ -1,0 +1,73 @@
+from functools import partial
+
+import polycount
+from polycount import catalog, counting, cyclotomic, fields, oracle
+from polycount.catalog import p2_closed_detail
+from polycount.counting import METHODS, CountSpec, p_m, plan
+from polycount.errors import CapExceeded, NotApplicable
+from polycount.oracle import brute_p_m
+
+# (p, r, m, s): together they plan every route of `auto`, `closed`,
+# `general` and `table` except monomial and jacobi_brute
+SPECS = [
+    (2, 2, 3, 3), (3, 1, 4, 2), (5, 1, 3, 4), (7, 1, 2, 3),
+    (13, 1, 2, 12), (2, 4, 2, 5), (3, 2, 2, 8), (2, 3, 3, 7),
+]
+# (r, m): inert, 7-, 15- and 21-families and the 2-adic branches
+CATALOG = [(3, 5), (3, 7), (4, 6), (4, 15), (6, 9), (6, 21)]
+
+LRU_CACHES = [
+    fields.build_field,
+    fields.build_tower,
+    catalog.p2_context,
+    counting._quartic,
+    counting._cubic,
+    cyclotomic.quadratic_gauss_sum,
+]
+
+
+def _every_method(p, r, m, s, a, h):
+    spec = CountSpec.make(p, r, m, s, a=a, h=h)
+    out = [spec.h, brute_p_m(spec)]
+    for method in METHODS:
+        try:
+            plan(spec, method)
+        except (NotApplicable, CapExceeded):
+            out.append(None)
+            continue
+        out.append(p_m(spec, method))
+    return tuple(out)
+
+
+def _catalog(r, m, b_index):
+    # b is built inside the call, so it always belongs to the current field
+    value = p2_closed_detail(r, m, fields.build_field(2, r).from_index(b_index))
+    return value.value, value.branch, value.signs
+
+
+def _calls():
+    calls = []
+    for p, r, m, s in SPECS:
+        for a in range(min(p**r, 3)):
+            for h in range(s):
+                calls.append(partial(_every_method, p, r, m, s, a, h))
+    for r, m in CATALOG:
+        for b_index in (1, 2, 7):
+            calls.append(partial(_catalog, r, m, b_index))
+    return calls
+
+
+def test_values_do_not_depend_on_cache_state_or_call_order():
+    calls = _calls()
+    polycount.clear_caches()
+    cold = [call() for call in calls]
+    # the grid reaches every cache that clear_caches empties
+    assert all(cache.cache_info().currsize for cache in LRU_CACHES)
+    assert oracle._scan_cache
+    assert [call() for call in calls] == cold
+
+    polycount.clear_caches()
+    assert not any(cache.cache_info().currsize for cache in LRU_CACHES)
+    assert not oracle._scan_cache
+    reverse = [call() for call in reversed(calls)]
+    assert reverse[::-1] == cold

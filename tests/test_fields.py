@@ -265,36 +265,53 @@ def test_linear_orbit_matches_naive_powers(p, r):
     ctx = build_field(p, r)
     gamma = ctx.generator**5
     eye = np.eye(r, dtype=np.int64)
-    weights = ctx.power_weights()
     for length in (1, 37):
-        naive = [gamma**j for j in range(length)]
-        coords = np.array([x.coords for x in naive], dtype=np.int64)
-        indices = np.array([x.index for x in naive], dtype=np.int64)
+        indices = np.array([(gamma**j).index for j in range(length)], dtype=np.int64)
         for block in (1, 3, 5, 4096):
-            got = ctx.linear_orbit(gamma, eye, length, block=block)
-            assert np.array_equal(got, coords)
-            got = ctx.linear_orbit(gamma, eye, length, weights=weights, block=block)
-            assert np.array_equal(got, indices)
+            assert np.array_equal(ctx.linear_orbit(gamma, eye, length, block=block), indices)
 
 
-def test_p_m_cold_and_warm_caches_agree():
-    from polycount.counting import CountSpec, p_m
+@pytest.mark.parametrize("r", [1, 7, 13, 33, 70])
+def test_packed_orbit_matches_naive_powers(r):
+    # characteristic 2 on packed words: n below 8, n not a multiple of 8,
+    # more than 32 bits, and two words
+    ctx = build_field(2, r)
+    gamma = ctx.generator**5
+    naive, cur = [], ctx.one
+    for _ in range(4097):
+        naive.append(cur)
+        cur = cur * gamma
+    coords = np.array([x.coords for x in naive], dtype=np.int64)
+    rng = np.random.default_rng(r)
+    k = min(r, 63)
+    maps = [np.eye(r, dtype=np.int64)[:, :k]]  # r = 70 keeps the low 63 coordinates
+    maps += [np.eye(r, dtype=np.int64)[:, [r - 1]], rng.integers(0, 2, (r, 1))]
+    maps += [rng.integers(0, 2, (r, k)), rng.integers(0, 5, (r, k))]  # reduced mod 2
+    for out_map in maps:
+        digits = (coords @ out_map) % 2
+        want = digits @ (1 << np.arange(out_map.shape[1], dtype=np.int64))
+        for length in (1, 2, 37, 4097):
+            assert np.array_equal(ctx.linear_orbit(gamma, out_map, length), want[:length])
+    if r < 63:
+        want = np.array([x.index for x in naive], dtype=np.int64)
+        assert np.array_equal(ctx.linear_orbit(gamma, np.eye(r, dtype=np.int64), 4097), want)
+    else:
+        # a 64-bit index does not fit in int64
+        with pytest.raises(ValueError):
+            ctx.linear_orbit(gamma, np.eye(r, dtype=np.int64)[:, :64], 3)
+    assert ctx.linear_orbit(gamma, maps[0], 0).shape == (0,)
 
-    grid = [(2, 2, 3, 3), (3, 1, 4, 2), (5, 1, 3, 4), (7, 1, 2, 3)]
 
-    def values():
-        out = []
-        for p, r, m, s in grid:
-            for a in range(min(p**r, 3)):
-                for h in range(s):
-                    spec = CountSpec.make(p, r, m, s, a=a, h=h)
-                    out.append((spec.h, p_m(spec, "auto"), p_m(spec, "general")))
-        return out
-
-    build_field.cache_clear()
-    build_tower.cache_clear()
-    cold = values()
-    assert values() == cold
+def test_orbit_abs_traces_on_two_words():
+    # F_{2^14} inside F_{2^70}: every orbit element takes two packed words
+    tw = build_tower(2, 7, 10)
+    tr = tw.orbit_abs_traces(2)
+    assert tr.shape == (2**14 - 1,) and int(tr.sum()) == 2**13  # half of F_{2^14} has trace 1
+    step = tw.gamma[2] ** 61
+    x = tw.top.one
+    for e in range(0, 2**14 - 1, 61):
+        assert int(tr[e]) == tw.abs_trace(x, 2)
+        x = x * step
 
 
 def test_min_poly_examples():
