@@ -37,7 +37,6 @@ from .counting import (
     m_t_general,
     m_t_jacobi,
     m_t_lifted,
-    m_t_monomial,
     n_t,
     n_t_special,
     n_t_table,

@@ -1,8 +1,11 @@
 """Multiplicative characters and exact evaluation of their sums.
 
 Three sum species: monomial exponential sums over F_{q^t}, Gauss sums,
-and Jacobi sums.  Everything is evaluated by histogramming character
-exponents and converting the counts to a CycInt once at the end, so
+and Jacobi sums.  A monomial or Gauss sum over F_{q^t} depends on an
+element gamma_t^j only through j mod g and its absolute trace, so both
+are reads of one cached table, TowerCtx.trace_hist(t, g); a Gauss sum is
+a Fourier coefficient of it.  Jacobi sums histogram their character
+exponents directly.  Counts become a CycInt once at the end, so the
 intermediate work is plain integer vector addition.
 
 For p = 2 the Davenport-Hasse identity lifts a Gauss sum from the small
@@ -14,6 +17,7 @@ when both levels live in one tower.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,54 +54,35 @@ class MultChar:
         return self.exponent_of_log(tower.dlog_gamma(x, self.level))
 
 
-def _check_cap(size: int, cap: int, what: str):
-    if size > cap:
-        raise EnumerationCapExceeded(
-            f"{what} needs {size} elements, beyond cap {cap}; closed forms or "
-            f"the Davenport-Hasse lift remain available where applicable"
-        )
-
-
 def monomial_sum(tower: TowerCtx, t: int, i: int, n: int, cap: int | None = None) -> CycInt:
     """sum over x in F_{q^t}* of e_t(gamma_t^i * x^n), exactly, in Z[zeta_p].
 
-    n need not divide q^t - 1; the exponent walk i + k*n mod (q^t - 1)
-    is histogrammed as-is.
+    n need not divide q^t - 1: with g = gcd(n, q^t - 1) the exponents
+    i + k*n mod (q^t - 1) run g times over the class of i mod g, so the
+    sum is g times row i mod g of the trace histogram.
     """
     if n <= 0:
         raise ValidationError("monomial exponent must be positive")
-    cap = tower.enum_cap if cap is None else cap
-    _check_cap(tower.q**t, cap, f"monomial sum over F_{{q^{t}}}")
-    traces = tower.orbit_abs_traces(t, cap)
-    big_q = tower.q**t - 1
-    exps = (i + np.arange(big_q, dtype=np.int64) * n) % big_q
-    counts = np.bincount(traces[exps], minlength=tower.p)
-    return CycInt.from_counts(tower.p, counts.tolist())
+    g = math.gcd(n, tower.q**t - 1)
+    row = tower.trace_hist(t, g, cap)[i % g]
+    return CycInt.from_counts(tower.p, (g * row).tolist())
 
 
 def gauss_sum(tower: TowerCtx, t: int, chi: MultChar, cap: int | None = None) -> CycInt:
-    """G_t(chi) = sum over F_{q^t}* of e_t(x) chi(x), in Z[zeta_{pN}]."""
+    """G_t(chi) = sum over F_{q^t}* of e_t(x) chi(x), in Z[zeta_{pN}].
+
+    chi(gamma_t^j) = zeta_N^{k c} for j in class c mod N, so the trace
+    histogram by N classes counts zeta_p^tau zeta_N^{k c} at [c, tau].
+    """
     if chi.level != t:
         raise ValidationError("character level does not match the field")
-    n = chi.order
-    if (tower.q**t - 1) % n != 0:
-        raise ValidationError("character order must divide the group order")
-    cap = tower.enum_cap if cap is None else cap
-    _check_cap(tower.q**t, cap, f"Gauss sum over F_{{q^{t}}}")
-    p = tower.p
-    traces = tower.orbit_abs_traces(t, cap)
-    big_q = tower.q**t - 1
-    mult = (chi.k * np.arange(big_q, dtype=np.int64)) % n
-    key = traces.astype(np.int64) * n + mult
-    counts = np.bincount(key, minlength=p * n)
+    p, n = tower.p, chi.order
+    hist = tower.trace_hist(t, n, cap)
     order = p * n
-    coeffs = [0] * order
-    for a in range(p):
-        for b in range(n):
-            c = int(counts[a * n + b])
-            if c:
-                coeffs[(a * n + b * p) % order] += c  # zeta_p^a zeta_N^b
-    return CycInt(order, coeffs)
+    exps = (np.arange(p) * n + (chi.k * np.arange(n) % n * p)[:, None]) % order
+    coeffs = np.zeros(order, dtype=np.int64)
+    np.add.at(coeffs, exps, hist)
+    return CycInt(order, coeffs.tolist())
 
 
 def gauss_sum_folded(tower: TowerCtx, t: int, chi: MultChar, cap: int | None = None) -> CycInt:
@@ -107,14 +92,9 @@ def gauss_sum_folded(tower: TowerCtx, t: int, chi: MultChar, cap: int | None = N
     if chi.level != t:
         raise ValidationError("character level does not match the field")
     n = chi.order
-    cap = tower.enum_cap if cap is None else cap
-    _check_cap(tower.q**t, cap, f"Gauss sum over F_{{q^{t}}}")
-    traces = tower.orbit_abs_traces(t, cap)
-    big_q = tower.q**t - 1
-    mult = (chi.k * np.arange(big_q, dtype=np.int64)) % n
-    coeffs = np.bincount(mult[traces == 0], minlength=n) - np.bincount(
-        mult[traces == 1], minlength=n
-    )
+    hist = tower.trace_hist(t, n, cap)
+    coeffs = np.zeros(n, dtype=np.int64)
+    np.add.at(coeffs, chi.k * np.arange(n) % n, hist[:, 0] - hist[:, 1])
     return CycInt(n, coeffs.tolist())
 
 
@@ -160,7 +140,12 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
     if (q - 1) % n != 0:
         raise ValidationError("character order must divide q - 1")
     cap = (1 << 24) if cap is None else cap
-    _check_cap(q ** max(t - 1, 0), cap, f"Jacobi sum with {t} variables")
+    size = q ** max(t - 1, 0)
+    if size > cap:
+        raise EnumerationCapExceeded(
+            f"Jacobi sum with {t} variables needs {size} elements, beyond cap {cap}; closed "
+            f"forms or the Davenport-Hasse lift remain available where applicable"
+        )
     if t == 1:
         return CycInt.integer(n, 1)  # lambda(1)
 

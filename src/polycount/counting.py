@@ -11,9 +11,10 @@ character sum M_t by one of several routes:
     q; s = 3, 4 at q = p; s | p^e + 1 semiprimitive),
   * Jacobi-sum routes using the order 2/3/4 closed forms or a brute
     Jacobi sum,
-  * monomial-sum routes, enumerated directly or (p = 2, a = 0) through
-    the Davenport-Hasse lift, and
-  * the literal double character sum over F_q* x F_{q^t}*.
+  * (p = 2, a = 0) Gauss sums lifted from small subfields by the
+    Davenport-Hasse identity, and
+  * the double character sum over F_q* x F_{q^t}*, read from one trace
+    histogram of F_{q^t} (TowerCtx.trace_hist): q^t + p q elements.
 
 `plan` picks the route of every N_t up front, from the spec alone, and
 refuses a method or cap it cannot serve before any work; `n_t` and `p_m`
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsums import MultChar, gauss_sum_lifted, jacobi_brute, monomial_sum
+from .charsums import MultChar, gauss_sum_lifted, jacobi_brute
 from .cyclotomic import CycInt, EisensteinInt, GaussianInt
 from .errors import (
     EnumerationCapExceeded,
@@ -190,44 +191,37 @@ def _restpd(spec: CountSpec, t: int) -> bool:
 # -- M_t routes --
 
 
-def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None) -> int:
-    """The literal double sum over c in F_q* and x in F_{q^t}*, histogrammed.
+def _general_size(q: int, p: int, t: int) -> int:
+    """Work of m_t_general: the orbit of F_{q^t}*, or p gathers over F_q* when larger (t = 1)."""
+    return max(q**t, p * q)
 
-    Requires restpd; work is (q - 1) * (q^t - 1) summands, vectorized.
+
+def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None) -> int:
+    """The double sum over c in F_q* and x in F_{q^t}*, read from one trace histogram.
+
+    Requires restpd.  With G = gcd(s/d, q^t - 1), the inner sum at c = g^w
+    is G times row (i0 + t0 w) mod G of the trace histogram by G classes,
+    shifted by the trace rho_w of the outer term (0 when a = 0); so the work
+    is q^t + p q elements, where the literal sum has (q - 1)(q^t - 1).
     """
     if not _restpd(spec, t):
         raise ValidationError("the double sum requires p not dividing m/t and d | h")
     q, p, s = spec.q, spec.p, spec.s
-    cap = tower.enum_cap if cap is None else cap
-    if q * q**t > cap:
-        raise EnumerationCapExceeded(
-            f"q^(t+1) = {q * q**t} exceeds cap {cap}; use a closed route"
-        )
-    h_t = tower.dlog_g(spec.b) % s
-    params = derive_params(spec, t, h=h_t)
-    sd = s // params.d
-    traces_t = tower.orbit_abs_traces(t, cap)
-    big_q = q**t - 1
-    t0 = params.t0
-    ks = np.arange(big_q, dtype=np.int64) * sd
-    hist = np.zeros(p, dtype=np.int64)
+    tower.check_cap(_general_size(q, p, t), cap, f"the double sum over F_q* x F_{{q^{t}}}*")
+    params = derive_params(spec, t, h=tower.dlog_g(spec.b) % s)
+    big_g = math.gcd(s // params.d, q**t - 1)
+    flat = tower.trace_hist(t, big_g, cap).ravel()
+    w = np.arange(q - 1, dtype=np.int64)
+    row = (params.i0 + params.t0 % big_g * w) % big_g * p
     if spec.a.is_zero():
-        shift = None
+        rot = 0
     else:
-        traces_1 = tower.orbit_abs_traces(1, cap)
         mt_inv = pow((spec.m // t) % p, -1, p)
-        outer = tower.embed(-(spec.a * mt_inv))  # -(t/m) a
-        shift = tower.dlog_g(outer)
-    for w in range(q - 1):
-        exps = (params.i0 + t0 * w + ks) % big_q
-        inner = np.bincount(traces_t[exps], minlength=p)
-        rot = 0 if shift is None else int(traces_1[(shift + w) % (q - 1)])
-        if rot == 0:
-            hist += inner
-        else:
-            hist += np.roll(inner, rot)
-    m_t = CycInt.from_counts(p, hist.tolist()).expect_integer("M_t general sum")
-    return m_t
+        shift = tower.dlog_g(tower.embed(-(spec.a * mt_inv)))  # -(t/m) a
+        rot = tower.orbit_abs_traces(1, cap)[(shift + w) % (q - 1)].astype(np.int64)
+    # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w
+    hist = [big_g * int(flat[row + (tau - rot) % p].sum()) for tau in range(p)]
+    return CycInt.from_counts(p, hist).expect_integer("M_t general sum")
 
 
 def _canonical_char_decompose(j: int, modn: int):
@@ -321,36 +315,6 @@ def m_t_jacobi(
         acc = acc + jval * lam
     inner = acc.expect_integer("a!=0 Jacobi inner sum")
     return 1 + sign_t * q * inner
-
-
-def m_t_monomial(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None) -> int:
-    """M_t through monomial sums over F_{q^t} (and F_q when a != 0).
-
-    a = 0:  M_t = (q-1) sum_x e_t(gamma_t^{i0} x^l).
-    a != 0: M_t = (1/u) sum_{j<u} [sum_x e_t(a0 gamma_t^{t0 j + i0} x^{s/d})]
-                                  [sum_c e_1(g^j c^u)].
-    """
-    if not _restpd(spec, t):
-        raise ValidationError("monomial route requires p not dividing m/t and d | h")
-    q, s = spec.q, spec.s
-    h_t = tower.dlog_g(spec.b) % s
-    params = derive_params(spec, t, h=h_t)
-    if spec.a.is_zero():
-        inner = monomial_sum(tower, t, params.i0, params.l, cap)
-        return (q - 1) * inner.expect_integer("a=0 monomial sum")
-    sd = s // params.d
-    u = params.u
-    a0_top = tower.embed(spec.a0(t))
-    ind_a0 = tower.dlog_gamma(a0_top, t)
-    total = CycInt.integer(spec.p, 0)
-    for j in range(u):
-        s1 = monomial_sum(tower, t, (ind_a0 + params.t0 * j + params.i0) % (q**t - 1), sd, cap)
-        s2 = monomial_sum(tower, 1, j, u, cap)
-        total = total + s1 * s2
-    val = total.expect_integer("split monomial sum")
-    if val % u != 0:
-        raise InvariantError("split monomial sum must be divisible by u")
-    return val // u
 
 
 def m_t_lifted(spec: CountSpec, t: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -683,7 +647,7 @@ def _route(spec: CountSpec, t: int, method: str, cap: int, tables: list[str]) ->
     N_t is special when d = gcd(m/t, s) does not divide h or p divides m/t;
     otherwise its characters have orders dividing n = gcd(t, s/d) (a = 0) or
     s/d (a != 0).  'auto' tries Jacobi when n = 1, a table, the closed route,
-    then general, monomial and brute Jacobi while q^{t+1}, q^t, q^{t-1} fit the cap.
+    then general and brute Jacobi while max(q^t, p q) and q^{t-1} fit the cap.
     """
     q, s = spec.q, spec.s
     mt = spec.m // t
@@ -691,9 +655,10 @@ def _route(spec: CountSpec, t: int, method: str, cap: int, tables: list[str]) ->
     if spec.h % d or mt % spec.p == 0:
         return "special"
     n = math.gcd(t, s // d) if spec.a.is_zero() else s // d
+    general_size = _general_size(q, spec.p, t)
     if method == "general":
-        if q ** (t + 1) > cap:
-            raise EnumerationCapExceeded(f"q^(t+1) = {q ** (t + 1)} exceeds cap {cap}; use a closed route")
+        if general_size > cap:
+            raise EnumerationCapExceeded(f"the double sum needs {general_size} elements, beyond cap {cap}; use a closed route")
         return "general"
     if method == "table":
         if not tables:
@@ -709,10 +674,8 @@ def _route(spec: CountSpec, t: int, method: str, cap: int, tables: list[str]) ->
         raise refusal
     if not refusal:
         return closed
-    if q ** (t + 1) <= cap:
+    if general_size <= cap:
         return "general"
-    if q**t <= cap:
-        return "monomial"
     if q ** (t - 1) <= cap:
         return "jacobi_brute"
     raise EnumerationCapExceeded(
@@ -723,10 +686,11 @@ def _route(spec: CountSpec, t: int, method: str, cap: int, tables: list[str]) ->
 def _closed_route(spec: CountSpec, n: int, cap: int):
     """The closed route for characters of order dividing n, and its refusal (or None)."""
     if spec.p == 2 and spec.a.is_zero():
-        # the lifted Gauss sums enumerate F_{2^{ord_n 2}}, a subfield of F_q
-        small = 1 if n == 1 or spec.q <= cap else 2 ** multiplicative_order(2, n)
-        if small > cap:
-            return "lifted", EnumerationCapExceeded(f"the lifted Gauss sums enumerate F_{small}, beyond cap {cap}")
+        # the lifted Gauss sums read trace histograms of F_{2^{ord_n 2}}, a
+        # subfield of F_q, by at most n classes of 2 traces
+        size = 1 if n == 1 else max(2 ** multiplicative_order(2, n), 2 * n)
+        if size > cap:
+            return "lifted", EnumerationCapExceeded(f"the lifted Gauss sums need {size} elements, beyond cap {cap}")
         return "lifted", None
     if n in (1, 2) or (spec.r == 1 and n in (3, 4)):
         return "jacobi", None
@@ -748,7 +712,7 @@ def _n_from_m(spec: CountSpec, t: int, m_t: int) -> int:
 
 
 def _run_route(spec: CountSpec, t: int, route: str, tower: TowerCtx | None, cap: int) -> int:
-    """N_t along one planned route; general and monomial build the tower."""
+    """N_t along one planned route; general builds the tower."""
     if route == "special":
         return n_t_special(spec, t)
     if route in TABLE_NAMES:
@@ -759,7 +723,7 @@ def _run_route(spec: CountSpec, t: int, route: str, tower: TowerCtx | None, cap:
         m_t = m_t_jacobi(spec, t, allow_brute=route == "jacobi_brute", cap=cap)
     else:
         tower = build_tower(spec.p, spec.r, spec.m) if tower is None else tower
-        m_t = (m_t_general if route == "general" else m_t_monomial)(tower, spec, t, cap)
+        m_t = m_t_general(tower, spec, t, cap)
     return _n_from_m(spec, t, m_t)
 
 

@@ -30,6 +30,7 @@ from .errors import (
     InvalidPrime,
     InvariantError,
     SubfieldViolation,
+    ValidationError,
     ZeroHasNoLog,
 )
 from .intmath import divisors, factor_prime_power_order, is_prime
@@ -43,6 +44,9 @@ _WORD = np.dtype("<u8")
 
 # fields of at most this order keep a full log table, one int32 per element
 LOG_TABLE_MAX_ORDER = 1 << 16
+
+# trace histograms a tower keeps, oldest dropped first
+_TRACE_HIST_CACHE_SIZE = 8
 
 
 # -- dense polynomial helpers over F_p (tuples, low degree first) --
@@ -617,6 +621,7 @@ class TowerCtx:
         self.g = self.gamma[1]
         self._abs_trace_cols: dict[int, np.ndarray] = {}
         self._orbit_traces: dict[int, np.ndarray] = {}
+        self._trace_hists: dict[tuple[int, int], np.ndarray] = {}
         self._embed_rows: list[list[int]] | None = None
         self._solver: _FpSolver | None = None
         self._g_base: FieldElement | None = None
@@ -790,19 +795,51 @@ class TowerCtx:
 
     # -- bulk enumeration --
 
+    def check_cap(self, size: int, cap: int | None, what: str):
+        """Refuse `what` when its size exceeds cap; cap None means the tower's enum_cap."""
+        cap = self.enum_cap if cap is None else cap
+        if size > cap:
+            raise EnumerationCapExceeded(
+                f"{what} needs {size} elements, beyond enumeration cap {cap}; closed "
+                f"forms or the Davenport-Hasse lift remain available where applicable"
+            )
+
     def orbit_abs_traces(self, t: int, cap: int | None = None) -> np.ndarray:
-        """abs_trace(gamma_t^e, t) for e in [0, q^t - 1), as one uint8 array."""
+        """abs_trace(gamma_t^e, t) for e in [0, q^t - 1), in the smallest unsigned dtype holding p - 1.
+
+        The cap is tested on every call, so a warm cache serves nothing a
+        cold one would refuse.
+        """
+        n = self.q**t
+        self.check_cap(n, cap, f"the orbit of F_{{q^{t}}}")
         if t not in self._orbit_traces:
-            n = self.q**t
-            cap = self.enum_cap if cap is None else cap
-            if n > cap:
-                raise EnumerationCapExceeded(
-                    f"q^t = {n} exceeds enumeration cap {cap}; closed forms or the "
-                    f"Davenport-Hasse lift remain available where applicable"
-                )
             vals = self.top.linear_orbit(self.gamma[t], self.abs_trace_column(t), n - 1)
-            self._orbit_traces[t] = vals.astype(np.uint8)
+            self._orbit_traces[t] = vals.astype(np.min_scalar_type(self.p - 1))
         return self._orbit_traces[t]
+
+    def trace_hist(self, t: int, g: int, cap: int | None = None) -> np.ndarray:
+        """H[c, tau] = #{j < q^t - 1 : j = c mod g, abs_trace(gamma_t^j, t) = tau}.
+
+        A read-only int64 array of shape (g, p); g must divide q^t - 1.  A
+        character sum over F_{q^t}* whose summand at gamma_t^j depends only
+        on j mod g and the trace is a read of this table.  The cap bounds
+        both the orbit (q^t) and the table (g p); it is tested on every
+        call.  The last _TRACE_HIST_CACHE_SIZE tables are kept.
+        """
+        big_q = self.q**t - 1
+        if g < 1 or big_q % g:
+            raise ValidationError(f"{g} does not divide q^{t} - 1 = {big_q}")
+        self.check_cap(max(big_q + 1, g * self.p), cap, f"the F_{{q^{t}}} trace histogram by {g} classes")
+        key = (t, g)
+        if key not in self._trace_hists:
+            traces = self.orbit_abs_traces(t, cap).reshape(-1, g)
+            labels = traces + np.arange(0, g * self.p, self.p, dtype=np.int64)
+            hist = np.bincount(labels.ravel(), minlength=g * self.p).reshape(g, self.p)
+            hist.flags.writeable = False
+            self._trace_hists[key] = hist
+            while len(self._trace_hists) > _TRACE_HIST_CACHE_SIZE:
+                del self._trace_hists[next(iter(self._trace_hists))]
+        return self._trace_hists[key]
 
     def to_json(self) -> dict:
         return {

@@ -1,14 +1,18 @@
 from functools import partial
 
+import numpy as np
+import pytest
+
 import polycount
 from polycount import catalog, counting, cyclotomic, fields, oracle
 from polycount.catalog import p2_closed_detail
 from polycount.counting import METHODS, CountSpec, p_m, plan
-from polycount.errors import CapExceeded, NotApplicable
+from polycount.errors import CapExceeded, EnumerationCapExceeded, NotApplicable
+from polycount.intmath import divisors
 from polycount.oracle import brute_p_m
 
 # (p, r, m, s): together they plan every route of `auto`, `closed`,
-# `general` and `table` except monomial and jacobi_brute
+# `general` and `table` except jacobi_brute
 SPECS = [
     (2, 2, 3, 3), (3, 1, 4, 2), (5, 1, 3, 4), (7, 1, 2, 3),
     (13, 1, 2, 12), (2, 4, 2, 5), (3, 2, 2, 8), (2, 3, 3, 7),
@@ -71,3 +75,26 @@ def test_values_do_not_depend_on_cache_state_or_call_order():
     assert not oracle._scan_cache
     reverse = [call() for call in reversed(calls)]
     assert reverse[::-1] == cold
+
+
+def test_trace_hist_cache_keeps_the_last_eight_tables():
+    tower = fields.build_tower(2, 6, 2)
+    keys = [(t, g) for t in (1, 2) for g in divisors(2 ** (6 * t) - 1)][:9]
+    cold = [tower.trace_hist(t, g).copy() for t, g in keys]
+    assert list(tower._trace_hists) == keys[1:]
+    warm = [tower.trace_hist(t, g) for t, g in keys[1:]]
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold[1:]))
+    polycount.clear_caches()
+    fresh = fields.build_tower(2, 6, 2)
+    assert fresh is not tower
+    assert all(np.array_equal(fresh.trace_hist(t, g), c) for (t, g), c in zip(keys, cold))
+
+
+def test_cap_is_tested_on_warm_caches_too():
+    tower = fields.build_tower(2, 3, 3)
+    assert tower.orbit_abs_traces(3).shape == (511,)
+    assert tower.trace_hist(3, 7).sum() == 511
+    with pytest.raises(EnumerationCapExceeded):
+        tower.orbit_abs_traces(3, cap=10)
+    with pytest.raises(EnumerationCapExceeded):
+        tower.trace_hist(3, 7, cap=10)

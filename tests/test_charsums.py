@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycount.charsums import (
     MultChar,
@@ -13,7 +15,7 @@ from polycount.charsums import (
     monomial_sum,
 )
 from polycount.cyclotomic import CycInt, sqrt_minus
-from polycount.errors import EnumerationCapExceeded
+from polycount.errors import EnumerationCapExceeded, ValidationError
 from polycount.fields import build_field, build_tower
 from polycount.intmath import divisors
 
@@ -28,6 +30,34 @@ def naive_monomial_sum(tower, t, i, n):
         x = gt**e
         counts[tower.abs_trace(alpha * x**n, t)] += 1
     return CycInt.from_counts(p, counts)
+
+
+def naive_gauss_sum(tower, t, chi, fold=False):
+    """Independent oracle: zeta_p^Tr(x) chi(x) summed element by element.
+
+    With fold (p = 2) zeta_2 = -1 and the sum lives in Z[zeta_N]."""
+    p, n = tower.p, chi.order
+    order = n if fold else p * n
+    coeffs = [0] * order
+    gt = tower.gamma[t]
+    x = tower.top.one
+    for e in range(tower.q**t - 1):
+        tr, b = tower.abs_trace(x, t), chi.k * e % n
+        if fold:
+            coeffs[b] += 1 - 2 * tr
+        else:
+            coeffs[(tr * n + b * p) % order] += 1
+        x = x * gt
+    return CycInt(order, coeffs)
+
+
+# (p, r, m) with q^m <= 2^10, small enough for per-element sums
+_SMALL_TOWERS = [
+    (p, r, m)
+    for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1))
+    for m in range(1, 11)
+    if (p**r) ** m <= 1 << 10
+]
 
 
 def test_multchar_value_conventions():
@@ -284,3 +314,28 @@ def test_prop1_closed_vs_direct_grid():
                 for i in range(s):
                     direct = monomial_sum(tw, t, i, s).as_integer()
                     assert direct == monomial_closed_semiprimitive(p, e, n, t, s, i)
+
+
+def test_gauss_folded_rejects_an_order_not_dividing_the_group():
+    # 7 does not divide 2^4 - 1; the folded sum must refuse as gauss_sum does
+    tw = build_tower(2, 4, 2)
+    with pytest.raises(ValidationError):
+        gauss_sum(tw, 1, MultChar(1, 7, 1))
+    with pytest.raises(ValidationError):
+        gauss_sum_folded(tw, 1, MultChar(1, 7, 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(tower=st.sampled_from(_SMALL_TOWERS), data=st.data())
+def test_histogram_sums_match_per_element_sums(tower, data):
+    tw = build_tower(*tower)
+    t = data.draw(st.sampled_from(divisors(tw.m)), label="t")
+    big_q = tw.q**t - 1
+    i = data.draw(st.integers(0, 2 * big_q), label="i")
+    n = data.draw(st.integers(1, 2 * big_q), label="n")  # need not divide q^t - 1
+    assert monomial_sum(tw, t, i, n) == naive_monomial_sum(tw, t, i, n)
+    order = data.draw(st.sampled_from(divisors(big_q)), label="order")
+    chi = MultChar(t, order, data.draw(st.integers(0, 2 * order), label="k"))
+    assert gauss_sum(tw, t, chi) == naive_gauss_sum(tw, t, chi)
+    if tw.p == 2:
+        assert gauss_sum_folded(tw, t, chi) == naive_gauss_sum(tw, t, chi, fold=True)

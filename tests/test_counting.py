@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from polycount.counting import (
     m_t_general,
     m_t_jacobi,
     m_t_lifted,
-    m_t_monomial,
     n_t,
     n_t_special,
     n_t_table,
@@ -136,18 +137,40 @@ def test_m_t_routes_agree_with_naive():
         tower = build_tower(p, r, m)
         want = naive_m_t(tower, spec, t)
         assert m_t_general(tower, spec, t) == want
-        assert m_t_monomial(tower, spec, t) == want
         assert m_t_jacobi(spec, t, allow_brute=True) == want
         if p == 2 and ai == 0:
             assert m_t_lifted(spec, t) == want
 
 
+# (p, r, m, t) with q^{t+1} <= 2^10 and p not dividing m/t, where naive_m_t is quick
+_NAIVE_CASES = [
+    (p, r, m, t)
+    for p, r in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1))
+    for m in range(2, 10)
+    for t in divisors(m)
+    if (p**r) ** (t + 1) <= 1 << 10 and (m // t) % p
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=st.sampled_from(_NAIVE_CASES), data=st.data())
+def test_m_t_general_matches_naive(case, data):
+    p, r, m, t = case
+    q = p**r
+    s = data.draw(st.sampled_from(divisors(q - 1)), label="s")
+    d = math.gcd(m // t, s)
+    h = d * data.draw(st.integers(0, s // d - 1), label="h / d")  # d | h
+    a = build_field(p, r).from_index(data.draw(st.integers(0, q - 1), label="a"))
+    spec = CountSpec.make(p, r, m, s, a=a, h=h)
+    tower = build_tower(p, r, m)
+    assert m_t_general(tower, spec, t) == naive_m_t(tower, spec, t)
+
+
 def test_m_t_closed_paths_surface():
-    # q=4, t=2, s=3, a != 0: the split monomial route equals the double sum
+    # q=4, t=2, s=3, a != 0: brute Jacobi sums equal the double sum
     spec = CountSpec.make(2, 2, 2, 3, a=2, h=1)
     tower = build_tower(2, 2, 2)
     want = m_t_general(tower, spec, 2)
-    assert m_t_monomial(tower, spec, 2) == want
     assert m_t_jacobi(spec, 2, allow_brute=True) == want
     # without brute Jacobi the order-3 sum at r = 2 has no closed form
     with pytest.raises(TableNotApplicable):
@@ -311,9 +334,9 @@ def test_coset_representative_invariance():
 
 
 def test_auto_falls_back_when_general_is_over_cap():
-    # q = 32, s = 31: no table, no closed Jacobi order, and the double sum
-    # at t = 4 would need q^5 = 2^25 summands; auto must still answer
-    # through the cheaper monomial / Jacobi routes
+    # q = 32, s = 31: no table and no closed Jacobi order; the literal
+    # double sum at t = 4 has q^5 = 2^25 summands, but read from the trace
+    # histogram of F_{q^4} it fits the cap, and auto must still answer
     base = build_field(2, 5)
     spec = CountSpec.make(2, 5, 4, 31, a=base.from_index(3), h=5)
     assert p_m(spec, cap=1 << 24) == brute_p_m(spec)
@@ -345,8 +368,12 @@ def test_plan_routes():
     # q = 32, s = 31: no table and no closed Jacobi form, so auto walks down
     # the enumerations as the cap shrinks
     spec = CountSpec.make(2, 5, 4, 31, a=3, h=5)
-    assert plan(spec) == [(2, -1, "special"), (4, 1, "monomial")]
+    assert plan(spec) == [(2, -1, "special"), (4, 1, "general")]
     assert plan(spec, cap=1 << 15) == [(2, -1, "special"), (4, 1, "jacobi_brute")]
+    # at t = 1 the double sum gathers p times over F_q*, and p q = 4111^2 > 2^24
+    spec = CountSpec.make(4111, 1, 2, 5, a=1, h=2)
+    assert plan(spec) == [(1, -1, "jacobi_brute"), (2, 1, "jacobi_brute")]
+    assert sum(p_m(CountSpec.make(4111, 1, 2, 5, a=1, h=h)) for h in range(5)) == (4111 - 1) // 2
     # p = 2, a = 0: the closed route is the lifted one; n = 1 takes Jacobi
     spec = CountSpec.make(2, 4, 3, 15, a=0, h=0)
     assert plan(spec, "closed") == [(1, -1, "lifted"), (3, 1, "lifted")]
@@ -396,7 +423,7 @@ def test_unservable_method_refuses_before_any_work(monkeypatch, args, method, ca
         return call
 
     monkeypatch.setattr(fields.FieldCtx, "linear_orbit", forbidden("linear_orbit"))
-    for name in ("build_tower", "n_t_special", "n_t_table", "m_t_general", "m_t_monomial", "m_t_jacobi", "m_t_lifted"):
+    for name in ("build_tower", "n_t_special", "n_t_table", "m_t_general", "m_t_jacobi", "m_t_lifted"):
         monkeypatch.setattr(counting, name, forbidden(name))
     with pytest.raises(error):
         p_m(spec, method, cap=cap)

@@ -367,3 +367,28 @@ def test_construction_is_not_capped():
         tw.orbit_abs_traces(26)
     # the cap is per-operation: smaller subfields still enumerate
     assert tw.orbit_abs_traces(2).shape == (3,)
+
+
+def test_orbit_abs_traces_hold_traces_beyond_255():
+    # p = 257: over F_p the trace is the element itself, so the orbit of g
+    # takes every trace 1..256 once; an 8-bit store would turn 256 into 0
+    tw = build_tower(257, 1, 2)
+    tr = tw.orbit_abs_traces(1)
+    assert sorted(tr.tolist()) == list(range(1, 257))
+    tr2 = tw.orbit_abs_traces(2)
+    for e in range(0, 257**2 - 1, 997):
+        assert int(tr2[e]) == tw.abs_trace(tw.gamma[2] ** e, 2)
+
+
+def test_trace_hist_validates_and_caps():
+    from polycount.errors import EnumerationCapExceeded, ValidationError
+
+    tw = build_tower(257, 1, 1)
+    with pytest.raises(ValidationError):
+        tw.trace_hist(1, 5)  # 5 does not divide 256
+    # the table has g p cells: 256 * 257 is over the cap although q = 257 is not
+    with pytest.raises(EnumerationCapExceeded):
+        tw.trace_hist(1, 256, cap=1000)
+    hist = tw.trace_hist(1, 4, cap=2000)
+    assert hist.shape == (4, 257) and hist.sum() == 256 and not hist.flags.writeable
+    assert all(hist[tw.dlog_g(tw.base.from_int(x)) % 4, x] == 1 for x in range(1, 257))
