@@ -687,8 +687,8 @@ def _closed_route(spec: CountSpec, n: int, cap: int):
     """The closed route for characters of order dividing n, and its refusal (or None)."""
     if spec.p == 2 and spec.a.is_zero():
         # the lifted Gauss sums read trace histograms of F_{2^{ord_n 2}}, a
-        # subfield of F_q, by at most n classes of 2 traces
-        size = 1 if n == 1 else max(2 ** multiplicative_order(2, n), 2 * n)
+        # subfield of F_q, by at most n < q classes of 2 traces
+        size = 1 if n == 1 or 2 * spec.q <= cap else max(2 ** multiplicative_order(2, n), 2 * n)
         if size > cap:
             return "lifted", EnumerationCapExceeded(f"the lifted Gauss sums need {size} elements, beyond cap {cap}")
         return "lifted", None

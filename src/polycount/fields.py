@@ -810,6 +810,8 @@ class TowerCtx:
         The cap is tested on every call, so a warm cache serves nothing a
         cold one would refuse.
         """
+        if t not in self.gamma:
+            raise InvalidDegree(f"{t} does not divide {self.m}")
         n = self.q**t
         self.check_cap(n, cap, f"the orbit of F_{{q^{t}}}")
         if t not in self._orbit_traces:

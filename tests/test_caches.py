@@ -78,6 +78,7 @@ def test_values_do_not_depend_on_cache_state_or_call_order():
 
 
 def test_trace_hist_cache_keeps_the_last_eight_tables():
+    polycount.clear_caches()
     tower = fields.build_tower(2, 6, 2)
     keys = [(t, g) for t in (1, 2) for g in divisors(2 ** (6 * t) - 1)][:9]
     cold = [tower.trace_hist(t, g).copy() for t, g in keys]

@@ -381,11 +381,13 @@ def test_orbit_abs_traces_hold_traces_beyond_255():
 
 
 def test_trace_hist_validates_and_caps():
-    from polycount.errors import EnumerationCapExceeded, ValidationError
+    from polycount.errors import EnumerationCapExceeded, InvalidDegree, ValidationError
 
     tw = build_tower(257, 1, 1)
     with pytest.raises(ValidationError):
         tw.trace_hist(1, 5)  # 5 does not divide 256
+    with pytest.raises(InvalidDegree):
+        build_tower(2, 1, 4).trace_hist(3, 1)  # F_8 is not inside F_16
     # the table has g p cells: 256 * 257 is over the cap although q = 257 is not
     with pytest.raises(EnumerationCapExceeded):
         tw.trace_hist(1, 256, cap=1000)
