@@ -97,6 +97,7 @@ from .oracle import (
 )
 
 from . import counting as _counting
+from . import fields as _fields
 from . import oracle as _oracle
 
 __version__ = "0.1.0"
@@ -109,6 +110,7 @@ def clear_caches() -> None:
     a cold start.  intmath's caches hold pure integer functions and stay.
     """
     build_field.cache_clear()
+    _fields._live_fields.clear()
     build_tower.cache_clear()
     p2_context.cache_clear()
     _counting._quartic.cache_clear()

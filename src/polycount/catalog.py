@@ -169,7 +169,7 @@ class P2Context:
         raise NoCandidateMatch(f"Gauss sum for N = {n} matched neither sign candidate")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def p2_context(r: int) -> P2Context:
     return P2Context(r)
 

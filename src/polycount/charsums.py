@@ -59,12 +59,14 @@ def monomial_sum(tower: TowerCtx, t: int, i: int, n: int, cap: int | None = None
 
     n need not divide q^t - 1: with g = gcd(n, q^t - 1) the exponents
     i + k*n mod (q^t - 1) run g times over the class of i mod g, so the
-    sum is g times row i mod g of the trace histogram.
+    sum is g times the trace counts of that class; the cap is tested on
+    that read, q^t/g + p, as well as on the orbit.
     """
     if n <= 0:
         raise ValidationError("monomial exponent must be positive")
     g = math.gcd(n, tower.q**t - 1)
-    row = tower.trace_hist(t, g, cap)[i % g]
+    tower.check_cap(tower.q**t // g + tower.p, cap, f"class {i % g} mod {g} of F_{{q^{t}}}*")
+    row = np.bincount(tower.orbit_abs_traces(t, cap)[i % g :: g], minlength=tower.p)
     return CycInt.from_counts(tower.p, (g * row).tolist())
 
 

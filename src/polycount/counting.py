@@ -263,12 +263,12 @@ def _jacobi_value(spec: CountSpec, t: int, order: int, k: int, allow_brute: bool
     return jacobi_brute(spec.base, order, k, t, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _quartic(p, g) -> QuarticParams:
     return quartic_params(p, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _cubic(p, g) -> CubicParams:
     return cubic_params(p, g)
 

@@ -177,7 +177,7 @@ def zeta(order: int, exponent: int = 1) -> CycInt:
     return CycInt.root(order, exponent)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def quadratic_gauss_sum(ell: int) -> CycInt:
     """sum_k (k|ell) zeta_ell^k: sqrt(ell) if ell = 1 mod 4, sqrt(-ell) if 3 mod 4."""
     v = [0] * ell

@@ -10,16 +10,18 @@ label and every reported coset index across runs.
 Elements are coordinate vectors over F_p.  A tower F_q^t <= F_{q^m} is
 realized inside the single field F_{p^{rm}}; the subfield test is
 x^{q^t} == x.  Bulk enumeration (orbits of a generator mapped through an
-F_p-linear form) is vectorized with numpy in fixed-size blocks, since the
-Frobenius, traces, and multiplication-by-a-constant are all linear maps.
-In characteristic 2 an orbit element is packed machine words, bit i
-holding coordinate i, and each linear map is applied as byte-sliced XOR
-tables; odd p multiplies coordinate rows by integer matrices.
+F_p-linear form) is vectorized with numpy, since the Frobenius, traces,
+and multiplication-by-a-constant are all linear maps.  An orbit is split
+baby step, giant step, j = bB + i, and each output digit is one exact
+integer product of the giant-step coordinates with the form read at the
+baby steps.  In characteristic 2 both sides are packed machine words, bit
+i holding coordinate i, and a digit is the parity of their AND.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +39,8 @@ from .intmath import divisors, factor_prime_power_order, is_prime
 
 DEFAULT_ENUM_CAP = 1 << 24
 
-_ORBIT_BLOCK = 4096
+# orbit output is filled this many elements at a time
+_ORBIT_CHUNK = 1 << 16
 
 # packed F_2 vectors: coordinate i is bit i % 64 of word i // 64
 _WORD = np.dtype("<u8")
@@ -131,43 +134,13 @@ def poly_is_irreducible(coeffs, p: int) -> bool:
     return _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp)]) == [0]
 
 
-def _xor_tables(matrix: np.ndarray) -> list[np.ndarray]:
-    """An F_2 matrix as byte-sliced XOR tables, one per 8 rows.
-
-    Table b, shape (words, 2^8), holds the XOR of every subset of the packed
-    rows 8b..8b+7, built by doubling; entry v is the image of byte value v.
-    """
-    bits = (matrix % 2).astype(_WORD)
-    words = -(-bits.shape[1] // 64)
-    rows = np.zeros((words, len(bits)), dtype=_WORD)
-    for w in range(words):
-        chunk = bits[:, 64 * w : 64 * w + 64]
-        rows[w] = (chunk << np.arange(chunk.shape[1], dtype=_WORD)).sum(axis=1, dtype=_WORD)
-    tables = []
-    for b in range(0, len(bits), 8):
-        table = np.zeros((words, 1), dtype=_WORD)
-        for j in range(b, min(b + 8, len(bits))):
-            table = np.concatenate([table, table ^ rows[:, j : j + 1]], axis=1)
-        tables.append(table)
-    return tables
-
-
-def _xor_apply(tables: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Packed F_2 row vectors x, shape (n, words), times the tabled matrix."""
-    x8 = x.view(np.uint8)  # column b is byte b of each vector
-    y = np.zeros((len(x), len(tables[0])), dtype=_WORD)
-    for b, table in enumerate(tables):
-        for w in range(len(table)):
-            y[:, w] ^= table[w][x8[:, b]]
-    return y
-
-
-def _times(matrix: np.ndarray, p: int):
-    """The map rows -> (rows @ matrix) mod p; for p = 2 on packed words, by XOR tables."""
-    if p == 2:
-        tables = _xor_tables(matrix)
-        return lambda x: _xor_apply(tables, x)
-    return lambda rows: (rows @ matrix) % p
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows along the last axis as uint64 words: bit i in bit i % 64 of word i // 64."""
+    words = -(-bits.shape[-1] // 64)
+    packed = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    padded = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view(_WORD)
 
 
 class FieldElement:
@@ -364,48 +337,68 @@ class FieldCtx:
         self._frob_pows[e] = m
         return m
 
+    def _powers(self, x: FieldElement, count: int) -> np.ndarray:
+        """Coordinate rows of x^0 .. x^(count - 1), by doubling: rows[f:2f] = rows[:f] * x^f."""
+        rows = np.zeros((count, self.r), dtype=np.int64)
+        rows[0, 0] = 1
+        f, x_f = 1, x
+        while f < count:
+            n = min(f, count - f)
+            rows[f : f + n] = (rows[:n] @ self.mul_matrix(x_f)) % self.p
+            f += n
+            x_f = x_f * x_f
+        return rows
+
     def linear_orbit(
-        self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int = _ORBIT_BLOCK
+        self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int | None = None
     ) -> np.ndarray:
         """Base-p index of (gamma^j @ out_map) mod p, one int64 for each j in [0, length).
 
-        For a one-column map the index is the digit itself.  The orbit is
-        walked in blocks of `block` rows: the first is seeded by doubling,
-        rows[f:2f] = rows[:f] * gamma^f, and each next one is the last times
-        gamma^block.  For p = 2 a row is packed words and every map is a set
-        of XOR tables; odd p multiplies coordinate rows by integer matrices.
+        For a one-column map the index is the digit itself.  Baby step,
+        giant step: with B = ceil(sqrt(length)) baby steps (or `block`), j =
+        bB + i, and column c of the map is a linear form, so digit c at j is
+        <V_b, A_c[i]> mod p: V_b holds the coordinates of gamma^(bB), and
+        A_c[i, kk] is the form at gamma^i X^kk.  Odd p takes one exact int64
+        product per digit; p = 2 takes the parity of V_b & A_c[i] on packed
+        words.  The output is filled _ORBIT_CHUNK elements at a time.
         """
-        p, r = self.p, self.r
+        p, n = self.p, self.r
         k = out_map.shape[1]
         if p**k > 1 << 63:
             raise ValueError(f"an index of {k} base-{p} digits does not fit in int64")
-        out = np.empty(length, dtype=np.int64)
+        if n * (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"a sum of {n} products of residues mod {p} overflows int64")
         if length == 0:
-            return out
-        nb = min(block, length)
+            return np.empty(0, dtype=np.int64)
+        big_b = min(block, length) if block else math.isqrt(length - 1) + 1
+        giants = self._powers(gamma**big_b, -(-length // big_b))
+        # forms[:, kk] = Mul(X)^kk @ out_map reads the map at x X^kk
+        forms = np.empty((n, n, k), dtype=np.int64)
+        forms[:, 0] = out_map % p
+        times_x = self.mul_matrix(self.from_index(p)) if n > 1 else None
+        for kk in range(1, n):
+            forms[:, kk] = (times_x @ forms[:, kk - 1]) % p
+        babies = (self._powers(gamma, big_b) @ forms.reshape(n, n * k)).reshape(big_b, n, k) % p
         if p == 2:
-            rows = np.zeros((nb, -(-r // 64)), dtype=_WORD)
-        else:
-            rows = np.zeros((nb, r), dtype=np.int64)
-        rows[0, 0] = 1
-        f, gamma_f = 1, gamma
-        while f < nb:
-            n = min(f, nb - f)
-            rows[f : f + n] = _times(self.mul_matrix(gamma_f), p)(rows[:n])
-            f += n
-            gamma_f = gamma_f * gamma_f
-        step = _times(self.mul_matrix(gamma**nb), p)
-        to_out = _times(out_map, p)
+            giants, babies = _pack(giants), _pack(babies.transpose(2, 0, 1))
+        # a dot product is at most n (p - 1)^2; small ones are reduced by lookup
+        residues = np.arange(n * (p - 1) ** 2 + 1) % p if n * (p - 1) ** 2 < _ORBIT_CHUNK else None
         weights = p ** np.arange(k, dtype=np.int64)
-        pos = 0
-        while pos < length:
-            n = min(nb, length - pos)
-            vals = to_out(rows[:n])
-            out[pos : pos + n] = vals[:, 0] if p == 2 else vals @ weights
-            pos += n
-            if pos < length:
-                rows = step(rows)
-        return out
+        out = np.zeros((len(giants), big_b), dtype=np.int64)
+        rows = max(1, _ORBIT_CHUNK // big_b)
+        for b in range(0, len(out), rows):
+            v = giants[b : b + rows]
+            for c in range(k):
+                if p == 2:
+                    x = np.bitwise_and.outer(v[:, 0], babies[c, :, 0])
+                    for w in range(1, v.shape[1]):
+                        x ^= np.bitwise_and.outer(v[:, w], babies[c, :, w])
+                    digit = np.bitwise_count(x) & 1
+                else:
+                    dot = v @ babies[:, :, c].T
+                    digit = dot % p if residues is None else residues[dot]
+                out[b : b + rows] += (digit * weights[c]) if c else digit
+        return out.ravel()[:length]
 
     # -- discrete logarithms --
 
@@ -542,10 +535,16 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, r={self.r})"
 
 
-@lru_cache(maxsize=None)
+_live_fields = weakref.WeakValueDictionary()  # (p, r) -> the FieldCtx still in use
+
+
+@lru_cache(maxsize=64)
 def build_field(p: int, r: int) -> FieldCtx:
-    """Deterministic F_{p^r}; cached, instances are immutable and shareable."""
-    return FieldCtx(p, r)
+    """Deterministic F_{p^r}; cached, and one instance while any is in use, so a
+    field evicted here but held by a cached tower is the one served again."""
+    ctx = _live_fields.get((p, r)) or FieldCtx(p, r)
+    _live_fields[(p, r)] = ctx
+    return ctx
 
 
 class _FpSolver:
@@ -652,6 +651,13 @@ class TowerCtx:
         out = (v @ self.frob_q_matrix(t)) % self.p
         return tuple(out.tolist()) == x.coords
 
+    def _power_sum(self, step: np.ndarray, count: int) -> np.ndarray:
+        """The sum of step^i over i < count, mod p: a trace as a matrix when step is a Frobenius."""
+        acc, f = np.zeros_like(step), np.eye(len(step), dtype=np.int64)
+        for _ in range(count):
+            acc, f = (acc + f) % self.p, (f @ step) % self.p
+        return acc
+
     def base_trace_form(self) -> np.ndarray:
         """The rm x r form taking x to the F_q coordinates of Tr_{q^m/q}(x).
 
@@ -659,13 +665,7 @@ class TowerCtx:
         embedded F_q, so composing it with the base-field solver,
         T[:, pivots] @ ops, reads the base coordinates off directly.
         """
-        n = self.r * self.m
-        trace = np.zeros((n, n), dtype=np.int64)
-        f = np.eye(n, dtype=np.int64)
-        step = self.frob_q_matrix(1)
-        for _ in range(self.m):
-            trace = (trace + f) % self.p
-            f = (f @ step) % self.p
+        trace = self._power_sum(self.frob_q_matrix(1), self.m)
         self._embedding()
         ops = np.array(self._solver.ops, dtype=np.int64)
         return (trace[:, self._solver.pivots] @ ops) % self.p
@@ -673,13 +673,7 @@ class TowerCtx:
     def abs_trace_column(self, t: int) -> np.ndarray:
         """Linear form giving the absolute trace of F_{q^t}-subfield elements."""
         if t not in self._abs_trace_cols:
-            n = self.r * self.m
-            acc = np.zeros((n, n), dtype=np.int64)
-            f = np.eye(n, dtype=np.int64)
-            frob = self.top.frob_matrix(1)
-            for _ in range(self.r * t):
-                acc = (acc + f) % self.p
-                f = (f @ frob) % self.p
+            acc = self._power_sum(self.top.frob_matrix(1), self.r * t)
             self._abs_trace_cols[t] = np.ascontiguousarray(acc[:, :1])
         return self._abs_trace_cols[t]
 

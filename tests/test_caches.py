@@ -8,7 +8,7 @@ from polycount import catalog, counting, cyclotomic, fields, oracle
 from polycount.catalog import p2_closed_detail
 from polycount.counting import METHODS, CountSpec, p_m, plan
 from polycount.errors import CapExceeded, EnumerationCapExceeded, NotApplicable
-from polycount.intmath import divisors
+from polycount.intmath import divisors, factorize, is_prime
 from polycount.oracle import brute_p_m
 
 # (p, r, m, s): together they plan every route of `auto`, `closed`,
@@ -99,3 +99,66 @@ def test_cap_is_tested_on_warm_caches_too():
         tower.orbit_abs_traces(3, cap=10)
     with pytest.raises(EnumerationCapExceeded):
         tower.trace_hist(3, 7, cap=10)
+
+
+def _primes(count, start):
+    out = []
+    while len(out) < count:
+        out += [start] if is_prime(start) else []
+        start += 1
+    return out
+
+
+def _primitive_roots(p):
+    return [g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in factorize(p - 1))]
+
+
+_ROOTS_337 = _primitive_roots(337)  # 337 = 1 mod 12 has 96 primitive roots
+
+# (cache, key, its value as plain data, 64 other keys that push it out)
+BOUNDED = [
+    (fields.build_field, (5, 3), lambda f: (f.to_json(), f.log_table().tolist()),
+     [(p, 1) for p in _primes(64, 7)]),
+    (fields.build_tower, (2, 3, 2), lambda tw: (tw.to_json(), tw.orbit_abs_traces(2).tolist()),
+     [(p, 1, 1) for p in _primes(64, 3)]),
+    (catalog.p2_context, (4,), lambda ctx: (ctx.ind(3), ctx.resolve_gauss(15)),
+     [(r,) for r in range(100, 164)]),
+    (counting._quartic, (337, _ROOTS_337[0]), lambda v: v, [(337, g) for g in _ROOTS_337[1:65]]),
+    (counting._cubic, (337, _ROOTS_337[0]), lambda v: v, [(337, g) for g in _ROOTS_337[1:65]]),
+    (cyclotomic.quadratic_gauss_sum, (13,), lambda v: v, [(ell,) for ell in _primes(64, 17)]),
+]
+
+
+def test_every_lru_cache_is_bounded():
+    assert [cache for cache, *_ in BOUNDED] == LRU_CACHES
+    assert all(cache.cache_info().maxsize == 64 for cache in LRU_CACHES)
+
+
+@pytest.mark.parametrize("cache, key, value, others", BOUNDED, ids=[c.__name__ for c, *_ in BOUNDED])
+def test_cold_warm_and_evicted_entries_agree(cache, key, value, others):
+    polycount.clear_caches()
+    first = cache(*key)
+    cold = value(first)
+    assert cache(*key) is first
+    warm = value(first)
+    del first
+    for other in others:
+        cache(*other)
+    misses = cache.cache_info().misses
+    evicted = value(cache(*key))
+    assert cache.cache_info().misses == misses + 1  # rebuilt, not served from the cache
+    assert evicted == cold == warm
+    polycount.clear_caches()
+
+
+def test_a_field_evicted_while_a_tower_holds_it_is_served_again():
+    # elements of a fresh copy of F_3 would not embed in the cached tower's copy
+    polycount.clear_caches()
+    spec = CountSpec.make(3, 1, 2, 2, a=1, h=1)
+    want = brute_p_m(spec)
+    tower = fields.build_tower(3, 1, 2)
+    for p in _primes(64, 5):
+        fields.build_field(p, 1)
+    assert fields.build_field(3, 1) is tower.base
+    assert p_m(CountSpec.make(3, 1, 2, 2, a=1, h=1), "general") == want
+    polycount.clear_caches()

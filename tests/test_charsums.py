@@ -107,6 +107,10 @@ def test_monomial_cap():
     tw = build_tower(2, 1, 8)
     with pytest.raises(EnumerationCapExceeded):
         monomial_sum(tw, 8, 0, 3, cap=100)
+    # the orbit (256) fits the cap, but reading its one class costs 256 + p
+    with pytest.raises(EnumerationCapExceeded):
+        monomial_sum(tw, 8, 0, 1, cap=257)
+    assert monomial_sum(tw, 8, 0, 1, cap=258).as_integer() == -1
 
 
 def test_gauss_trivial_character():

@@ -123,6 +123,16 @@ def test_sum_monomial():
     assert out.strip().endswith("15")
 
 
+def test_sum_monomial_reads_one_class_without_the_whole_histogram():
+    # g = gcd(n, q - 1) = 65520 classes times p traces would be 4.3e9 cells
+    code, out, err = run_cli(
+        "sum", "--kind", "monomial", "--p", "65521", "--t", "1", "--n", "65520", "--format", "json"
+    )
+    assert code == 0, err
+    coeffs = json.loads(out)["coefficients"]
+    assert coeffs[1] == 65520 and sum(coeffs) == 65520  # x^(q-1) = 1 on F_q*
+
+
 def test_sum_gauss_nonrational():
     code, out, _ = run_cli(
         "sum", "--kind", "gauss", "--p", "2", "--r", "3", "--t", "1", "--n", "7"

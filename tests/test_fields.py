@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycount
 from polycount.errors import (
@@ -260,15 +262,63 @@ def test_broken_tower_invariant_raises_under_optimize():
     assert proc.stdout.startswith("InvariantError:"), proc.stdout
 
 
-@pytest.mark.parametrize("p, r", [(2, 7), (3, 4)])
+@pytest.mark.parametrize("p, r", [(2, 7), (3, 4), (5, 3), (257, 2)])
 def test_linear_orbit_matches_naive_powers(p, r):
     ctx = build_field(p, r)
     gamma = ctx.generator**5
     eye = np.eye(r, dtype=np.int64)
-    for length in (1, 37):
+    for length in (1, 36, 37):
         indices = np.array([(gamma**j).index for j in range(length)], dtype=np.int64)
-        for block in (1, 3, 5, 4096):
+        for block in (None, 1, 3, 5, 4096):
             assert np.array_equal(ctx.linear_orbit(gamma, eye, length, block=block), indices)
+
+
+_NAIVE_POWERS = {}
+
+
+def _naive_coords(ctx, count):
+    """Coordinates of (generator^5)^j for j < count, by repeated multiplication."""
+    key = (ctx.p, ctx.r)
+    if len(_NAIVE_POWERS.get(key, ())) < count:
+        gamma, cur, rows = ctx.generator**5, ctx.one, []
+        for _ in range(count):
+            rows.append(cur.coords)
+            cur = cur * gamma
+        _NAIVE_POWERS[key] = rows
+    return _NAIVE_POWERS[key][:count]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 9), (2, 70), (3, 1), (3, 5), (5, 3), (257, 2)])
+def test_linear_orbit_matches_naive_powers_at_square_boundaries(p, r, data):
+    # lengths on either side of a square B^2 change the baby/giant split; block 1 is
+    # one baby step, block >= length one giant step; odd p with k > 1 digits and p = 2
+    # on two words (r = 70) are both drawn
+    ctx = build_field(p, r)
+    root = data.draw(st.integers(1, 12), label="B")
+    length = data.draw(st.sampled_from(sorted({1, max(1, root * root - 1), root * root, root * root + 1})))
+    k = data.draw(st.integers(1, min(r, 63)), label="k")  # p^k <= 2^63 for every case
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    out_map = np.random.default_rng(seed).integers(0, 3 * p, (r, k))  # reduced mod p inside
+    block = data.draw(st.sampled_from([None, 1, length, length + 7, root]), label="block")
+    coords = _naive_coords(ctx, length)
+    want = [sum(int(d) * p**c for c, d in enumerate(np.array(x) @ out_map % p)) for x in coords]
+    got = ctx.linear_orbit(ctx.generator**5, out_map, length, block=block)
+    assert got.tolist() == want
+
+
+def test_linear_orbit_refuses_int64_overflow():
+    # (p - 1)^2 >= 2^63: a single product of residues would wrap in int64
+    big = build_field(4294967311, 1)
+    with pytest.raises(ValueError, match="overflows int64"):
+        big.linear_orbit(big.generator**123456789, np.eye(1, dtype=np.int64), 40)
+    # just below the bound every product is exact
+    ctx = build_field(2**31 - 1, 1)
+    gamma = ctx.generator**123456789
+    want = [(gamma**j).index for j in range(40)]
+    for block in (None, 1, 40):
+        assert ctx.linear_orbit(gamma, np.eye(1, dtype=np.int64), 40, block=block).tolist() == want
 
 
 @pytest.mark.parametrize("r", [1, 7, 13, 33, 70])

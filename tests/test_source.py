@@ -15,3 +15,29 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _float_uses(tree):
+    """Line numbers of float literals, float(...), np.float*, dtype=float and sqrt calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "float(...)"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and node.attr.startswith(("float", "sqrt")):
+                yield node.lineno, f"{node.value.id}.{node.attr}"
+            elif node.value.id == "math" and node.attr == "sqrt":
+                yield node.lineno, "math.sqrt"
+        elif isinstance(node, ast.keyword) and node.arg == "dtype":
+            if isinstance(node.value, ast.Name) and node.value.id == "float":
+                yield node.value.lineno, "dtype=float"
+
+
+def test_no_floating_point_in_the_package():
+    # every value path is exact integer arithmetic; a float BLAS shortcut would round
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {what}" for line, what in _float_uses(tree)]
+    assert found == []
