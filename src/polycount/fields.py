@@ -341,12 +341,12 @@ class FieldCtx:
         """Coordinate rows of x^0 .. x^(count - 1), by doubling: rows[f:2f] = rows[:f] * x^f."""
         rows = np.zeros((count, self.r), dtype=np.int64)
         rows[0, 0] = 1
-        f, x_f = 1, x
+        f, times = 1, self.mul_matrix(x)  # times is Mul(x^f), and Mul(ab) = Mul(a) Mul(b)
         while f < count:
             n = min(f, count - f)
-            rows[f : f + n] = (rows[:n] @ self.mul_matrix(x_f)) % self.p
+            rows[f : f + n] = (rows[:n] @ times) % self.p
             f += n
-            x_f = x_f * x_f
+            times = (times @ times) % self.p
         return rows
 
     def linear_orbit(
