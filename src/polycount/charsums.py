@@ -24,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .errors import EnumerationCapExceeded, ValidationError
-from .fields import FieldCtx, FieldElement, TowerCtx, build_tower
+from .fields import FieldCtx, FieldElement, TowerCtx, _index_add, build_tower
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,6 @@ def gauss_sum_lifted(tower: TowerCtx, chi: MultChar, t_prime: int, cap: int | No
 
 # the trailing coordinates of jacobi_brute are enumerated together, this many at most (or q)
 _JACOBI_BLOCK = 1 << 12
-
-
-def _index_add(a, b, p: int, r: int, sign: int = 1):
-    """Index of x + sign*y from the indices of x and y, for ints or numpy arrays.
-
-    An index holds the coordinates as base-p digits, so field addition is
-    digit-wise addition mod p (xor when p = 2) and needs no table."""
-    if p == 2:
-        return a ^ b
-    out, place = 0, 1
-    for _ in range(r):
-        out = out + (a // place + sign * (b // place)) % p * place
-        place *= p
-    return out
 
 
 def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None) -> CycInt:

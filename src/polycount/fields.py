@@ -7,9 +7,16 @@ the generator is the first element (in the same integer enumeration
 order) of full multiplicative order.  That pins down every discrete-log
 label and every reported coset index across runs.
 
-Elements are coordinate vectors over F_p.  A tower F_q^t <= F_{q^m} is
-realized inside the single field F_{p^{rm}}; the subfield test is
-x^{q^t} == x.  Bulk enumeration (orbits of a generator mapped through an
+An element is held as one int, its index: its coordinates over F_p read
+as base-p digits, coordinate i the coefficient of X^i.  Addition is
+digit-wise mod p.  In characteristic 2 an index is the F_2[x] polynomial
+itself, bit i the coefficient of x^i: addition is xor, multiplication a
+carry-less shift/xor product reduced by the modulus (also an int), and
+squaring spreads the bits.  Odd p decodes the digits once per product, or
+once per power, and multiplies coefficient lists.
+
+A tower F_q^t <= F_{q^m} is realized inside the single field F_{p^{rm}};
+the subfield test is x^{q^t} == x.  Bulk enumeration (orbits of a generator mapped through an
 F_p-linear form) is vectorized with numpy, since the Frobenius, traces,
 and multiplication-by-a-constant are all linear maps.  An orbit is split
 baby step, giant step, j = bB + i, and each output digit is one exact
@@ -52,7 +59,9 @@ LOG_TABLE_MAX_ORDER = 1 << 16
 _TRACE_HIST_CACHE_SIZE = 8
 
 
-# -- dense polynomial helpers over F_p (tuples, low degree first) --
+# -- dense polynomial helpers over F_p (lists, low degree first) --
+# A monic modulus f of degree df is passed as df and its taps, the pairs (j, f_j)
+# with f_j != 0 and j < df.  Products are summed exactly and reduced mod p at the end.
 
 
 def _ptrim(a):
@@ -62,39 +71,35 @@ def _ptrim(a):
     return a[:n]
 
 
-def _pmul(a, b, p):
+def _taps(f):
+    return [(j, c) for j, c in enumerate(f[:-1]) if c]
+
+
+def _pmod(a, taps, df, p):
+    # reduces the list a in place; the result is shorter than df when a is
+    for k in range(len(a) - 1, df - 1, -1):
+        c = a[k] % p
+        if c:
+            for j, fj in taps:
+                a[k - df + j] -= c * fj
+    return [c % p for c in a[:df]]
+
+
+def _pmulmod(a, b, taps, df, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+                out[i + j] += ai * bj
+    return _pmod(out, taps, df, p)
 
 
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for j in range(df):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
-    return a[:df] + [0] * (df - len(a)) if len(a) < df else a[:df]
-
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(a, e, f, p):
-    result = [1] + [0] * (len(f) - 2)
-    base = _pmod(a, f, p)
+def _ppowmod(a, e, taps, df, p):
+    result = [1] + [0] * (df - 1)
     while e:
         if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
+            result = _pmulmod(result, a, taps, df, p)
+        a = _pmulmod(a, a, taps, df, p)
         e >>= 1
     return result
 
@@ -105,8 +110,55 @@ def _pgcd(a, b, p):
         # make b monic before reducing
         inv = pow(b[-1], p - 2, p)
         b = [c * inv % p for c in b]
-        a, b = b, _ptrim(_pmod(a, b, p) or [0])
+        a, b = b, _ptrim(_pmod(a, _taps(b), len(b) - 1, p) or [0])
     return a
+
+
+# -- F_2[x] as ints, bit i the coefficient of x^i --
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product: a shifted to each set bit of b, xored together."""
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a * low
+        b ^= low
+    return out
+
+
+def _clsquare(a: int) -> int:
+    """a^2 = sum of x^(2i) over the bits i of a: the binary digits read in base 4."""
+    return int(format(a, "b"), 4)
+
+
+def _clmod(a: int, n: int, low: int) -> int:
+    """a mod x^n + low (low of degree below n): fold the bits from n up onto low."""
+    mask = (1 << n) - 1
+    while a >> n:
+        a = (a & mask) ^ _clmul(a >> n, low)
+    return a
+
+
+def _clgcd(a: int, b: int) -> int:
+    while b:
+        n = b.bit_length() - 1
+        a, b = b, _clmod(a, n, b ^ (1 << n))
+    return a
+
+
+def _cl_is_irreducible(f: int) -> bool:
+    """Rabin test for f in F_2[x] of degree >= 2, by repeated squaring of x."""
+    n = f.bit_length() - 1
+    low = f ^ (1 << n)
+    xp = 2  # x, then x^(2^k) mod f
+    for _ in range(n // 2):
+        xp = _clmod(_clsquare(xp), n, low)
+        if _clgcd(xp ^ 2, f) != 1:
+            return False
+    for _ in range(n // 2, n):
+        xp = _clmod(_clsquare(xp), n, low)
+    return xp == 2
 
 
 def poly_is_irreducible(coeffs, p: int) -> bool:
@@ -120,18 +172,52 @@ def poly_is_irreducible(coeffs, p: int) -> bool:
         return False
     if deg == 1:
         return True
-    x = [0, 1]
-    xp = list(x)
+    if p == 2:
+        return _cl_is_irreducible(_undigits([c % 2 for c in f], 2))
+    taps = _taps(f)
+    xp = [0, 1]
     for k in range(1, deg // 2 + 1):
-        xp = _ppowmod(xp, p, f, p)  # now x^{p^k} mod f
+        xp = _ppowmod(xp, p, taps, deg, p)  # now x^{p^k} mod f
         diff = list(xp)
         diff[1] = (diff[1] - 1) % p
         g = _pgcd(diff, f, p)
         if len(_ptrim(g)) != 1:
             return False
     for _ in range(deg // 2, deg):
-        xp = _ppowmod(xp, p, f, p)
+        xp = _ppowmod(xp, p, taps, deg, p)
     return _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp)]) == [0]
+
+
+# -- indices: the coordinates of an element as base-p digits, coordinate 0 least significant --
+
+
+def _digits(idx: int, p: int, r: int) -> list[int]:
+    out = []
+    for _ in range(r):
+        idx, d = divmod(idx, p)
+        out.append(d)
+    return out
+
+
+def _undigits(coords, p: int) -> int:
+    v = 0
+    for c in reversed(coords):
+        v = v * p + c
+    return v
+
+
+def _index_add(a, b, p: int, r: int, sign: int = 1):
+    """Index of x + sign*y from the indices of x and y, for ints or numpy arrays.
+
+    Field addition is digit-wise addition mod p (xor when p = 2) and needs
+    no table."""
+    if p == 2:
+        return a ^ b
+    out, place = 0, 1
+    for _ in range(r):
+        out = out + (a // place + sign * (b // place)) % p * place
+        place *= p
+    return out
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -144,60 +230,57 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 class FieldElement:
-    """An element of a FieldCtx: a reduced coordinate vector over F_p."""
+    """An element of a FieldCtx, held as its index: coordinate i over F_p is base-p digit i."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "index")
 
-    def __init__(self, ctx: "FieldCtx", coords):
+    def __init__(self, ctx: "FieldCtx", index: int):
         self.ctx = ctx
-        self.coords = tuple(c % ctx.p for c in coords)
+        self.index = index
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(_digits(self.index, self.ctx.p, self.ctx.r))
 
     def __add__(self, other):
         self._same(other)
-        return FieldElement(self.ctx, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        ctx = self.ctx
+        return FieldElement(ctx, _index_add(self.index, other.index, ctx.p, ctx.r))
 
     def __sub__(self, other):
         self._same(other)
-        return FieldElement(self.ctx, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        ctx = self.ctx
+        return FieldElement(ctx, _index_add(self.index, other.index, ctx.p, ctx.r, sign=-1))
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-a for a in self.coords))
+        ctx = self.ctx
+        return FieldElement(ctx, _index_add(0, self.index, ctx.p, ctx.r, sign=-1))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return FieldElement(self.ctx, tuple(a * other for a in self.coords))
-        self._same(other)
         ctx = self.ctx
-        prod = _pmulmod(list(self.coords), list(other.coords), ctx._mod_list, ctx.p)
-        return FieldElement(ctx, prod)
+        if isinstance(other, int):
+            return ctx.elem([c * other for c in _digits(self.index, ctx.p, ctx.r)])
+        self._same(other)
+        return FieldElement(ctx, ctx._mul(self.index, other.index))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         ctx = self.ctx
         if e < 0:
-            if self.is_zero():
+            if not self.index:
                 raise ZeroDivisionError("inverse of zero")
             e %= ctx.group_order
-        out = _ppowmod(list(self.coords), e, ctx._mod_list, ctx.p)
-        return FieldElement(ctx, out)
+        return FieldElement(ctx, ctx._pow(self.index, e))
 
     def inverse(self) -> "FieldElement":
-        return self ** (self.ctx.order - 2)
+        return self**-1
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @property
-    def index(self) -> int:
-        """Base-p integer encoding, low-degree coordinate least significant."""
-        v = 0
-        for c in reversed(self.coords):
-            v = v * self.ctx.p + c
-        return v
+        return not self.index
 
     def _same(self, other):
         if self.ctx is not other.ctx:
@@ -206,10 +289,10 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx is other.ctx and self.coords == other.coords
+        return self.ctx is other.ctx and self.index == other.index
 
     def __hash__(self):
-        return hash((id(self.ctx), self.coords))
+        return hash((id(self.ctx), self.index))
 
     def __repr__(self):
         return f"<{self.index} in F_{self.ctx.order}>"
@@ -228,7 +311,8 @@ class FieldCtx:
         self.order = p**r
         self.group_order = self.order - 1
         self.modulus = self._canonical_modulus()
-        self._mod_list = list(self.modulus)
+        self._taps = _taps(self.modulus)
+        self._mod_low = _undigits(self.modulus[:-1], p)  # the modulus less x^r, as an index
         self._gen = None
         self._gen_factored = None
         self._frob1 = None
@@ -241,15 +325,33 @@ class FieldCtx:
     def _canonical_modulus(self) -> tuple[int, ...]:
         p, r = self.p, self.r
         for code in range(p**r):
-            coeffs = []
-            c = code
-            for _ in range(r):
-                coeffs.append(c % p)
-                c //= p
-            coeffs.append(1)
+            coeffs = _digits(code, p, r) + [1]
             if poly_is_irreducible(coeffs, p):
                 return tuple(coeffs)
         raise InvariantError("no irreducible polynomial found")  # pragma: no cover
+
+    # -- arithmetic on indices: carry-less for p = 2, digit lists otherwise --
+
+    def _mul(self, a: int, b: int) -> int:
+        p, r = self.p, self.r
+        if p == 2:
+            return _clmod(_clmul(a, b), r, self._mod_low)
+        if r == 1:
+            return a * b % p
+        return _undigits(_pmulmod(_digits(a, p, r), _digits(b, p, r), self._taps, r, p), p)
+
+    def _pow(self, a: int, e: int) -> int:
+        p, r = self.p, self.r
+        if r == 1:
+            return pow(a, e, p)
+        if p != 2:
+            return _undigits(_ppowmod(_digits(a, p, r), e, self._taps, r, p), p)
+        low, out = self._mod_low, 1
+        for bit in format(e, "b"):
+            out = _clmod(_clsquare(out), r, low)
+            if bit == "1":
+                out = _clmod(_clmul(out, a), r, low)
+        return out
 
     @property
     def generator(self) -> FieldElement:
@@ -279,31 +381,27 @@ class FieldCtx:
     # -- element constructors --
 
     def elem(self, coords) -> FieldElement:
-        coords = tuple(coords)
+        coords = list(coords)
         if len(coords) != self.r:
             raise ValueError(f"need {self.r} coordinates")
-        return FieldElement(self, coords)
+        return FieldElement(self, _undigits([c % self.p for c in coords], self.p))
 
     def from_index(self, idx: int) -> FieldElement:
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range")
-        coords = []
-        for _ in range(self.r):
-            coords.append(idx % self.p)
-            idx //= self.p
-        return FieldElement(self, coords)
+        return FieldElement(self, idx)
 
     def from_int(self, n: int) -> FieldElement:
         """The prime-subfield element n * 1."""
-        return FieldElement(self, (n % self.p,) + (0,) * (self.r - 1))
+        return FieldElement(self, n % self.p)
 
     @property
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.r)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> FieldElement:
-        return self.from_int(1)
+        return FieldElement(self, 1)
 
     def elements(self):
         for idx in range(self.order):
@@ -313,11 +411,11 @@ class FieldCtx:
 
     def mul_matrix(self, x: FieldElement) -> np.ndarray:
         """Matrix M with row i = coordinates of x * X^i; then y @ M = y*x."""
-        rows = []
-        cur = list(x.coords)
-        for _ in range(self.r):
-            rows.append(list(cur))
-            cur = _pmulmod(cur, [0, 1], self._mod_list, self.p)
+        p, r = self.p, self.r
+        rows, cur = [_digits(x.index, p, r)], x.index
+        for _ in range(1, r):
+            cur = self._mul(cur, p)  # the index of X is p
+            rows.append(_digits(cur, p, r))
         return np.array(rows, dtype=np.int64)
 
     def frob_matrix(self, e: int = 1) -> np.ndarray:
@@ -326,10 +424,8 @@ class FieldCtx:
         if e in self._frob_pows:
             return self._frob_pows[e]
         if self._frob1 is None:
-            rows = []
-            for i in range(self.r):
-                xi = [0] * i + [1]
-                rows.append(_ppowmod(xi, self.p, self._mod_list, self.p))
+            p, r = self.p, self.r
+            rows = [_digits(self._pow(p**i, p), p, r) for i in range(r)]  # (X^i)^p
             self._frob1 = np.array(rows, dtype=np.int64)
         m = np.eye(self.r, dtype=np.int64)
         for _ in range(e):
@@ -491,19 +587,19 @@ class FieldCtx:
     def _bsgs(self, x: FieldElement, g: FieldElement, n: int) -> int:
         """Log of x base g in the cyclic group of prime order n."""
         m = math.isqrt(n - 1) + 1
-        key = (g.coords, n)
+        key = (g.index, n)
         baby = self._baby_steps.get(key)
         if baby is None:
             baby = {}
             cur = self.one
             for j in range(m):
-                baby.setdefault(cur.coords, j)
+                baby.setdefault(cur.index, j)
                 cur = cur * g
             self._baby_steps[key] = baby
         giant = (g**m).inverse()
         cur = x
         for i in range(m + 1):
-            j = baby.get(cur.coords)
+            j = baby.get(cur.index)
             if j is not None:
                 return (i * m + j) % n
             cur = cur * giant
@@ -759,7 +855,7 @@ class TowerCtx:
             if a:
                 for i, c in enumerate(row):
                     out[i] = (out[i] + a * c) % self.p
-        return FieldElement(self.top, out)
+        return self.top.elem(out)
 
     def to_base(self, y: FieldElement) -> FieldElement:
         """Inverse of embed; raises SubfieldViolation off the F_q subset."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycInt, EisensteinInt, GaussianInt
 from .errors import BadResidue, UnsupportedGeneralQ, ValidationError
-from .intmath import is_prime, legendre
+from .intmath import factorize, is_prime, legendre
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,8 @@ class CubicParams:
 
 
 def _check_primitive_root(g: int, p: int):
-    seen = set()
-    x = 1
-    for _ in range(p - 1):
-        x = x * g % p
-        seen.add(x)
-    if len(seen) != p - 1:
+    """g has order p - 1 mod p: g^((p - 1)/l) != 1 for every prime l | p - 1, and g != 0."""
+    if g % p == 0 or any(pow(g, (p - 1) // ell, p) == 1 for ell in factorize(p - 1)):
         raise ValidationError(f"{g} is not a primitive root mod {p}")
 
 

@@ -478,3 +478,34 @@ def test_every_planned_method_matches_brute(tower, cap, data):
     # the cosets of the index-s subgroup partition the norms
     total = sum(p_m(CountSpec.make(p, r, m, s, a=a, h=hh)) for hh in range(s))
     assert total == brute_p_m(CountSpec.make(p, r, m, 1, a=a))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(tower=st.sampled_from(_SMALL_TOWERS))
+def test_global_partition_on_drawn_towers(tower):
+    # shrinking version of test_global_partition
+    p, r, m = tower
+    base = build_field(p, r)
+    q = p**r
+    total = sum(p_m(CountSpec.make(p, r, m, 1, a=base.from_index(ai))) for ai in range(q))
+    assert total == necklace_count(q, m)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tower=st.sampled_from([t for t in _SMALL_TOWERS if t[0] ** t[1] > 2]), data=st.data())
+def test_coset_representative_invariance_on_drawn_specs(tower, data):
+    # shrinking version of test_coset_representative_invariance
+    p, r, m = tower
+    base = build_field(p, r)
+    q = p**r
+    g = base.generator
+    s = data.draw(st.sampled_from(divisors(q - 1)), label="s")
+    a = base.from_index(data.draw(st.integers(0, q - 1), label="a"))
+    h = data.draw(st.integers(0, s - 1), label="h")
+    k = data.draw(st.integers(0, (q - 1) // s - 1), label="k")
+    want = p_m(CountSpec.make(p, r, m, s, a=a, h=h))
+    assert p_m(CountSpec.make(p, r, m, s, a=a, b=g**h * (g**s) ** k)) == want
+    # g' = g^u generates when gcd(u, q - 1) = 1, and g'^h <g'^s> = g^{uh} <g^s>
+    u = data.draw(st.sampled_from([u for u in range(1, q - 1) if math.gcd(u, q - 1) == 1]), label="u")
+    via_alt = p_m(CountSpec.make(p, r, m, s, a=a, b=(g**u) ** h))
+    assert via_alt == p_m(CountSpec.make(p, r, m, s, a=a, h=u * h % s))

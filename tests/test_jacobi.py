@@ -135,3 +135,34 @@ def test_jacobi_modulus_invariant():
                 continue
             j = jacobi_brute(f, n, k, t)
             assert (j * j.conjugate()).as_integer() == p ** (t - 1)
+
+
+def test_primitive_root_check_matches_enumeration():
+    from polycount.errors import ValidationError
+    from polycount.jacobi import _check_primitive_root
+
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97):
+        for g in range(-p, 2 * p):
+            want = {pow(g, k, p) for k in range(1, p)} == set(range(1, p))
+            try:
+                _check_primitive_root(g, p)
+                got = True
+            except ValidationError:
+                got = False
+            assert got == want, (g, p)
+
+
+def test_primitive_root_check_near_a_billion():
+    import time
+
+    from polycount.errors import ValidationError
+    from polycount.jacobi import _check_primitive_root
+
+    p = 1_000_000_007  # p - 1 = 2 * 500000003
+    start = time.perf_counter()
+    _check_primitive_root(5, p)
+    with pytest.raises(ValidationError):
+        _check_primitive_root(4, p)  # a square
+    with pytest.raises(ValidationError):
+        _check_primitive_root(p, p)
+    assert time.perf_counter() - start < 1

@@ -41,3 +41,21 @@ def test_no_floating_point_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}: {what}" for line, what in _float_uses(tree)]
     assert found == []
+
+
+def test_field_element_internals_stay_in_fields():
+    # an element's representation is private to fields.py: elsewhere, build elements
+    # through FieldCtx and read them through .index
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "coords":
+                found.append(f"{path.name}:{node.lineno}: .coords")
+            elif isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name == "FieldElement":
+                    found.append(f"{path.name}:{node.lineno}: FieldElement(...)")
+    assert found == []
