@@ -12,6 +12,12 @@ For p = 2 the Davenport-Hasse identity lifts a Gauss sum from the small
 field carrying the character to any extension by sign-twisted exact
 powering; norm compatibility of the two character pinnings is automatic
 when both levels live in one tower.
+
+The sums in Z[zeta_N] (gauss_sum_folded, gauss_sum_lifted, jacobi_brute)
+are Galois-equivariant: at chi^k, gcd(k, N) = 1, each is sigma_k (zeta_N ->
+zeta_N^k, `CycInt.galois`) of its value at chi, the same coefficients
+permuted.  So a caller that needs every character of order N computes one
+sum per order, at k = 1, and permutes it.
 """
 
 from __future__ import annotations

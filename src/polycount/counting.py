@@ -51,7 +51,7 @@ from .fields import (
     build_tower,
 )
 from .intmath import divisors, mobius, multiplicative_order
-from .jacobi import CubicParams, QuarticParams, cubic_params, quartic_params
+from .jacobi import CubicParams, QuarticParams, cubic_params, jacobi_closed, quartic_params
 
 TABLE_NAMES = ("s2", "s3", "s4", "semiprimitive")
 
@@ -231,36 +231,45 @@ def _canonical_char_decompose(j: int, modn: int):
     return order, (j // g) % order if order > 1 else 0
 
 
-def _jacobi_value(spec: CountSpec, t: int, order: int, k: int, allow_brute: bool, cap: int):
-    """J_t of the k-th power of the canonical order-`order` character of F_q.
+def _character_sum(n: int, x: int, value, const: int = 0) -> CycInt:
+    """const + sum over c = 1..n-1 of V(lambda^c) zeta_n^{-c x}, as one CycInt(n).
+
+    lambda is the canonical order-n character, and lambda^c is the k-th power
+    of the canonical character of exact order d = n / gcd(c, n), gcd(k, d) = 1.
+    value(d) is V at k = 1 in Z[zeta_d], asked once per order d; V(lambda^c)
+    is its Galois conjugate sigma_k.  sigma_k, the embedding into Z[zeta_n]
+    and the twist fold into one index map e -> (e k n/d - c x) mod n.
+    """
+    acc = [const] + [0] * (n - 1)
+    base = {}
+    for c in range(1, n):
+        d, k = _canonical_char_decompose(c, n)
+        if d not in base:
+            base[d] = [(e, v) for e, v in enumerate(value(d).coeffs) if v]
+        step, shift = k * (n // d), -c * x
+        for e, v in base[d]:
+            acc[(e * step + shift) % n] += v
+    return CycInt(n, acc)
+
+
+def _jacobi_value(spec: CountSpec, t: int, order: int, allow_brute: bool, cap: int) -> CycInt:
+    """J_t of the canonical order-`order` character of F_q (order > 1), in Z[zeta_order].
 
     Uses the closed 2/3/4 forms when available (q = p for 3, 4), brute
-    summation otherwise (if allowed), embedded into CycInt(12)."""
+    summation otherwise (if allowed)."""
     q, p = spec.q, spec.p
-    L = 12
-    if order == 1:
-        # J_t(lambda_0) counts solutions of x_1 + ... + x_t = 1
-        return CycInt.integer(L, q ** (t - 1))
-    from .jacobi import jacobi_closed
-
     if order == 2:
-        return CycInt.integer(L, jacobi_closed(2, t, q))
+        return CycInt.integer(2, jacobi_closed(2, t, q))
     if order in (3, 4) and spec.r == 1:
         g = spec.base.generator_index
         if order == 4:
-            val = jacobi_closed(4, t, p, _quartic(p, g))
-            if k == 3:
-                val = val.conjugate()
-            return val.to_cyc(L)
-        val = jacobi_closed(3, t, p, _cubic(p, g))
-        if k == 2:
-            val = val.conjugate()
-        return val.to_cyc(L)
+            return jacobi_closed(4, t, p, _quartic(p, g)).to_cyc(4)
+        return jacobi_closed(3, t, p, _cubic(p, g)).to_cyc(3)
     if not allow_brute:
         raise TableNotApplicable(
             f"no closed Jacobi form for character order {order} at q = {q}"
         )
-    return jacobi_brute(spec.base, order, k, t, cap)
+    return jacobi_brute(spec.base, order, 1, t, cap)
 
 
 @lru_cache(maxsize=64)
@@ -289,16 +298,13 @@ def m_t_jacobi(
     q = spec.q
     params = derive_params(spec, t)
     sign_t = -1 if t % 2 == 0 else 1  # (-1)^{t-1} = -(-1)^t
+
+    def value(order):
+        return _jacobi_value(spec, t, order, allow_brute, cap)
+
     if spec.a.is_zero():
         n = params.l
-        L = math.lcm(12, n)
-        acc = CycInt.integer(L, 0)
-        for j in range(1, n):
-            order, k = _canonical_char_decompose(j, n)
-            jval = _jacobi_value(spec, t, order, k, allow_brute, cap).embed(L)
-            lam_bar = CycInt.root(L, (-j * params.i0) % n * (L // n))
-            acc = acc + jval * lam_bar
-        inner = acc.expect_integer("a=0 Jacobi inner sum")
+        inner = _character_sum(n, params.i0, value).expect_integer("a=0 Jacobi inner sum")
         return (q - 1) * (-1 + (-sign_t) * q * inner)
     n = spec.s // params.d
     if n == 1:
@@ -306,23 +312,18 @@ def m_t_jacobi(
     log_neg_a0 = spec.base.dlog(-spec.a0(t))
     # lambda_j(g^e) = zeta_{s/d}^{j e}, and the argument is (-a0)^t g^{i0}
     arg_log = (t * log_neg_a0 + params.i0) % (q - 1)
-    L = math.lcm(12, n)
-    acc = CycInt.integer(L, 0)
-    for j in range(1, n):
-        order, k = _canonical_char_decompose((-j) % n, n)
-        jval = _jacobi_value(spec, t, order, k, allow_brute, cap).embed(L)
-        lam = CycInt.root(L, (j * arg_log) % n * (L // n))
-        acc = acc + jval * lam
-    inner = acc.expect_integer("a!=0 Jacobi inner sum")
+    inner = _character_sum(n, arg_log, value).expect_integer("a!=0 Jacobi inner sum")
     return 1 + sign_t * q * inner
 
 
 def m_t_lifted(spec: CountSpec, t: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """M_t for p = 2, a = 0 via Gauss sums lifted from small subfields.
 
-    M_t = (q-1) sum_{lambda in H_l} G_t(conj lambda) lambda(g^{i0}) with each
-    G_t computed by the Davenport-Hasse identity from the subfield that
-    carries the character, so no extension-field enumeration happens.
+    M_t = (q-1) sum_{lambda in H_l} G_t(conj lambda) lambda(g^{i0}).  One G_t
+    per character order d | l, d > 1, at k = 1, comes by the Davenport-Hasse
+    identity from the subfield F_{2^{ord_d 2}} that carries the character,
+    so no extension-field enumeration happens; G_t(chi^k) = sigma_k(G_t(chi))
+    gives the other characters of order d by a coefficient permutation.
     """
     if spec.p != 2 or not spec.a.is_zero():
         raise ValidationError("the lift route needs p = 2 and a = 0")
@@ -333,18 +334,16 @@ def m_t_lifted(spec: CountSpec, t: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     l = params.l
     if l == 1:
         return 1 - q
-    acc = CycInt.integer(l, -1)  # the trivial-character term G_t(lambda_0) = -1
-    for j in range(1, l):
-        order, k_red = _canonical_char_decompose((-j) % l, l)
+
+    def lift(order):
         r_small = multiplicative_order(2, order)
         if r % r_small != 0:
             raise InvariantError(f"a character of order {order} needs F_{{2^{r_small}}} inside F_q")
         sub = build_tower(2, r_small, r // r_small)
-        g_val = gauss_sum_lifted(
-            sub, MultChar(level=1, order=order, k=k_red), (r * t) // r_small, cap
-        )
-        acc = acc + g_val.embed(l) * CycInt.root(l, j * params.i0)
-    inner = acc.expect_integer("lifted Gauss sum combination")
+        return gauss_sum_lifted(sub, MultChar(level=1, order=order), (r * t) // r_small, cap)
+
+    # const: the trivial-character term G_t(lambda_0) = -1
+    inner = _character_sum(l, params.i0, lift, -1).expect_integer("lifted Gauss sum combination")
     return (q - 1) * inner
 
 

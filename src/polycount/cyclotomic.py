@@ -16,6 +16,7 @@ No floating point anywhere; magnitude checks compare squared moduli.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -113,13 +114,24 @@ class CycInt:
             n >>= 1
         return result
 
-    def conjugate(self) -> "CycInt":
-        """Complex conjugation: zeta^k -> zeta^{-k}."""
+    def galois(self, k: int) -> "CycInt":
+        """sigma_k: zeta -> zeta^k, moving coefficient e to e k mod L.
+
+        A ring automorphism of Z[x]/(x^L - 1) when gcd(k, L) = 1, so it maps
+        sums, products and powers coefficient for coefficient; a Gauss or
+        Jacobi sum of chi^k is sigma_k of the sum of chi.
+        """
         L = self.order
+        if math.gcd(k, L) != 1:
+            raise ValueError(f"zeta -> zeta^{k} is not an automorphism of Z[zeta_{L}]")
         v = [0] * L
-        for k, c in enumerate(self.coeffs):
-            v[(-k) % L] += c
+        for e, c in enumerate(self.coeffs):
+            v[e * k % L] = c
         return CycInt(L, v)
+
+    def conjugate(self) -> "CycInt":
+        """Complex conjugation, sigma_{-1}."""
+        return self.galois(-1)
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical representative: remainder mod Phi_L, low degree first."""
@@ -149,8 +161,6 @@ class CycInt:
         return None
 
     def expect_integer(self, what: str = "value") -> int:
-        from .errors import InvariantError
-
         n = self.as_integer()
         if n is None:
             raise InvariantError(f"{what} did not reduce to a rational integer")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +273,28 @@ def test_jacobi_hermitian_symmetry():
             a = jacobi_brute(f, n, n - k, t)
             b = jacobi_brute(f, n, k, t).conjugate()
             assert a == b
+
+
+@pytest.mark.parametrize("p,r", [(2, 4), (2, 6), (3, 2), (7, 1), (13, 1)])
+def test_sums_at_chi_k_are_galois_conjugates(p, r):
+    # the sum at chi^k is sigma_k of the sum at chi, coefficient for coefficient
+    q = p**r
+    field, tower = build_field(p, r), build_tower(p, r, 2)
+    for n in divisors(q - 1)[1:]:
+        for k in range(1, n):
+            if math.gcd(k, n) != 1:
+                continue
+            for t in (2, 3):
+                base = jacobi_brute(field, n, 1, t).galois(k)
+                assert jacobi_brute(field, n, k, t).coeffs == base.coeffs, (n, k, t)
+            if p != 2:
+                continue
+            for t in (1, 2):
+                base = gauss_sum_folded(tower, t, MultChar(t, n, 1)).galois(k)
+                assert gauss_sum_folded(tower, t, MultChar(t, n, k)).coeffs == base.coeffs
+            for t_prime in (1, 2, 3):
+                base = gauss_sum_lifted(tower, MultChar(1, n, 1), t_prime).galois(k)
+                assert gauss_sum_lifted(tower, MultChar(1, n, k), t_prime).coeffs == base.coeffs
 
 
 def test_gauss_power_jacobi_relation():

@@ -142,6 +142,81 @@ def test_m_t_routes_agree_with_naive():
             assert m_t_lifted(spec, t) == want
 
 
+def lifted_per_character(spec, t):
+    """Reference for m_t_lifted: one Davenport-Hasse lift per nontrivial character, none shared."""
+    from polycount.charsums import MultChar, gauss_sum_lifted
+    from polycount.cyclotomic import CycInt
+    from polycount.intmath import multiplicative_order
+
+    params = derive_params(spec, t)
+    l = params.l
+    acc = CycInt.integer(l, -1)
+    for j in range(1, l):
+        g = math.gcd(j, l)
+        order, k = l // g, (-j // g) % (l // g)
+        r_small = multiplicative_order(2, order)
+        sub = build_tower(2, r_small, spec.r // r_small)
+        g_val = gauss_sum_lifted(sub, MultChar(1, order, k), spec.r * t // r_small)
+        acc = acc + g_val.embed(l) * CycInt.root(l, j * params.i0)
+    return (spec.q - 1) * acc.expect_integer("per-character lift")
+
+
+def test_m_t_lifted_matches_per_character_lifts():
+    # seeded grid of p = 2 cells, q = 2^r with r <= 6 and m <= 30, every restpd t | m
+    import random
+
+    rng = random.Random(2007)
+    nontrivial = 0
+    for r in range(1, 7):
+        q = 2**r
+        for m in range(2, 31):
+            for s in (q - 1, rng.choice(divisors(q - 1))):
+                spec = CountSpec.make(2, r, m, s, a=0, h=rng.randrange(s))
+                for t in divisors(m):
+                    if (m // t) % 2 and spec.h % math.gcd(m // t, s) == 0:
+                        assert m_t_lifted(spec, t) == lifted_per_character(spec, t), (r, m, s, spec.h, t)
+                        nontrivial += derive_params(spec, t).l > 1
+    assert nontrivial > 50
+
+
+def test_m_t_lifted_lifts_once_per_character_order(monkeypatch):
+    import polycount.counting as counting
+
+    calls = []
+    real = counting.gauss_sum_lifted
+
+    def spy(tower, chi, t_prime, cap=None):
+        calls.append((chi.order, chi.k))
+        return real(tower, chi, t_prime, cap)
+
+    monkeypatch.setattr(counting, "gauss_sum_lifted", spy)
+    # (r, m, t) = (20, 25, 25): l = 25, so 24 characters of orders 5 and 25
+    spec = CountSpec.make(2, 20, 25, 2**20 - 1, a=0, h=12345)
+    assert derive_params(spec, 25).l == 25
+    got = m_t_lifted(spec, 25)
+    assert sorted(calls) == [(5, 1), (25, 1)]
+    monkeypatch.undo()
+    assert got == lifted_per_character(spec, 25)
+
+
+def test_m_t_jacobi_sums_once_per_character_order(monkeypatch):
+    import polycount.counting as counting
+
+    calls = []
+    real = counting.jacobi_brute
+
+    def spy(field, n, k, t, cap=None):
+        calls.append((n, k))
+        return real(field, n, k, t, cap)
+
+    monkeypatch.setattr(counting, "jacobi_brute", spy)
+    # n = s/d = 30: orders 2 and 3 are closed at q = p, orders 5, 6, 10, 15, 30 are brute
+    spec = CountSpec.make(31, 1, 3, 30, a=1, h=7)
+    got = m_t_jacobi(spec, 3, allow_brute=True)
+    assert sorted(calls) == [(5, 1), (6, 1), (10, 1), (15, 1), (30, 1)]
+    assert got == m_t_general(build_tower(31, 1, 3), spec, 3)
+
+
 # (p, r, m, t) with q^{t+1} <= 2^10 and p not dividing m/t, where naive_m_t is quick
 _NAIVE_CASES = [
     (p, r, m, t)

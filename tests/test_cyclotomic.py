@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycount.cyclotomic import (
     OMEGA_7,
@@ -159,3 +162,44 @@ def test_quadpow_trace_method():
     z = OMEGA_21**2  # (3 + sqrt(-7))^2 = 2 + 6 sqrt(-7)
     assert z.trace() == QuadPow(7, 4, 0, 0)
     assert z.trace().trace_sqrt2(0) == 8
+
+
+@st.composite
+def _cyc_vectors(draw):
+    """An order L and three random coefficient vectors of length L."""
+    order = draw(st.sampled_from([1, 2, 5, 7, 12, 15, 21, 25, 63]))
+    vec = st.lists(st.integers(-20, 20), min_size=order, max_size=order)
+    return order, [CycInt(order, draw(vec)) for _ in range(3)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_cyc_vectors(), data=st.data())
+def test_galois_is_a_ring_automorphism_coefficientwise(case, data):
+    order, (a, b, c) = case
+    units = [k for k in range(-order, 2 * order) if math.gcd(k, order) == 1]
+    k = data.draw(st.sampled_from(units))
+    k2 = data.draw(st.sampled_from(units))
+    n = data.draw(st.integers(0, 6))
+    ga, gb, gc = a.galois(k), b.galois(k), c.galois(k)
+    # coefficient vectors, not only their reductions mod Phi_L
+    assert (a + b).galois(k).coeffs == (ga + gb).coeffs
+    assert (a * b).galois(k).coeffs == (ga * gb).coeffs
+    assert (a * b + c).galois(k).coeffs == (ga * gb + gc).coeffs
+    assert (a**n).galois(k).coeffs == (ga**n).coeffs
+    assert (-a).galois(k).coeffs == (-ga).coeffs
+    assert a.galois(k2).galois(k).coeffs == a.galois(k * k2).coeffs
+    assert a.galois(1).coeffs == a.coeffs
+    assert a.galois(k + order).coeffs == ga.coeffs
+    assert a.conjugate().coeffs == a.galois(-1).coeffs
+    assert sorted(ga.coeffs) == sorted(a.coeffs)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 12, 15, 25, 63])
+def test_galois_refuses_a_non_unit(order):
+    a = CycInt.root(order, 1)
+    for k in range(-order, 2 * order):
+        if math.gcd(k, order) != 1:
+            with pytest.raises(ValueError):
+                a.galois(k)
+        else:
+            assert a.galois(k).coeffs == CycInt.root(order, k).coeffs
