@@ -63,7 +63,6 @@ from .fields import (
     TowerCtx,
     build_field,
     build_tower,
-    field_poly_is_irreducible,
     min_poly,
     poly_is_irreducible,
 )

@@ -104,16 +104,6 @@ def _ppowmod(a, e, taps, df, p):
     return result
 
 
-def _pgcd(a, b, p):
-    a, b = list(_ptrim(a)), list(_ptrim(b))
-    while b != [0]:
-        # make b monic before reducing
-        inv = pow(b[-1], p - 2, p)
-        b = [c * inv % p for c in b]
-        a, b = b, _ptrim(_pmod(a, _taps(b), len(b) - 1, p) or [0])
-    return a
-
-
 # -- F_2[x] as ints, bit i the coefficient of x^i --
 
 
@@ -159,33 +149,6 @@ def _cl_is_irreducible(f: int) -> bool:
     for _ in range(n // 2, n):
         xp = _clmod(_clsquare(xp), n, low)
     return xp == 2
-
-
-def poly_is_irreducible(coeffs, p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p.
-
-    gcd(x^{p^k} - x, f) = 1 for k <= deg/2, and x^{p^deg} = x mod f.
-    """
-    f = list(coeffs)
-    deg = len(f) - 1
-    if deg < 1 or f[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    if p == 2:
-        return _cl_is_irreducible(_undigits([c % 2 for c in f], 2))
-    taps = _taps(f)
-    xp = [0, 1]
-    for k in range(1, deg // 2 + 1):
-        xp = _ppowmod(xp, p, taps, deg, p)  # now x^{p^k} mod f
-        diff = list(xp)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, f, p)
-        if len(_ptrim(g)) != 1:
-            return False
-    for _ in range(deg // 2, deg):
-        xp = _ppowmod(xp, p, taps, deg, p)
-    return _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp)]) == [0]
 
 
 # -- indices: the coordinates of an element as base-p digits, coordinate 0 least significant --
@@ -324,9 +287,12 @@ class FieldCtx:
 
     def _canonical_modulus(self) -> tuple[int, ...]:
         p, r = self.p, self.r
+        if r == 1:
+            return (0, 1)
+        base = build_field(p, 1)
         for code in range(p**r):
             coeffs = _digits(code, p, r) + [1]
-            if poly_is_irreducible(coeffs, p):
+            if poly_is_irreducible(coeffs, base):
                 return tuple(coeffs)
         raise InvariantError("no irreducible polynomial found")  # pragma: no cover
 
@@ -978,81 +944,67 @@ def min_poly(tower: TowerCtx, x: FieldElement):
     return base_coeffs, t
 
 
-def field_poly_is_irreducible(coeffs, ctx: FieldCtx) -> bool:
-    """Rabin test for a monic polynomial with FieldCtx coefficients."""
-    deg = len(coeffs) - 1
-    if deg < 1 or not coeffs[-1] == ctx.one:
+def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
+    """Rabin test for a monic polynomial over F_q, q = field.order.
+
+    coeffs are F_q indices, low degree first.  f of degree t is irreducible
+    iff gcd(x^{q^k} - x, f) = 1 for k <= t/2 and x^{q^t} = x mod f.  Works
+    on F_q arithmetic alone; over F_2 it runs carry-less on one int.
+    """
+    f = list(coeffs)
+    t = len(f) - 1
+    if t < 1 or f[-1] != 1:
         return False
-    if deg == 1:
+    if t == 1:
         return True
-    q = ctx.order
+    p, r, q, mul = field.p, field.r, field.order, field._mul
+    if q == 2:
+        return _cl_is_irreducible(_undigits(f, 2))
+
+    def rem(a, g):
+        # a mod monic g, in place; a has at least deg g entries
+        d = len(g) - 1
+        taps = _taps(g)
+        for k in range(len(a) - 1, d - 1, -1):
+            c = a[k]
+            if c:
+                for j, gj in taps:
+                    a[k - d + j] = _index_add(a[k - d + j], mul(c, gj), p, r, -1)
+        return a[:d]
 
     def mulmod(a, b):
-        out = [ctx.zero] * (len(a) + len(b) - 1)
+        out = [0] * (2 * t - 1)
         for i, ai in enumerate(a):
-            if not ai.is_zero():
+            if ai:
                 for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        # reduce by monic coeffs
-        for k in range(len(out) - 1, deg - 1, -1):
-            c = out[k]
-            if not c.is_zero():
-                out[k] = ctx.zero
-                for j in range(deg):
-                    out[k - deg + j] = out[k - deg + j] - c * coeffs[j]
-        return out[:deg] + [ctx.zero] * max(0, deg - len(out))
+                    if bj:
+                        out[i + j] = _index_add(out[i + j], mul(ai, bj), p, r)
+        return rem(out, f)
 
-    def powq(a, e):
-        result = [ctx.one] + [ctx.zero] * (deg - 1)
-        base = list(a)
-        while e:
-            if e & 1:
-                result = mulmod(result, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return result
+    def powq(a):
+        out = a
+        for bit in format(q, "b")[1:]:
+            out = mulmod(out, out)
+            if bit == "1":
+                out = mulmod(out, a)
+        return out
 
-    def gcd_nontrivial(a):
-        # gcd(a, f) != 1 ?
-        b = list(coeffs)
-        a = [c for c in a]
+    def coprime_to_f(a):
+        a, b = f, _ptrim(a)
+        while any(b):
+            inv = field._pow(b[-1], q - 2)
+            b = [mul(c, inv) for c in b]
+            a, b = b, _ptrim(rem(list(a), b))
+        return len(a) == 1
 
-        def trim(v):
-            n = len(v)
-            while n > 1 and v[n - 1].is_zero():
-                n -= 1
-            return v[:n]
-
-        a, b = trim(a), trim(b)
-        while not (len(b) == 1 and b[0].is_zero()):
-            lead = b[-1]
-            binv = lead.inverse()
-            bm = [c * binv for c in b]
-            # remainder of a by monic bm
-            a = list(a)
-            while len(a) >= len(bm) and not (len(a) == 1 and a[0].is_zero()):
-                c = a[-1]
-                if not c.is_zero():
-                    shift = len(a) - len(bm)
-                    for j in range(len(bm)):
-                        a[shift + j] = a[shift + j] - c * bm[j]
-                a.pop()
-                a = trim(a) if a else [ctx.zero]
-                if len(a) < len(bm):
-                    break
-            a, b = b, trim(a) if a else [ctx.zero]
-        return len(a) > 1 or (len(a) == 1 and a[0].is_zero())
-
-    x = [ctx.zero, ctx.one]
-    xq = list(x)
-    for k in range(1, deg // 2 + 1):
-        xq = powq(xq, q)  # x^{q^k} mod f, iterated
-        diff = list(xq) + [ctx.zero] * (2 - len(xq))
-        diff[1] = diff[1] - ctx.one
-        if gcd_nontrivial(diff):
+    x = [0, 1] + [0] * (t - 2)
+    xq = x
+    for k in range(1, t // 2 + 1):
+        xq = powq(xq)  # x^{q^k} mod f
+        diff = list(xq)
+        diff[1] = _index_add(diff[1], 1, p, r, -1)
+        if not coprime_to_f(diff):
             return False
-    for _ in range(deg // 2, deg):
-        xq = powq(xq, q)
-    final = list(xq) + [ctx.zero] * (2 - len(xq))
-    final[1] = final[1] - ctx.one
-    return all(c.is_zero() for c in final)
+    for _ in range(t // 2, t):
+        xq = powq(xq)
+    return xq == x

@@ -15,7 +15,7 @@ import numpy as np
 
 from .counting import CountSpec
 from .errors import InvariantError, ListingCapExceeded, OracleCapExceeded
-from .fields import TowerCtx, build_tower, field_poly_is_irreducible, min_poly
+from .fields import TowerCtx, build_tower, min_poly, poly_is_irreducible
 from .intmath import divisors, factorize
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -163,30 +163,28 @@ def list_polys(
         coeffs, t = min_poly(tower, x)
         if t != m:
             raise InvariantError("orbit element does not have exact degree m")
-        _verify_listed(spec, tower, x, coeffs)
-        polys.append(tuple(c.index for c in coeffs))
+        coeffs = tuple(c.index for c in coeffs)
+        _verify_listed(spec, tower, x, coeffs, h)
+        polys.append(coeffs)
     if len(polys) != count:
         raise InvariantError("listing does not match the bucket count")
     polys.sort()
     return polys
 
 
-def _verify_listed(spec: CountSpec, tower: TowerCtx, root, coeffs):
+def _verify_listed(spec: CountSpec, tower: TowerCtx, root, coeffs, h: int):
+    """coeffs: the F_q indices of root's minimal polynomial; h: the coset label of b."""
     m = spec.m
-    if not field_poly_is_irreducible(list(coeffs), spec.base):
+    if not poly_is_irreducible(coeffs, spec.base):
         raise InvariantError("listed polynomial is not irreducible")
     # f = x^m - a x^{m-1} + ... + (-1)^m b: Vieta from the actual root
     tr = tower.to_base(tower.trace_rel(root, m))
     nrm = tower.to_base(tower.norm_rel(root, m))
     if not tr == spec.a:
         raise InvariantError("listed polynomial has the wrong trace coefficient")
-    if not coeffs[m - 1] == -spec.a:
+    if coeffs[m - 1] != (-spec.a).index:
         raise InvariantError("coefficient of x^{m-1} must be -a")
-    sign = spec.base.one if m % 2 == 0 else -spec.base.one
-    if not coeffs[0] == sign * nrm:
+    if coeffs[0] != (nrm if m % 2 == 0 else -nrm).index:
         raise InvariantError("constant term must be (-1)^m b")
-    if spec.s > 1:
-        hb = tower.dlog_g(spec.b) % spec.s
-        hn = tower.dlog_g(tower.embed(nrm)) % spec.s
-        if hb != hn:
-            raise InvariantError("listed polynomial has norm outside the coset")
+    if spec.s > 1 and tower.dlog_g(tower.embed(nrm)) % spec.s != h:
+        raise InvariantError("listed polynomial has norm outside the coset")

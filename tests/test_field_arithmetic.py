@@ -101,4 +101,4 @@ def test_binary_rabin_matches_trial_division():
         for low in itertools.product((0, 1), repeat=deg):
             f = list(low) + [1]
             want = not any(_ref_divides(d, f) for d in divisors)
-            assert poly_is_irreducible(f, 2) == want, f
+            assert poly_is_irreducible(f, build_field(2, 1)) == want, f

@@ -1,9 +1,11 @@
-"""Golden outputs: `verify --full` and `table5` must stay byte-identical.
+"""Golden outputs: `verify --full`, `table5` and three `list` cells must stay byte-identical.
 
 The files in tests/golden were written by `polycount verify --full` and
 `polycount table5` before the character sums were rebuilt on one trace
 histogram.  Several routes now share that histogram, so a bug in it could
 make them agree on a wrong value; these files pin every value as it was.
+The `list_*.tsv` files were written before both Rabin tests became one
+over F_q, and pin every listed polynomial of their cell.
 """
 
 import io
@@ -16,10 +18,20 @@ from polycount.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# (p, r, m, s, a, h) of the pinned `list` cells
+LIST_CELLS = [(5, 2, 3, 6, 2, 5), (2, 3, 4, 7, 1, 3), (7, 1, 4, 3, 2, 1)]
+
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(["verify", "--full"], "verify_full.tsv"), (["table5"], "table5.tsv")],
+    [(["verify", "--full"], "verify_full.tsv"), (["table5"], "table5.tsv")]
+    + [
+        (
+            "list --p {} --r {} --m {} --s {} --a {} --h {}".format(*cell).split(),
+            "list_p{}_r{}_m{}_s{}_a{}_h{}.tsv".format(*cell),
+        )
+        for cell in LIST_CELLS
+    ],
 )
 def test_output_matches_golden_file(argv, name):
     out = io.StringIO()

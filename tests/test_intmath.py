@@ -51,17 +51,20 @@ def test_primitive_root_and_legendre():
 
 
 def test_necklace_counts():
-    # brute necklace oracle: count monic irreducible degree-m over F_2 by
-    # explicit polynomial iteration
-    from polycount.fields import poly_is_irreducible
+    # brute necklace oracle: count monic irreducible degree-m over F_q by
+    # explicit polynomial iteration; the Rabin test must reject every other one
+    from polycount.fields import build_field, poly_is_irreducible
 
-    for m in range(1, 9):
-        direct = 0
-        for code in range(2**m):
-            coeffs = [(code >> i) & 1 for i in range(m)] + [1]
-            if poly_is_irreducible(coeffs, 2):
-                direct += 1
-        assert necklace_count(2, m) == direct
+    for p, r, top in [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 3), (2, 3, 3), (3, 2, 3)]:
+        field = build_field(p, r)
+        q = field.order
+        for m in range(1, top + 1):
+            direct = 0
+            for code in range(q**m):
+                coeffs = [(code // q**i) % q for i in range(m)] + [1]
+                if poly_is_irreducible(coeffs, field):
+                    direct += 1
+            assert necklace_count(q, m) == direct, (q, m)
 
 
 def test_cyclotomic_poly_values():
