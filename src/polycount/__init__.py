@@ -91,7 +91,6 @@ from .oracle import (
     brute_n_t,
     brute_p_m,
     brute_scan,
-    brute_t_t,
     list_polys,
 )
 

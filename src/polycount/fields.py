@@ -16,13 +16,14 @@ squaring spreads the bits.  Odd p decodes the digits once per product, or
 once per power, and multiplies coefficient lists.
 
 A tower F_q^t <= F_{q^m} is realized inside the single field F_{p^{rm}};
-the subfield test is x^{q^t} == x.  Bulk enumeration (orbits of a generator mapped through an
-F_p-linear form) is vectorized with numpy, since the Frobenius, traces,
-and multiplication-by-a-constant are all linear maps.  An orbit is split
-baby step, giant step, j = bB + i, and each output digit is one exact
-integer product of the giant-step coordinates with the form read at the
-baby steps.  In characteristic 2 both sides are packed machine words, bit
-i holding coordinate i, and a digit is the parity of their AND.
+the subfield test is x^{q^t} == x.  Bulk enumeration (orbits of a generator
+mapped through an F_p-linear form) is vectorized with numpy, since the
+Frobenius, traces, and multiplication-by-a-constant are all linear maps.
+An orbit is split baby step, giant step, j = bB + i, and each output digit
+is one exact integer product of the giant-step coordinates with the form
+read at the baby steps (in characteristic 2, the parity of the AND of packed
+words).  orbit_blocks streams the orbit in blocks of consecutive j, so a
+consumer never holds the whole orbit.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _clgcd(a: int, b: int) -> int:
 
 
 def _cl_is_irreducible(f: int) -> bool:
-    """Rabin test for f in F_2[x] of degree >= 2, by repeated squaring of x."""
+    """Ben-Or test for f in F_2[x] of degree >= 2, by repeated squaring of x (see poly_is_irreducible)."""
     n = f.bit_length() - 1
     low = f ^ (1 << n)
     xp = 2  # x, then x^(2^k) mod f
@@ -146,9 +147,7 @@ def _cl_is_irreducible(f: int) -> bool:
         xp = _clmod(_clsquare(xp), n, low)
         if _clgcd(xp ^ 2, f) != 1:
             return False
-    for _ in range(n // 2, n):
-        xp = _clmod(_clsquare(xp), n, low)
-    return xp == 2
+    return True
 
 
 # -- indices: the coordinates of an element as base-p digits, coordinate 0 least significant --
@@ -414,7 +413,14 @@ class FieldCtx:
     def linear_orbit(
         self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int | None = None
     ) -> np.ndarray:
-        """Base-p index of (gamma^j @ out_map) mod p, one int64 for each j in [0, length).
+        """Base-p index of (gamma^j @ out_map) mod p for j in [0, length): orbit_blocks as one int64 array."""
+        out = np.empty(length, dtype=np.int64)
+        for start, indices in self.orbit_blocks(gamma, out_map, length, block):
+            out[start : start + len(indices)] = indices
+        return out
+
+    def orbit_blocks(self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int | None = None):
+        """Yield (start, indices): linear_orbit's values for j in [start, start + len(indices)).
 
         For a one-column map the index is the digit itself.  Baby step,
         giant step: with B = ceil(sqrt(length)) baby steps (or `block`), j =
@@ -422,7 +428,8 @@ class FieldCtx:
         <V_b, A_c[i]> mod p: V_b holds the coordinates of gamma^(bB), and
         A_c[i, kk] is the form at gamma^i X^kk.  Odd p takes one exact int64
         product per digit; p = 2 takes the parity of V_b & A_c[i] on packed
-        words.  The output is filled _ORBIT_CHUNK elements at a time.
+        words.  Blocks cover consecutive j, about _ORBIT_CHUNK at a time, and
+        each is a fresh array the consumer may overwrite.
         """
         p, n = self.p, self.r
         k = out_map.shape[1]
@@ -431,7 +438,7 @@ class FieldCtx:
         if n * (p - 1) ** 2 >= 1 << 63:
             raise ValueError(f"a sum of {n} products of residues mod {p} overflows int64")
         if length == 0:
-            return np.empty(0, dtype=np.int64)
+            return
         big_b = min(block, length) if block else math.isqrt(length - 1) + 1
         giants = self._powers(gamma**big_b, -(-length // big_b))
         # forms[:, kk] = Mul(X)^kk @ out_map reads the map at x X^kk
@@ -446,10 +453,10 @@ class FieldCtx:
         # a dot product is at most n (p - 1)^2; small ones are reduced by lookup
         residues = np.arange(n * (p - 1) ** 2 + 1) % p if n * (p - 1) ** 2 < _ORBIT_CHUNK else None
         weights = p ** np.arange(k, dtype=np.int64)
-        out = np.zeros((len(giants), big_b), dtype=np.int64)
         rows = max(1, _ORBIT_CHUNK // big_b)
-        for b in range(0, len(out), rows):
+        for b in range(0, len(giants), rows):
             v = giants[b : b + rows]
+            out = np.zeros((len(v), big_b), dtype=np.int64)
             for c in range(k):
                 if p == 2:
                     x = np.bitwise_and.outer(v[:, 0], babies[c, :, 0])
@@ -459,8 +466,10 @@ class FieldCtx:
                 else:
                     dot = v @ babies[:, :, c].T
                     digit = dot % p if residues is None else residues[dot]
-                out[b : b + rows] += (digit * weights[c]) if c else digit
-        return out.ravel()[:length]
+                out += (digit * weights[c]) if c else digit
+            # the frame would otherwise hold these while the consumer runs
+            x = dot = digit = None
+            yield b * big_b, out.ravel()[: length - b * big_b]
 
     # -- discrete logarithms --
 
@@ -945,11 +954,14 @@ def min_poly(tower: TowerCtx, x: FieldElement):
 
 
 def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
-    """Rabin test for a monic polynomial over F_q, q = field.order.
+    """Ben-Or test for a monic polynomial over F_q, q = field.order.
 
     coeffs are F_q indices, low degree first.  f of degree t is irreducible
-    iff gcd(x^{q^k} - x, f) = 1 for k <= t/2 and x^{q^t} = x mod f.  Works
-    on F_q arithmetic alone; over F_2 it runs carry-less on one int.
+    iff gcd(x^{q^k} - x, f) = 1 for every k <= t/2: x^{q^k} - x is the
+    product of the monic irreducibles of degree dividing k, and a reducible
+    f has an irreducible factor of degree at most t/2, so no x^{q^t} = x
+    check is needed.  Works on F_q arithmetic alone; over F_2 it runs
+    carry-less on one int.
     """
     f = list(coeffs)
     t = len(f) - 1
@@ -997,14 +1009,11 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
             a, b = b, _ptrim(rem(list(a), b))
         return len(a) == 1
 
-    x = [0, 1] + [0] * (t - 2)
-    xq = x
+    xq = [0, 1] + [0] * (t - 2)  # x
     for k in range(1, t // 2 + 1):
         xq = powq(xq)  # x^{q^k} mod f
         diff = list(xq)
         diff[1] = _index_add(diff[1], 1, p, r, -1)
         if not coprime_to_f(diff):
             return False
-    for _ in range(t // 2, t):
-        xq = powq(xq)
-    return xq == x
+    return True

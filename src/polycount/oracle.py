@@ -52,10 +52,10 @@ _SCAN_CACHE_SIZE = 8
 def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteResult:
     """Exhaustive bucketing pass over F_{q^t}* inside the tower.
 
-    One orbit walk through the composed trace form labels every element
-    by the base-field index of its trace; one bincount then buckets
-    (exact degree, trace, norm log).  The bucket table has q(q-1) cells
-    per degree, so the cap bounds it as well as the walk.
+    The orbit walk through the composed trace form labels every element by
+    the base-field index of its trace, one block at a time; each block turns
+    in place into bucket indices (exact degree, trace, norm log) added into
+    one table of q(q-1) cells per degree, which the cap bounds with the walk.
     """
     q, m = tower.q, tower.m
     big_q = q**t - 1
@@ -64,25 +64,28 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     key = (tower.p, tower.r, tower.m, t)
     if key in _scan_cache:
         return _scan_cache[key]
-    labels = tower.top.linear_orbit(tower.gamma[t], tower.base_trace_form(), big_q)
     # exact degree over F_q: the smallest t' | t with gamma_t^e in F_{q^t'},
-    # i.e. with (q^t - 1)/(q^t' - 1) | e; the smallest subfield is written last
+    # i.e. with (q^t - 1)/(q^t' - 1) | e; every element starts at degree t, and
+    # each subfield, the smallest last, keeps the label (mod q) and rewrites the degree
     divs = divisors(t)
-    deg_pos = np.full(big_q, len(divs) - 1, dtype=np.int64)
-    for di in range(len(divs) - 2, -1, -1):
-        deg_pos[:: big_q // (q ** divs[di] - 1)] = di
-    # bucket (deg_pos * q + label) * (q - 1) + norm log, built in place; the
-    # norm log is dlog_g Norm_m(gamma_t^e) = e * (m/t) mod (q - 1)
-    combined = deg_pos
-    combined *= q
-    combined += labels
-    if q > 2:
-        wnorm = np.arange(big_q, dtype=np.int64)
-        wnorm *= m // t
-        wnorm %= q - 1
-        combined *= q - 1
-        combined += wnorm
-    counts = np.bincount(combined, minlength=len(divs) * q * (q - 1))
+    subfields = [(di, big_q // (q ** divs[di] - 1)) for di in range(len(divs) - 2, -1, -1)]
+    # bucket (degree * q + label) * (q - 1) + norm log; the norm log dlog_g Norm_m(gamma_t^e)
+    # = e * (m/t) mod (q - 1) has period q - 1 in e, so each block slices one pattern
+    counts = np.zeros(len(divs) * q * (q - 1), dtype=np.int64)
+    norm_logs = np.empty(0, dtype=np.int64)
+    for start, bucket in tower.top.orbit_blocks(tower.gamma[t], tower.base_trace_form(), big_q):
+        bucket += (len(divs) - 1) * q
+        for di, stride in subfields:
+            sub = bucket[-start % stride :: stride]
+            sub %= q
+            sub += di * q
+        if q > 2:
+            shift = start % (q - 1)
+            if len(norm_logs) < shift + len(bucket):
+                norm_logs = np.tile(np.arange(q - 1, dtype=np.int64) * (m // t) % (q - 1), len(bucket) // (q - 1) + 2)
+            bucket *= q - 1
+            bucket += norm_logs[shift : shift + len(bucket)]
+        np.add.at(counts, bucket, 1)
     result = BruteResult(tower=tower, t=t, divs=divs, counts=counts.reshape(len(divs), q, q - 1))
     _scan_cache[key] = result
     while len(_scan_cache) > _SCAN_CACHE_SIZE:
@@ -107,14 +110,6 @@ def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
     if total % spec.m != 0:
         raise InvariantError("root count must be divisible by m")
     return total // spec.m
-
-
-def brute_t_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """|T_t|: elements of F_{q^t} of exact degree t meeting the (a, coset) cell."""
-    tower = _spec_tower(spec)
-    scan = brute_scan(tower, t, cap)
-    h = _h_for_tower(spec, tower)
-    return scan.cell(t, spec.a.index, h, spec.s)
 
 
 def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -143,29 +138,26 @@ def list_polys(
     q, m = tower.q, spec.m
     big_q = q**m - 1
     h = _h_for_tower(spec, tower)
-    maximal = [m // ell for ell in factorize(m)]
+    strides = [big_q // (q ** (m // ell) - 1) for ell in factorize(m)]  # maximal subfields
     polys = []
     gamma = tower.gamma[m]
-    labels = tower.top.linear_orbit(gamma, tower.base_trace_form(), big_q)
-    mask = labels == spec.a.index
-    for mm in maximal:
-        mask[:: big_q // (q**mm - 1)] = False
-    exps = np.flatnonzero(mask)
-    if q > 2:
-        exps = exps[exps % (q - 1) % spec.s == h]
-    seen = set()
-    for e in exps.tolist():
-        orbit = frozenset((e * q**i) % big_q for i in range(m))
-        if min(orbit) != e or e in seen:
-            continue
-        seen.add(e)
-        x = gamma**e
-        coeffs, t = min_poly(tower, x)
-        if t != m:
-            raise InvariantError("orbit element does not have exact degree m")
-        coeffs = tuple(c.index for c in coeffs)
-        _verify_listed(spec, tower, x, coeffs, h)
-        polys.append(coeffs)
+    for start, labels in tower.top.orbit_blocks(gamma, tower.base_trace_form(), big_q):
+        mask = labels == spec.a.index
+        for stride in strides:
+            mask[-start % stride :: stride] = False
+        exps = np.flatnonzero(mask) + start
+        if q > 2:
+            exps = exps[exps % (q - 1) % spec.s == h]
+        for e in exps.tolist():
+            if min((e * q**i) % big_q for i in range(m)) != e:
+                continue
+            x = gamma**e
+            coeffs, t = min_poly(tower, x)
+            if t != m:
+                raise InvariantError("orbit element does not have exact degree m")
+            coeffs = tuple(c.index for c in coeffs)
+            _verify_listed(spec, tower, x, coeffs, h)
+            polys.append(coeffs)
     if len(polys) != count:
         raise InvariantError("listing does not match the bucket count")
     polys.sort()

@@ -497,7 +497,8 @@ def test_unservable_method_refuses_before_any_work(monkeypatch, args, method, ca
 
         return call
 
-    monkeypatch.setattr(fields.FieldCtx, "linear_orbit", forbidden("linear_orbit"))
+    for name in ("linear_orbit", "orbit_blocks"):
+        monkeypatch.setattr(fields.FieldCtx, name, forbidden(name))
     for name in ("build_tower", "n_t_special", "n_t_table", "m_t_general", "m_t_jacobi", "m_t_lifted"):
         monkeypatch.setattr(counting, name, forbidden(name))
     with pytest.raises(error):

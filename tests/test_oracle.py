@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from reference import brute_t_t, whole_orbit_counts, whole_orbit_listing
 
+from polycount import fields
 from polycount.counting import CountSpec
 from polycount.errors import ListingCapExceeded, OracleCapExceeded
 from polycount.fields import build_field, build_tower, poly_is_irreducible
 from polycount.intmath import divisors, necklace_count
 from polycount import oracle
-from polycount.oracle import brute_n_t, brute_p_m, brute_scan, brute_t_t, list_polys
+from polycount.oracle import brute_n_t, brute_p_m, brute_scan, list_polys
 
 
 def test_brute_p_m_reference_values():
@@ -78,6 +82,68 @@ def test_brute_scan_matches_naive_buckets(p, r, m):
             degree = next(d for d in scan.divs if tower.subfield_contains(x, d))
             want[scan.divs.index(degree), a, w] += 1
         assert np.array_equal(scan.counts, want)
+
+
+# block sizes: 1 and 7 give one giant-step row (about sqrt(q^t) elements) per block,
+# 4096 a few rows, then the default
+_CHUNKS = [1, 7, 4096, fields._ORBIT_CHUNK]
+
+# (p, r, m, t): p = 2 and odd p, each with r = 1 and r > 1; t < m, so m/t > 1 in
+# the norm log; t = 12 with five proper divisors; (2, 9, 2, 2) has a 523k-cell
+# table over four default blocks, and (2, 6, 3, 3) an 8064-cell one
+_BLOCK_CELLS = [
+    (2, 1, 12, 12),
+    (2, 1, 12, 4),
+    (2, 2, 6, 6),
+    (2, 2, 6, 3),
+    (2, 6, 3, 3),
+    (2, 9, 2, 2),
+    (3, 1, 12, 12),
+    (3, 1, 12, 6),
+    (7, 1, 6, 2),
+    (5, 2, 4, 4),
+    (5, 2, 4, 2),
+    (3, 2, 6, 3),
+]
+
+
+@pytest.mark.parametrize("p, r, m, t", _BLOCK_CELLS)
+def test_brute_scan_is_independent_of_the_block_size(monkeypatch, p, r, m, t):
+    tower = build_tower(p, r, m)
+    want = whole_orbit_counts(tower, t)
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(fields, "_ORBIT_CHUNK", chunk)
+        oracle._scan_cache.pop((p, r, m, t), None)
+        assert np.array_equal(brute_scan(tower, t).counts, want), chunk
+
+
+@pytest.mark.parametrize(
+    "p, r, m, s, ai, h",
+    [(2, 3, 4, 7, 1, 3), (5, 2, 3, 6, 2, 5), (7, 1, 4, 3, 2, 1), (2, 1, 8, 1, 1, 0), (3, 1, 6, 2, 0, 1)],
+)
+def test_list_polys_is_independent_of_the_block_size(monkeypatch, p, r, m, s, ai, h):
+    spec = CountSpec.make(p, r, m, s, a=build_field(p, r).from_index(ai), h=h)
+    want = whole_orbit_listing(spec)
+    assert want
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(fields, "_ORBIT_CHUNK", chunk)
+        assert list_polys(spec) == want, chunk
+
+
+def test_brute_scan_memory_does_not_grow_with_the_orbit():
+    # one whole-orbit int64 array at F_{2^22} is 32 MB; the streamed pass
+    # holds a few 2^16-element blocks and a 4 x 2 table
+    tower = build_tower(2, 1, 22)
+    tower.base_trace_form()  # fills the tower's lazy Frobenius and embedding caches
+    oracle._scan_cache.pop((2, 1, 22, 22), None)
+    tracemalloc.start()
+    try:
+        scan = brute_scan(tower, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert int(scan.counts.sum()) == (1 << 22) - 1
 
 
 def test_scan_cache_keeps_the_last_eight_scans():
