@@ -17,10 +17,7 @@ from .catalog import (
     p2_general_pm,
 )
 from .charsums import (
-    ConnectReport,
     MultChar,
-    char_connect_check,
-    dh_consistency_check,
     gauss_sum,
     gauss_sum_folded,
     gauss_sum_lifted,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .errors import EnumerationCapExceeded, ValidationError
-from .fields import FieldCtx, FieldElement, TowerCtx, _index_add, build_tower
+from .fields import FieldCtx, FieldElement, TowerCtx, _index_add
 
 
 @dataclass(frozen=True)
@@ -178,40 +178,6 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
     return CycInt(n, coeffs.tolist())
 
 
-@dataclass
-class ConnectReport:
-    """Both sides of the monomial-to-Gauss-sum identity, compared exactly."""
-
-    lhs: CycInt
-    rhs: CycInt
-    equal: bool
-
-
-def char_connect_check(tower: TowerCtx, t: int, alpha: FieldElement, n: int) -> ConnectReport:
-    """Check sum_x e_t(alpha x^n) = sum_{lambda in H_n} G_t(conj lambda) lambda(Norm_t alpha).
-
-    n must divide q - 1; both sides are computed independently.
-    """
-    q = tower.q
-    if (q - 1) % n != 0:
-        raise ValidationError("n must divide q - 1")
-    i = tower.dlog_gamma(alpha, t)
-    lhs = monomial_sum(tower, t, i, n)
-    p = tower.p
-    order = p * n
-    norm_log = tower.dlog_g(tower.norm_rel(alpha, t))
-    rhs = CycInt(order)
-    for j in range(n):
-        # lambda_j sends g to zeta_n^j, so lambda_j . Norm_t is the level-t
-        # character sending gamma_t to zeta_n^j
-        chi_bar = MultChar(level=t, order=n, k=(-j) % n)
-        g_val = gauss_sum(tower, t, chi_bar)
-        lam_val = CycInt.root(order, (j * norm_log % n) * p)
-        rhs = rhs + g_val.embed(order) * lam_val
-    lhs_e = lhs.embed(order)
-    return ConnectReport(lhs=lhs_e, rhs=rhs, equal=lhs_e == rhs)
-
-
 def monomial_closed_semiprimitive(p: int, e: int, n: int, t: int, s: int, i: int) -> int:
     """Closed value of sum_{x != 0} e_t(gamma_t^i x^s) when s | p^e + 1, r = 2en.
 
@@ -250,12 +216,3 @@ def monomial_closed_char2(r: int, t: int, big_n: int, i: int) -> int:
     if i % big_n == 0:
         return -sign * (big_n - 1) * root
     return sign * root
-
-
-def dh_consistency_check(r_small: int, t_prime: int, n: int, k: int) -> bool:
-    """Davenport-Hasse lift vs the direct Gauss sum, in one shared tower."""
-    tower = build_tower(2, r_small, t_prime)
-    chi = MultChar(level=1, order=n, k=k)
-    lifted = gauss_sum_lifted(tower, chi, t_prime)
-    direct = gauss_sum_folded(tower, t_prime, MultChar(level=t_prime, order=n, k=k))
-    return lifted == direct

@@ -384,7 +384,7 @@ class FieldCtx:
         return np.array(rows, dtype=np.int64)
 
     def frob_matrix(self, e: int = 1) -> np.ndarray:
-        """Matrix of y -> y^{p^e}."""
+        """Matrix of y -> y^{p^e}; read-only, since it is kept on the field."""
         e %= self.r  # Frobenius has order r
         if e in self._frob_pows:
             return self._frob_pows[e]
@@ -395,6 +395,7 @@ class FieldCtx:
         m = np.eye(self.r, dtype=np.int64)
         for _ in range(e):
             m = (m @ self._frob1) % self.p
+        m.flags.writeable = False
         self._frob_pows[e] = m
         return m
 
@@ -507,7 +508,7 @@ class FieldCtx:
         return log_x // k * pow(log_b // k, -1, order) % order
 
     def log_table(self) -> np.ndarray:
-        """int32 array whose entry i is the log of the element of index i (-1 at 0).
+        """Read-only int32 array whose entry i is the log of the element of index i (-1 at 0).
 
         Built from one orbit of the generator and checked to be a permutation
         of F_q*.  Kept on the field when q <= LOG_TABLE_MAX_ORDER, built
@@ -521,6 +522,7 @@ class FieldCtx:
         table[powers] = np.arange(n, dtype=np.int32)
         if table[0] != -1 or np.count_nonzero(table < 0) != 1:
             raise InvariantError("powers of the generator are not a permutation of F_q*")
+        table.flags.writeable = False
         if self.order <= LOG_TABLE_MAX_ORDER:
             self._log_table = table
         return table
@@ -870,7 +872,7 @@ class TowerCtx:
             )
 
     def orbit_abs_traces(self, t: int, cap: int | None = None) -> np.ndarray:
-        """abs_trace(gamma_t^e, t) for e in [0, q^t - 1), in the smallest unsigned dtype holding p - 1.
+        """abs_trace(gamma_t^e, t) for e in [0, q^t - 1), read-only, in the smallest unsigned dtype holding p - 1.
 
         The cap is tested on every call, so a warm cache serves nothing a
         cold one would refuse.
@@ -881,7 +883,9 @@ class TowerCtx:
         self.check_cap(n, cap, f"the orbit of F_{{q^{t}}}")
         if t not in self._orbit_traces:
             vals = self.top.linear_orbit(self.gamma[t], self.abs_trace_column(t), n - 1)
-            self._orbit_traces[t] = vals.astype(np.min_scalar_type(self.p - 1))
+            vals = vals.astype(np.min_scalar_type(self.p - 1))
+            vals.flags.writeable = False
+            self._orbit_traces[t] = vals
         return self._orbit_traces[t]
 
     def trace_hist(self, t: int, g: int, cap: int | None = None) -> np.ndarray:

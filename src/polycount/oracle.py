@@ -2,16 +2,21 @@
 
 One pass over F_{q^t}* (as powers of gamma_t) buckets every element by
 (exact subfield degree, trace to F_q, discrete log of the norm mod q-1).
-From those buckets: N_t, T_t, and P_m for every (a, coset) cell at once.
+The pass walks one element of each F_q*-coset, since scaling by F_q*
+moves the trace and the norm log predictably, and expands its buckets to
+all of F_{q^t}* at the end.  From those buckets: N_t, T_t, and P_m for
+every (a, coset) cell at once.
 Listing mode walks the matching Frobenius orbits and rebuilds minimal
 polynomials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counting import CountSpec
 from .errors import InvariantError, ListingCapExceeded, OracleCapExceeded
@@ -28,13 +33,15 @@ class BruteResult:
 
     counts[di][a][w] is the number of x = gamma_t^e of exact degree
     divs[di] with Tr_m(x) the base-field element of index a and
-    dlog_g(Norm_m(x)) = w.
+    dlog_g(Norm_m(x)) = w; the array is read-only.  elements is the number
+    of orbit elements the pass walked.
     """
 
     tower: TowerCtx
     t: int
     divs: list[int]
     counts: np.ndarray
+    elements: int
 
     def cell(self, exact_degree: int, a_index: int, residue: int, s: int) -> int:
         """Count of exact-degree elements with trace a and norm-log = residue mod s."""
@@ -50,12 +57,16 @@ _SCAN_CACHE_SIZE = 8
 
 
 def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteResult:
-    """Exhaustive bucketing pass over F_{q^t}* inside the tower.
+    """Exhaustive bucketing pass over F_{q^t}*, walking one element per F_q*-coset.
 
-    The orbit walk through the composed trace form labels every element by
-    the base-field index of its trace, one block at a time; each block turns
-    in place into bucket indices (exact degree, trace, norm log) added into
-    one table of q(q-1) cells per degree, which the cap bounds with the walk.
+    With R = (q^t - 1)/(q - 1), gamma_t^(e + kR) = g^k gamma_t^e, so the q - 1
+    multiples of gamma_t^e share its exact degree, have trace g^k Tr and norm
+    log w + km mod (q - 1).  The orbit walk through the composed trace form
+    covers e in [0, R) only, one block at a time; each block turns into indices
+    of a small table keyed by (degree, Tr != 0, v), with v = w at trace 0 and
+    v = w - m log_g(Tr) otherwise, the same for the whole coset.  One gather
+    expands that table into q(q-1) cells per degree, which the cap bounds with
+    q^t, as it did when the walk covered all of F_{q^t}*.
     """
     q, m = tower.q, tower.m
     big_q = q**t - 1
@@ -64,29 +75,52 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     key = (tower.p, tower.r, tower.m, t)
     if key in _scan_cache:
         return _scan_cache[key]
+    n = q - 1
+    # log_g of the q trace labels, from one orbit of g in F_q (the label 0 has none)
+    powers = tower.base.linear_orbit(tower.to_base(tower.g), np.eye(tower.r, dtype=np.int64), n)
+    log_g = np.full(q, -1, dtype=np.int64)
+    log_g[powers] = np.arange(n)
+    if log_g[0] != -1 or np.count_nonzero(log_g < 0) != 1:
+        raise InvariantError("powers of g are not a permutation of F_q*")
+    # shift[a] = -m log_g(a) mod (q - 1); a label's key among a degree's 4(q - 1) keys is
+    # w at trace 0 and 2(q - 1) + shift[a] + w otherwise, folded mod q - 1 only at the end
+    shift = -m * log_g % n
+    width = 4 * n
     # exact degree over F_q: the smallest t' | t with gamma_t^e in F_{q^t'},
     # i.e. with (q^t - 1)/(q^t' - 1) | e; every element starts at degree t, and
-    # each subfield, the smallest last, keeps the label (mod q) and rewrites the degree
+    # each subfield, the smallest last, keeps the key (mod width) and rewrites the degree
     divs = divisors(t)
     subfields = [(di, big_q // (q ** divs[di] - 1)) for di in range(len(divs) - 2, -1, -1)]
-    # bucket (degree * q + label) * (q - 1) + norm log; the norm log dlog_g Norm_m(gamma_t^e)
-    # = e * (m/t) mod (q - 1) has period q - 1 in e, so each block slices one pattern
-    counts = np.zeros(len(divs) * q * (q - 1), dtype=np.int64)
+    label_keys = np.where(log_g < 0, 0, 2 * n + shift) + (len(divs) - 1) * width
+    # the norm log dlog_g Norm_m(gamma_t^e) = e * (m/t) mod (q - 1) has period q - 1
+    # in e, so each block slices one pattern
+    counts = np.zeros(len(divs) * width, dtype=np.int64)
     norm_logs = np.empty(0, dtype=np.int64)
-    for start, bucket in tower.top.orbit_blocks(tower.gamma[t], tower.base_trace_form(), big_q):
-        bucket += (len(divs) - 1) * q
+    elements = 0
+    for start, bucket in tower.top.orbit_blocks(tower.gamma[t], tower.base_trace_form(), big_q // n):
+        # label -> key in place (each index is read before its slot is written);
+        # a fresh array per block made the F_{2^22} pass about a fifth slower
+        np.take(label_keys, bucket, out=bucket, mode="clip")
         for di, stride in subfields:
             sub = bucket[-start % stride :: stride]
-            sub %= q
-            sub += di * q
-        if q > 2:
-            shift = start % (q - 1)
-            if len(norm_logs) < shift + len(bucket):
-                norm_logs = np.tile(np.arange(q - 1, dtype=np.int64) * (m // t) % (q - 1), len(bucket) // (q - 1) + 2)
-            bucket *= q - 1
-            bucket += norm_logs[shift : shift + len(bucket)]
+            sub %= width
+            sub += di * width
+        offset = start % n
+        if len(norm_logs) < offset + len(bucket):
+            norm_logs = np.tile(np.arange(n, dtype=np.int64) * (m // t) % n, len(bucket) // n + 2)
+        bucket += norm_logs[offset : offset + len(bucket)]
         np.add.at(counts, bucket, 1)
-    result = BruteResult(tower=tower, t=t, divs=divs, counts=counts.reshape(len(divs), q, q - 1))
+        elements += len(bucket)
+    # fold shift + w mod q - 1: zero[d][w] and unit[d][u] count the walked elements
+    zero, unit = counts.reshape(len(divs), 2, 2, n).sum(axis=2).transpose(1, 0, 2)
+    # a trace-0 coset adds km to w: gcd(m, q - 1) times over each class of w mod the gcd;
+    # the row of a = g^l is unit rolled by lm, the window of unit twice at shift[a]
+    c = math.gcd(m, n)
+    zero_row = np.tile(zero.reshape(len(divs), n // c, c).sum(axis=1) * c, n // c)
+    source = np.concatenate([zero_row, unit, unit], axis=1)
+    table = sliding_window_view(source, n, axis=1)[:, np.where(log_g < 0, 0, n + shift)]
+    table.flags.writeable = False
+    result = BruteResult(tower=tower, t=t, divs=divs, counts=table, elements=elements)
     _scan_cache[key] = result
     while len(_scan_cache) > _SCAN_CACHE_SIZE:
         del _scan_cache[next(iter(_scan_cache))]

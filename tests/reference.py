@@ -1,14 +1,20 @@
-"""Test-only references: whole-array forms of the oracle's streamed passes.
+"""Test-only references and checks.
 
-Nothing in the package imports this module.  Each function recomputes an
-oracle value the simplest way, over whole-orbit arrays, so the streamed
-code in polycount.oracle can be compared with it.
+Nothing in the package imports this module.  The whole-array functions
+recompute an oracle value the simplest way, over whole-orbit arrays, so the
+streamed code in polycount.oracle can be compared with it.  The character
+sum checks compare two independent routes to the same sum.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from polycount.charsums import MultChar, gauss_sum, gauss_sum_folded, gauss_sum_lifted, monomial_sum
 from polycount.counting import CountSpec
-from polycount.fields import TowerCtx, build_tower, min_poly
+from polycount.cyclotomic import CycInt
+from polycount.errors import ValidationError
+from polycount.fields import FieldElement, TowerCtx, build_tower, min_poly
 from polycount.intmath import divisors, factorize
 from polycount.oracle import DEFAULT_ORACLE_CAP, brute_scan
 
@@ -54,3 +60,45 @@ def whole_orbit_listing(spec: CountSpec) -> list[tuple[int, ...]]:
     if q > 2:
         exps = exps[exps % (q - 1) % spec.s == _h(spec, tower)]
     return sorted({tuple(c.index for c in min_poly(tower, gamma**e)[0]) for e in exps.tolist()})
+
+
+@dataclass
+class ConnectReport:
+    """Both sides of the monomial-to-Gauss-sum identity, compared exactly."""
+
+    lhs: CycInt
+    rhs: CycInt
+    equal: bool
+
+
+def char_connect_check(tower: TowerCtx, t: int, alpha: FieldElement, n: int) -> ConnectReport:
+    """Check sum_x e_t(alpha x^n) = sum_{lambda in H_n} G_t(conj lambda) lambda(Norm_t alpha).
+
+    n must divide q - 1; both sides are computed independently.
+    """
+    q = tower.q
+    if (q - 1) % n != 0:
+        raise ValidationError("n must divide q - 1")
+    i = tower.dlog_gamma(alpha, t)
+    lhs = monomial_sum(tower, t, i, n)
+    p = tower.p
+    order = p * n
+    norm_log = tower.dlog_g(tower.norm_rel(alpha, t))
+    rhs = CycInt(order)
+    for j in range(n):
+        # lambda_j sends g to zeta_n^j, so lambda_j . Norm_t is the level-t
+        # character sending gamma_t to zeta_n^j
+        chi_bar = MultChar(level=t, order=n, k=(-j) % n)
+        g_val = gauss_sum(tower, t, chi_bar)
+        lam_val = CycInt.root(order, (j * norm_log % n) * p)
+        rhs = rhs + g_val.embed(order) * lam_val
+    lhs_e = lhs.embed(order)
+    return ConnectReport(lhs=lhs_e, rhs=rhs, equal=lhs_e == rhs)
+
+def dh_consistency_check(r_small: int, t_prime: int, n: int, k: int) -> bool:
+    """Davenport-Hasse lift vs the direct Gauss sum, in one shared tower."""
+    tower = build_tower(2, r_small, t_prime)
+    chi = MultChar(level=1, order=n, k=k)
+    lifted = gauss_sum_lifted(tower, chi, t_prime)
+    direct = gauss_sum_folded(tower, t_prime, MultChar(level=t_prime, order=n, k=k))
+    return lifted == direct

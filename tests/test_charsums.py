@@ -3,11 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import char_connect_check, dh_consistency_check
 
 from polycount.charsums import (
     MultChar,
-    char_connect_check,
-    dh_consistency_check,
     gauss_sum,
     gauss_sum_folded,
     gauss_sum_lifted,

@@ -90,7 +90,10 @@ _CHUNKS = [1, 7, 4096, fields._ORBIT_CHUNK]
 
 # (p, r, m, t): p = 2 and odd p, each with r = 1 and r > 1; t < m, so m/t > 1 in
 # the norm log; t = 12 with five proper divisors; (2, 9, 2, 2) has a 523k-cell
-# table over four default blocks, and (2, 6, 3, 3) an 8064-cell one
+# table, and (2, 6, 3, 3) an 8064-cell one.  The walk covers one element per
+# F_q*-coset: t = 1 walks one element; gcd(m, q - 1) = 1 at (13, 1, 5, 5) and
+# (7, 1, 7, 7), and 3 at (37, 1, 3, 3), in the trace-0 row; q > 100 with odd p
+# and r > 1 at (11, 2, 2, 2) and (5, 3, 2, 2)
 _BLOCK_CELLS = [
     (2, 1, 12, 12),
     (2, 1, 12, 4),
@@ -98,12 +101,19 @@ _BLOCK_CELLS = [
     (2, 2, 6, 3),
     (2, 6, 3, 3),
     (2, 9, 2, 2),
+    (2, 8, 2, 2),
     (3, 1, 12, 12),
     (3, 1, 12, 6),
     (7, 1, 6, 2),
     (5, 2, 4, 4),
     (5, 2, 4, 2),
+    (5, 2, 4, 1),
     (3, 2, 6, 3),
+    (13, 1, 5, 5),
+    (7, 1, 7, 7),
+    (37, 1, 3, 3),
+    (11, 2, 2, 2),
+    (5, 3, 2, 2),
 ]
 
 
@@ -115,6 +125,35 @@ def test_brute_scan_is_independent_of_the_block_size(monkeypatch, p, r, m, t):
         monkeypatch.setattr(fields, "_ORBIT_CHUNK", chunk)
         oracle._scan_cache.pop((p, r, m, t), None)
         assert np.array_equal(brute_scan(tower, t).counts, want), chunk
+
+
+@pytest.mark.parametrize("p, r, m, t", _BLOCK_CELLS)
+def test_brute_scan_walks_one_element_per_coset(p, r, m, t):
+    q = p**r
+    oracle._scan_cache.pop((p, r, m, t), None)
+    scan = brute_scan(build_tower(p, r, m), t)
+    assert scan.elements == (q**t - 1) // (q - 1)
+    assert int(scan.counts.sum()) == q**t - 1
+
+
+def test_cached_tables_are_read_only():
+    # a caller's in-place write must not reach the next answer
+    spec = CountSpec.make(2, 2, 5, 3, a=0, b=1)
+    tower = build_tower(2, 2, 5)
+    brute_p_m(spec)
+    tower.orbit_abs_traces(5)
+    tables = [
+        brute_scan(tower, 5).counts,
+        tower.top.log_table(),
+        tower.top.frob_matrix(),
+        tower.top.frob_matrix(0),
+        tower.orbit_abs_traces(5),
+        tower.trace_hist(5, 3),
+    ]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[...] = 0
+    assert brute_p_m(spec) == 17
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,10 @@ def test_no_assert_statements_in_the_package():
 
 
 def _float_uses(tree):
-    """Line numbers of float literals, float(...), np.float*, dtype=float and sqrt calls."""
+    """Line numbers of float literals, float(...), np.float*, dtype=float, weights= and sqrt calls.
+
+    A weights= keyword (np.bincount's) makes a float64 histogram.
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             yield node.lineno, repr(node.value)
@@ -32,6 +35,8 @@ def _float_uses(tree):
         elif isinstance(node, ast.keyword) and node.arg == "dtype":
             if isinstance(node.value, ast.Name) and node.value.id == "float":
                 yield node.value.lineno, "dtype=float"
+        elif isinstance(node, ast.keyword) and node.arg == "weights":
+            yield node.value.lineno, "weights="
 
 
 def test_no_floating_point_in_the_package():
@@ -41,6 +46,11 @@ def test_no_floating_point_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}: {what}" for line, what in _float_uses(tree)]
     assert found == []
+
+
+def test_float_check_flags_a_weighted_bincount():
+    # np.bincount(..., weights=...) returns float64 even for integer weights
+    assert list(_float_uses(ast.parse("h = np.bincount(x, weights=w)\n"))) == [(1, "weights=")]
 
 
 def test_field_element_internals_stay_in_fields():
