@@ -23,7 +23,8 @@ An orbit is split baby step, giant step, j = bB + i, and each output digit
 is one exact integer product of the giant-step coordinates with the form
 read at the baby steps (in characteristic 2, the parity of the AND of packed
 words).  orbit_blocks streams the orbit in blocks of consecutive j, so a
-consumer never holds the whole orbit.
+consumer never holds the whole orbit; it fills every block in place in one
+set of buffers per walk, so a block is valid until the next is asked for.
 """
 
 from __future__ import annotations
@@ -429,8 +430,10 @@ class FieldCtx:
         <V_b, A_c[i]> mod p: V_b holds the coordinates of gamma^(bB), and
         A_c[i, kk] is the form at gamma^i X^kk.  Odd p takes one exact int64
         product per digit; p = 2 takes the parity of V_b & A_c[i] on packed
-        words.  Blocks cover consecutive j, about _ORBIT_CHUNK at a time, and
-        each is a fresh array the consumer may overwrite.
+        words.  Blocks cover consecutive j, about _ORBIT_CHUNK at a time.
+        Every block is filled in place in one set of buffers per walk: a
+        yielded array is a view that the consumer may overwrite, valid until
+        the generator resumes.
         """
         p, n = self.p, self.r
         k = out_map.shape[1]
@@ -453,23 +456,34 @@ class FieldCtx:
             giants, babies = _pack(giants), _pack(babies.transpose(2, 0, 1))
         # a dot product is at most n (p - 1)^2; small ones are reduced by lookup
         residues = np.arange(n * (p - 1) ** 2 + 1) % p if n * (p - 1) ** 2 < _ORBIT_CHUNK else None
-        weights = p ** np.arange(k, dtype=np.int64)
-        rows = max(1, _ORBIT_CHUNK // big_b)
+        rows = min(max(1, _ORBIT_CHUNK // big_b), len(giants))
+        out_buf = np.empty((rows, big_b), dtype=np.int64)
+        digit_buf = np.empty((rows, big_b), dtype=np.int64) if k > 1 else None
+        and_buf = np.empty((rows, big_b), dtype=_WORD) if p == 2 else None
         for b in range(0, len(giants), rows):
             v = giants[b : b + rows]
-            out = np.zeros((len(v), big_b), dtype=np.int64)
-            for c in range(k):
+            out = out_buf[: len(v)]
+            # Horner's rule, highest digit first: that digit is written straight into out
+            for c in range(k - 1, -1, -1):
+                digit = out if c == k - 1 else digit_buf[: len(v)]
                 if p == 2:
-                    x = np.bitwise_and.outer(v[:, 0], babies[c, :, 0])
+                    ands = and_buf[: len(v)]
+                    np.bitwise_and.outer(v[:, 0], babies[c, :, 0], out=ands)
                     for w in range(1, v.shape[1]):
-                        x ^= np.bitwise_and.outer(v[:, w], babies[c, :, w])
-                    digit = np.bitwise_count(x) & 1
+                        # digit's slot holds the next word's AND until the parity is taken
+                        np.bitwise_and.outer(v[:, w], babies[c, :, w], out=digit.view(_WORD))
+                        ands ^= digit.view(_WORD)
+                    np.bitwise_count(ands, out=digit)
+                    digit &= 1
                 else:
-                    dot = v @ babies[:, :, c].T
-                    digit = dot % p if residues is None else residues[dot]
-                out += (digit * weights[c]) if c else digit
-            # the frame would otherwise hold these while the consumer runs
-            x = dot = digit = None
+                    np.matmul(v, babies[:, :, c].T, out=digit)
+                    if residues is None:
+                        np.remainder(digit, p, out=digit)
+                    else:
+                        np.take(residues, digit, out=digit, mode="clip")
+                if c < k - 1:
+                    out *= p
+                    out += digit
             yield b * big_b, out.ravel()[: length - b * big_b]
 
     # -- discrete logarithms --

@@ -76,12 +76,13 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     if key in _scan_cache:
         return _scan_cache[key]
     n = q - 1
-    # log_g of the q trace labels, from one orbit of g in F_q (the label 0 has none)
-    powers = tower.base.linear_orbit(tower.to_base(tower.g), np.eye(tower.r, dtype=np.int64), n)
-    log_g = np.full(q, -1, dtype=np.int64)
-    log_g[powers] = np.arange(n)
-    if log_g[0] != -1 or np.count_nonzero(log_g < 0) != 1:
-        raise InvariantError("powers of g are not a permutation of F_q*")
+    # log_g of the q trace labels (-1 at the label 0, which has none), from F_q's log
+    # table: with log g = k, log_g(a) = log(a) / k mod (q - 1)
+    logs = tower.base.log_table().astype(np.int64)
+    k = int(logs[tower.to_base(tower.g).index])
+    if math.gcd(k, n) != 1:
+        raise InvariantError("g does not generate F_q*")
+    log_g = np.where(logs < 0, -1, logs * pow(k, -1, n) % n)
     # shift[a] = -m log_g(a) mod (q - 1); a label's key among a degree's 4(q - 1) keys is
     # w at trace 0 and 2(q - 1) + shift[a] + w otherwise, folded mod q - 1 only at the end
     shift = -m * log_g % n
@@ -98,8 +99,8 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     norm_logs = np.empty(0, dtype=np.int64)
     elements = 0
     for start, bucket in tower.top.orbit_blocks(tower.gamma[t], tower.base_trace_form(), big_q // n):
-        # label -> key in place (each index is read before its slot is written);
-        # a fresh array per block made the F_{2^22} pass about a fifth slower
+        # label -> key in place in the walk's block buffer, which the next block
+        # refills (each index is read before its slot is written)
         np.take(label_keys, bucket, out=bucket, mode="clip")
         for di, stride in subfields:
             sub = bucket[-start % stride :: stride]

@@ -351,6 +351,65 @@ def test_packed_orbit_matches_naive_powers(r):
     assert ctx.linear_orbit(gamma, maps[0], 0).shape == (0,)
 
 
+# (p, r, k): p = 2 with one digit, with many, and on two words (r = 70); odd p with the
+# residue lookup (r (p - 1)^2 below the chunk) with one digit and with many; odd p with % p
+_KERNEL_CASES = [(2, 9, 1), (2, 9, 9), (2, 70, 1), (2, 70, 63), (3, 1, 1), (3, 5, 5), (5, 3, 1), (5, 3, 3)]
+_KERNEL_CASES += [(257, 2, 1), (257, 2, 2)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("p, r, k", _KERNEL_CASES)
+def test_multi_block_walks_match_naive_powers(monkeypatch, p, r, k, chunk):
+    monkeypatch.setattr(polycount.fields, "_ORBIT_CHUNK", chunk)
+    ctx = build_field(p, r)
+    out_map = np.random.default_rng(p * r * k).integers(0, 3 * p, (r, k))  # reduced mod p inside
+    length = 200
+    coords = _naive_coords(ctx, length)
+    want = [sum(int(d) * p**c for c, d in enumerate(np.array(x) @ out_map % p)) for x in coords]
+    for block in (None, 3):
+        # a yielded block is only valid until the walk resumes
+        blocks = [(start, v.copy()) for start, v in ctx.orbit_blocks(ctx.generator**5, out_map, length, block)]
+        sizes = [len(values) for _, values in blocks]
+        # several blocks, the last one partial, each starting where the one before ended
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert np.concatenate([values for _, values in blocks]).tolist() == want
+        assert ctx.linear_orbit(ctx.generator**5, out_map, length, block).tolist() == want
+    # odd p reduces by lookup when r (p - 1)^2 is below the chunk
+    lookup = p > 2 and r * (p - 1) ** 2 < chunk
+    assert lookup == ((p, r, chunk) in {(3, 1, 7), (3, 1, 64), (3, 5, 64), (5, 3, 64)})
+
+
+def test_a_walk_fills_one_buffer_in_place(monkeypatch):
+    monkeypatch.setattr(polycount.fields, "_ORBIT_CHUNK", 7)
+    ctx = build_field(3, 5)
+    walk = ctx.orbit_blocks(ctx.generator, np.eye(5, dtype=np.int64), 200)
+    (_, first), (_, second) = next(walk), next(walk)
+    assert np.shares_memory(first, second)
+
+
+def test_walk_results_are_unchanged_by_a_later_walk(monkeypatch):
+    monkeypatch.setattr(polycount.fields, "_ORBIT_CHUNK", 7)
+    ctx = build_field(2, 9)
+    eye = np.eye(9, dtype=np.int64)
+    orbit = ctx.linear_orbit(ctx.generator, eye, 300)
+    kept = orbit.copy()
+    tower = build_tower(2, 3, 4)
+    cached = [tower.base.log_table(), tower.top.log_table(), tower.orbit_abs_traces(4), tower.trace_hist(4, 5)]
+    copies = [a.copy() for a in cached]
+    # later walks in the same fields, one stopped half way
+    ctx.linear_orbit(ctx.generator**3, eye, 300)
+    for _, values in ctx.orbit_blocks(ctx.generator**7, eye, 300):
+        values[:] = -1
+        break
+    for _, values in tower.top.orbit_blocks(tower.gamma[4], tower.abs_trace_column(4), 4095):
+        values[:] = -1
+    tower.base.linear_orbit(tower.base.generator, np.eye(3, dtype=np.int64), 7)
+    assert np.array_equal(orbit, kept)
+    for a, c in zip(cached, copies):
+        assert not a.flags.writeable and np.array_equal(a, c)
+
+
 def test_orbit_abs_traces_on_two_words():
     # F_{2^14} inside F_{2^70}: every orbit element takes two packed words
     tw = build_tower(2, 7, 10)

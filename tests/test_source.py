@@ -53,6 +53,54 @@ def test_float_check_flags_a_weighted_bincount():
     assert list(_float_uses(ast.parse("h = np.bincount(x, weights=w)\n"))) == [(1, "weights=")]
 
 
+_CONSTRUCTORS = ("zeros", "empty", "ones", "full", "array")
+
+
+def _block_loop_allocations(tree):
+    """(line, call) for each numpy array constructor called in a `for` loop of FieldCtx.orbit_blocks.
+
+    Constructors are np.zeros, np.empty, np.ones, np.full, np.array and every
+    np.*_like.  None when the method is missing, so a rename cannot pass unseen.
+    """
+    methods = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "FieldCtx"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "orbit_blocks"
+    ]
+    if not methods:
+        return None
+    found = []
+    for loop in (node for node in methods[0].body if isinstance(node, ast.For)):
+        for node in ast.walk(loop):
+            func = node.func if isinstance(node, ast.Call) else None
+            if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)):
+                continue
+            if func.value.id in ("np", "numpy") and (func.attr in _CONSTRUCTORS or func.attr.endswith("_like")):
+                found.append((node.lineno, f"{func.value.id}.{func.attr}"))
+    return found
+
+
+def test_orbit_block_loop_allocates_nothing():
+    # every block is filled in place in buffers made once per walk; a fresh array per
+    # block page-faults anew on each one
+    assert _block_loop_allocations(ast.parse((SRC / "fields.py").read_text())) == []
+
+
+def test_block_loop_check_flags_a_planted_allocation():
+    planted = """
+class FieldCtx:
+    def orbit_blocks(self, giants):
+        buf = np.empty(8)
+        for b in giants:
+            out = np.zeros(8)
+            yield np.empty_like(out)
+"""
+    assert _block_loop_allocations(ast.parse(planted)) == [(6, "np.zeros"), (7, "np.empty_like")]
+    assert _block_loop_allocations(ast.parse("def orbit_blocks(): pass\n")) is None
+
+
 def test_field_element_internals_stay_in_fields():
     # an element's representation is private to fields.py: elsewhere, build elements
     # through FieldCtx and read them through .index
