@@ -2,11 +2,11 @@
 
 Three sum species: monomial exponential sums over F_{q^t}, Gauss sums,
 and Jacobi sums.  A monomial or Gauss sum over F_{q^t} depends on an
-element gamma_t^j only through j mod g and its absolute trace, so both
-are reads of one cached table, TowerCtx.trace_hist(t, g); a Gauss sum is
-a Fourier coefficient of it.  Jacobi sums histogram their character
-exponents directly.  Counts become a CycInt once at the end, so the
-intermediate work is plain integer vector addition.
+element gamma_t^j only through j mod g and its absolute trace: a Gauss sum
+is a Fourier coefficient of TowerCtx.trace_hist(t, g), a monomial sum counts
+one class from the walk TowerCtx.trace_blocks.  Jacobi sums histogram their
+character exponents directly.  Counts become a CycInt once at the end, so
+the intermediate work is plain integer vector addition.
 
 For p = 2 the Davenport-Hasse identity lifts a Gauss sum from the small
 field carrying the character to any extension by sign-twisted exact
@@ -65,14 +65,16 @@ def monomial_sum(tower: TowerCtx, t: int, i: int, n: int, cap: int | None = None
 
     n need not divide q^t - 1: with g = gcd(n, q^t - 1) the exponents
     i + k*n mod (q^t - 1) run g times over the class of i mod g, so the
-    sum is g times the trace counts of that class; the cap is tested on
-    that read, q^t/g + p, as well as on the orbit.
+    sum is g times the trace counts of that class, at offset (i - start) mod g
+    in each block; the cap is tested on that read, q^t/g + p, and the orbit.
     """
     if n <= 0:
         raise ValidationError("monomial exponent must be positive")
     g = math.gcd(n, tower.q**t - 1)
     tower.check_cap(tower.q**t // g + tower.p, cap, f"class {i % g} mod {g} of F_{{q^{t}}}*")
-    row = np.bincount(tower.orbit_abs_traces(t, cap)[i % g :: g], minlength=tower.p)
+    row = np.zeros(tower.p, dtype=np.int64)
+    for start, traces in tower.trace_blocks(t, cap):
+        row += np.bincount(traces[(i - start) % g :: g], minlength=tower.p)
     return CycInt.from_counts(tower.p, (g * row).tolist())
 
 

@@ -13,7 +13,7 @@ character sum M_t by one of several routes:
     Jacobi sum,
   * (p = 2, a = 0) Gauss sums lifted from small subfields by the
     Davenport-Hasse identity, and
-  * the double character sum over F_q* x F_{q^t}*, read from one trace
+  * the double character sum over F_q* x F_{q^t}*, read from the trace
     histogram of F_{q^t} (TowerCtx.trace_hist): q^t + p q elements.
 
 `plan` picks the route of every N_t up front, from the spec alone, and
@@ -192,7 +192,7 @@ def _restpd(spec: CountSpec, t: int) -> bool:
 
 
 def _general_size(q: int, p: int, t: int) -> int:
-    """Work of m_t_general: the orbit of F_{q^t}*, or p gathers over F_q* when larger (t = 1)."""
+    """Work of m_t_general: the orbit of F_{q^t}*, or its (q - 1) p-cell trace histogram when larger (t = 1)."""
     return max(q**t, p * q)
 
 
@@ -210,7 +210,8 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     tower.check_cap(_general_size(q, p, t), cap, f"the double sum over F_q* x F_{{q^{t}}}*")
     params = derive_params(spec, t, h=tower.dlog_g(spec.b) % s)
     big_g = math.gcd(s // params.d, q**t - 1)
-    flat = tower.trace_hist(t, big_g, cap).ravel()
+    # G | s | q - 1, so the histogram by q - 1 classes folds onto G classes
+    flat = tower.trace_hist(t, q - 1, cap).reshape(-1, big_g, p).sum(axis=0).ravel()
     w = np.arange(q - 1, dtype=np.int64)
     row = (params.i0 + params.t0 % big_g * w) % big_g * p
     if spec.a.is_zero():
@@ -218,7 +219,8 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     else:
         mt_inv = pow((spec.m // t) % p, -1, p)
         shift = tower.dlog_g(tower.embed(-(spec.a * mt_inv)))  # -(t/m) a
-        rot = tower.orbit_abs_traces(1, cap)[(shift + w) % (q - 1)].astype(np.int64)
+        # at t = 1 class c holds the one element g^c, in the column of its trace
+        rot = tower.trace_hist(1, q - 1, cap).argmax(axis=1)[(shift + w) % (q - 1)]
     # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w
     hist = [big_g * int(flat[row + (tau - rot) % p].sum()) for tau in range(p)]
     return CycInt.from_counts(p, hist).expect_integer("M_t general sum")

@@ -25,6 +25,7 @@ read at the baby steps (in characteristic 2, the parity of the AND of packed
 words).  orbit_blocks streams the orbit in blocks of consecutive j, so a
 consumer never holds the whole orbit; it fills every block in place in one
 set of buffers per walk, so a block is valid until the next is asked for.
+Log tables, trace histograms and the oracle all consume it block by block.
 """
 
 from __future__ import annotations
@@ -524,16 +525,15 @@ class FieldCtx:
     def log_table(self) -> np.ndarray:
         """Read-only int32 array whose entry i is the log of the element of index i (-1 at 0).
 
-        Built from one orbit of the generator and checked to be a permutation
-        of F_q*.  Kept on the field when q <= LOG_TABLE_MAX_ORDER, built
-        afresh on each call above it.
+        Scattered block by block from one orbit of the generator and checked
+        to be a permutation of F_q*.  Kept on the field when q <=
+        LOG_TABLE_MAX_ORDER, built afresh on each call above it.
         """
         if self._log_table is not None:
             return self._log_table
-        n = self.group_order
-        powers = self.linear_orbit(self.generator, np.eye(self.r, dtype=np.int64), n)
         table = np.full(self.order, -1, dtype=np.int32)
-        table[powers] = np.arange(n, dtype=np.int32)
+        for start, powers in self.orbit_blocks(self.generator, np.eye(self.r, dtype=np.int64), self.group_order):
+            table[powers] = np.arange(start, start + len(powers), dtype=np.int32)
         if table[0] != -1 or np.count_nonzero(table < 0) != 1:
             raise InvariantError("powers of the generator are not a permutation of F_q*")
         table.flags.writeable = False
@@ -706,7 +706,6 @@ class TowerCtx:
             self.gamma[t] = gm ** (top_group // (self.q**t - 1))
         self.g = self.gamma[1]
         self._abs_trace_cols: dict[int, np.ndarray] = {}
-        self._orbit_traces: dict[int, np.ndarray] = {}
         self._trace_hists: dict[tuple[int, int], np.ndarray] = {}
         self._embed_rows: list[list[int]] | None = None
         self._solver: _FpSolver | None = None
@@ -885,22 +884,17 @@ class TowerCtx:
                 f"forms or the Davenport-Hasse lift remain available where applicable"
             )
 
-    def orbit_abs_traces(self, t: int, cap: int | None = None) -> np.ndarray:
-        """abs_trace(gamma_t^e, t) for e in [0, q^t - 1), read-only, in the smallest unsigned dtype holding p - 1.
-
-        The cap is tested on every call, so a warm cache serves nothing a
-        cold one would refuse.
-        """
+    def trace_blocks(self, t: int, cap: int | None = None):
+        """orbit_blocks of abs_trace(gamma_t^j, t), j < q^t - 1; refuses t not dividing m or q^t over the cap."""
         if t not in self.gamma:
             raise InvalidDegree(f"{t} does not divide {self.m}")
-        n = self.q**t
-        self.check_cap(n, cap, f"the orbit of F_{{q^{t}}}")
-        if t not in self._orbit_traces:
-            vals = self.top.linear_orbit(self.gamma[t], self.abs_trace_column(t), n - 1)
-            vals = vals.astype(np.min_scalar_type(self.p - 1))
-            vals.flags.writeable = False
-            self._orbit_traces[t] = vals
-        return self._orbit_traces[t]
+        self.check_cap(self.q**t, cap, f"the orbit of F_{{q^{t}}}")
+        return self.top.orbit_blocks(self.gamma[t], self.abs_trace_column(t), self.q**t - 1)
+
+    def orbit_abs_traces(self, t: int, cap: int | None = None) -> np.ndarray:
+        """trace_blocks joined into one array, in the smallest unsigned dtype holding p - 1; not cached."""
+        dtype = np.min_scalar_type(self.p - 1)
+        return np.concatenate([traces.astype(dtype) for _, traces in self.trace_blocks(t, cap)])
 
     def trace_hist(self, t: int, g: int, cap: int | None = None) -> np.ndarray:
         """H[c, tau] = #{j < q^t - 1 : j = c mod g, abs_trace(gamma_t^j, t) = tau}.
@@ -917,9 +911,20 @@ class TowerCtx:
         self.check_cap(max(big_q + 1, g * self.p), cap, f"the F_{{q^{t}}} trace histogram by {g} classes")
         key = (t, g)
         if key not in self._trace_hists:
-            traces = self.orbit_abs_traces(t, cap).reshape(-1, g)
-            labels = traces + np.arange(0, g * self.p, self.p, dtype=np.int64)
-            hist = np.bincount(labels.ravel(), minlength=g * self.p).reshape(g, self.p)
+            size = g * self.p
+            hist = np.zeros(size, dtype=np.int64)
+            classes = np.empty(0, dtype=np.int64)
+            for start, labels in self.trace_blocks(t, cap):
+                # label (j mod g) p + tau in place; the class offset has period g, so each block slices one pattern
+                offset = start % g
+                if len(classes) < offset + len(labels):
+                    classes = np.tile(np.arange(0, size, self.p, dtype=np.int64), len(labels) // g + 2)
+                labels += classes[offset : offset + len(labels)]
+                if size > len(labels):  # a bincount would cost the whole table per block
+                    np.add.at(hist, labels, 1)
+                else:
+                    hist += np.bincount(labels, minlength=size)
+            hist = hist.reshape(g, self.p)
             hist.flags.writeable = False
             self._trace_hists[key] = hist
             while len(self._trace_hists) > _TRACE_HIST_CACHE_SIZE:

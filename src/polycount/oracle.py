@@ -110,7 +110,7 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
         if len(norm_logs) < offset + len(bucket):
             norm_logs = np.tile(np.arange(n, dtype=np.int64) * (m // t) % n, len(bucket) // n + 2)
         bucket += norm_logs[offset : offset + len(bucket)]
-        np.add.at(counts, bucket, 1)
+        counts += np.bincount(bucket, minlength=len(counts))
         elements += len(bucket)
     # fold shift + w mod q - 1: zero[d][w] and unit[d][u] count the walked elements
     zero, unit = counts.reshape(len(divs), 2, 2, n).sum(axis=2).transpose(1, 0, 2)

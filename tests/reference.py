@@ -1,9 +1,10 @@
 """Test-only references and checks.
 
 Nothing in the package imports this module.  The whole-array functions
-recompute an oracle value the simplest way, over whole-orbit arrays, so the
-streamed code in polycount.oracle can be compared with it.  The character
-sum checks compare two independent routes to the same sum.
+recompute an oracle value, a trace histogram or a log table the simplest
+way, over whole-orbit arrays, so the streamed code in polycount.oracle and
+polycount.fields can be compared with it.  The character sum checks
+compare two independent routes to the same sum.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from polycount.charsums import MultChar, gauss_sum, gauss_sum_folded, gauss_sum_
 from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
 from polycount.errors import ValidationError
-from polycount.fields import FieldElement, TowerCtx, build_tower, min_poly
+from polycount.fields import FieldCtx, FieldElement, TowerCtx, build_tower, min_poly
 from polycount.intmath import divisors, factorize
 from polycount.oracle import DEFAULT_ORACLE_CAP, brute_scan
 
@@ -44,6 +45,26 @@ def whole_orbit_counts(tower: TowerCtx, t: int) -> np.ndarray:
     wnorm = np.arange(big_q, dtype=np.int64) * (m // t) % (q - 1)
     combined = (deg_pos * q + labels) * (q - 1) + wnorm
     return np.bincount(combined, minlength=len(divs) * q * (q - 1)).reshape(len(divs), q, q - 1)
+
+
+def whole_orbit_trace_hist(tower: TowerCtx, t: int, g: int) -> np.ndarray:
+    """TowerCtx.trace_hist from the whole orbit's traces and one bincount."""
+    traces = tower.top.linear_orbit(tower.gamma[t], tower.abs_trace_column(t), tower.q**t - 1)
+    traces = traces.astype(np.min_scalar_type(tower.p - 1)).reshape(-1, g)
+    labels = traces + np.arange(0, g * tower.p, tower.p, dtype=np.int64)
+    hist = np.bincount(labels.ravel(), minlength=g * tower.p).reshape(g, tower.p)
+    hist.flags.writeable = False
+    return hist
+
+
+def whole_orbit_log_table(field: FieldCtx) -> np.ndarray:
+    """FieldCtx.log_table from the whole orbit of the generator and one scatter."""
+    n = field.group_order
+    powers = field.linear_orbit(field.generator, np.eye(field.r, dtype=np.int64), n)
+    table = np.full(field.order, -1, dtype=np.int32)
+    table[powers] = np.arange(n, dtype=np.int32)
+    table.flags.writeable = False
+    return table
 
 
 def whole_orbit_listing(spec: CountSpec) -> list[tuple[int, ...]]:

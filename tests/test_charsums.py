@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import char_connect_check, dh_consistency_check
 
+from polycount import fields
 from polycount.charsums import (
     MultChar,
     gauss_sum,
@@ -16,7 +17,7 @@ from polycount.charsums import (
     monomial_sum,
 )
 from polycount.cyclotomic import CycInt, sqrt_minus
-from polycount.errors import EnumerationCapExceeded, ValidationError
+from polycount.errors import EnumerationCapExceeded, InvalidDegree, ValidationError
 from polycount.fields import build_field, build_tower
 from polycount.intmath import divisors
 
@@ -112,6 +113,16 @@ def test_monomial_cap():
     with pytest.raises(EnumerationCapExceeded):
         monomial_sum(tw, 8, 0, 1, cap=257)
     assert monomial_sum(tw, 8, 0, 1, cap=258).as_integer() == -1
+    with pytest.raises(InvalidDegree):
+        monomial_sum(build_tower(2, 1, 4), 3, 0, 1)  # F_8 is not inside F_16
+
+
+def test_monomial_sum_reads_its_class_across_blocks(monkeypatch):
+    # F_{4^5}* walked in blocks of 32, which none of the classes mod 33, 93 or 341 divides
+    monkeypatch.setattr(fields, "_ORBIT_CHUNK", 7)
+    tw = build_tower(2, 2, 5)
+    for i, n in ((0, 1), (5, 33), (40, 93), (700, 341)):
+        assert monomial_sum(tw, 5, i, n) == naive_monomial_sum(tw, 5, i, n)
 
 
 def test_gauss_trivial_character():

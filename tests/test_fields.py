@@ -2,12 +2,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import whole_orbit_log_table, whole_orbit_trace_hist
 
 import polycount
 from polycount.errors import (
@@ -19,6 +21,7 @@ from polycount.errors import (
 )
 from polycount.fields import (
     FieldCtx,
+    TowerCtx,
     build_field,
     build_tower,
     min_poly,
@@ -395,7 +398,7 @@ def test_walk_results_are_unchanged_by_a_later_walk(monkeypatch):
     orbit = ctx.linear_orbit(ctx.generator, eye, 300)
     kept = orbit.copy()
     tower = build_tower(2, 3, 4)
-    cached = [tower.base.log_table(), tower.top.log_table(), tower.orbit_abs_traces(4), tower.trace_hist(4, 5)]
+    cached = [tower.base.log_table(), tower.top.log_table(), tower.trace_hist(4, 5)]
     copies = [a.copy() for a in cached]
     # later walks in the same fields, one stopped half way
     ctx.linear_orbit(ctx.generator**3, eye, 300)
@@ -486,6 +489,46 @@ def test_orbit_abs_traces_hold_traces_beyond_255():
     tr2 = tw.orbit_abs_traces(2)
     for e in range(0, 257**2 - 1, 997):
         assert int(tr2[e]) == tw.abs_trace(tw.gamma[2] ** e, 2)
+
+
+def _same_array(a, b):
+    return (a.dtype, a.shape, a.flags.writeable, a.tobytes()) == (b.dtype, b.shape, b.flags.writeable, b.tobytes())
+
+
+# (p, r, m, t, chunk): two packed words (F_{2^14} inside F_{2^70}); traces beyond 255
+# over F_257; blocks of 64 at F_{8^4} and of 25 at F_{25^2}, which q - 1 = 7 and 24 do
+# not divide, and which q^t - 1 classes (or 24 classes of 5 traces) outnumber
+_STREAMED_CASES = [(2, 7, 10, 2, None), (257, 1, 2, 1, None), (257, 1, 2, 2, None), (2, 3, 4, 4, 7), (5, 2, 2, 2, 7)]
+
+
+@pytest.mark.parametrize("p, r, m, t, chunk", _STREAMED_CASES)
+def test_streamed_tables_match_whole_orbit_ones(monkeypatch, p, r, m, t, chunk):
+    if chunk:
+        monkeypatch.setattr(polycount.fields, "_ORBIT_CHUNK", chunk)
+    tower = TowerCtx(p, r, m)  # a fresh tower, so no histogram is cached
+    q = p**r
+    # F_{257^2} by q^2 - 1 classes would be a 17M-cell table
+    classes = [g for g in sorted({1, q - 1, q**t - 1}) if g * p <= 1 << 20]
+    for g in classes:
+        assert _same_array(tower.trace_hist(t, g), whole_orbit_trace_hist(tower, t, g)), g
+    field = FieldCtx(p, r * t)  # a fresh field, so no log table is cached
+    assert _same_array(field.log_table(), whole_orbit_log_table(field))
+
+
+def test_trace_hist_memory_does_not_grow_with_the_orbit():
+    # the whole orbit of F_{2^20} as int64 is 8 MB; the streamed histogram holds a
+    # few 2^16-element blocks and a 3 x 2 table
+    tower = build_tower(2, 20, 1)
+    tower.abs_trace_column(1)  # fills the tower's lazy Frobenius cache
+    tower._trace_hists.pop((1, 3), None)
+    tracemalloc.start()
+    try:
+        hist = tower.trace_hist(1, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
+    assert int(hist.sum()) == (1 << 20) - 1
 
 
 def test_trace_hist_validates_and_caps():

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polycount"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polycount"
 
 
 def test_no_assert_statements_in_the_package():
@@ -71,15 +73,31 @@ def _block_loop_allocations(tree):
     ]
     if not methods:
         return None
+    return [found for loop in methods[0].body if isinstance(loop, ast.For) for found in _allocations(loop)]
+
+
+def _allocations(tree):
+    """(line, call) for each numpy array constructor called under tree."""
     found = []
-    for loop in (node for node in methods[0].body if isinstance(node, ast.For)):
-        for node in ast.walk(loop):
-            func = node.func if isinstance(node, ast.Call) else None
-            if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)):
-                continue
-            if func.value.id in ("np", "numpy") and (func.attr in _CONSTRUCTORS or func.attr.endswith("_like")):
-                found.append((node.lineno, f"{func.value.id}.{func.attr}"))
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)):
+            continue
+        if func.value.id in ("np", "numpy") and (func.attr in _CONSTRUCTORS or func.attr.endswith("_like")):
+            found.append((node.lineno, f"{func.value.id}.{func.attr}"))
     return found
+
+
+def _walk_consumers(tree):
+    """Every `for` loop over the blocks of an orbit walk, orbit_blocks(...) or trace_blocks(...)."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Attribute)
+        and node.iter.func.attr in ("orbit_blocks", "trace_blocks")
+    ]
 
 
 def test_orbit_block_loop_allocates_nothing():
@@ -101,6 +119,29 @@ class FieldCtx:
     assert _block_loop_allocations(ast.parse("def orbit_blocks(): pass\n")) is None
 
 
+def test_walk_consumers_allocate_nothing_per_block():
+    # the oracle, the listing, log tables and trace histograms all consume the walk; a
+    # fresh array per block in any of them page-faults anew on each block
+    loops, found = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for loop in _walk_consumers(ast.parse(path.read_text())):
+            loops += 1
+            found += [f"{path.name}:{line}: {call}" for line, call in _allocations(loop)]
+    assert loops >= 6 and found == []
+
+
+def test_walk_consumer_check_flags_a_planted_allocation():
+    planted = """
+def consume(tower):
+    for start, traces in tower.trace_blocks(1):
+        row = np.zeros(2)
+    for start, labels in range(3):
+        np.empty(1)
+"""
+    loops = _walk_consumers(ast.parse(planted))
+    assert len(loops) == 1 and _allocations(loops[0]) == [(4, "np.zeros")]
+
+
 def test_field_element_internals_stay_in_fields():
     # an element's representation is private to fields.py: elsewhere, build elements
     # through FieldCtx and read them through .index
@@ -117,3 +158,53 @@ def test_field_element_internals_stay_in_fields():
                 if name == "FieldElement":
                     found.append(f"{path.name}:{node.lineno}: FieldElement(...)")
     assert found == []
+
+
+def _missing_probe_targets(tree):
+    """Names that a perfbench probe module patches and polycount lacks.
+
+    fn(module, "attr", ...) needs polycount.<module>.<attr>; meth(module.Class,
+    ("attr", ...), ...) needs each attr in Class.__dict__, which is where the
+    tracer looks a method up.
+    """
+    missing = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) >= 2):
+            continue
+        target, names = node.args[:2]
+        if node.func.id == "fn" and isinstance(target, ast.Name):
+            if not hasattr(importlib.import_module(f"polycount.{target.id}"), names.value):
+                missing.append(f"{target.id}.{names.value}")
+        elif node.func.id == "meth" and isinstance(target, ast.Attribute):
+            cls = getattr(importlib.import_module(f"polycount.{target.value.id}"), target.attr, None)
+            missing += [
+                f"{target.value.id}.{target.attr}.{name.value}"
+                for name in names.elts
+                if cls is None or name.value not in vars(cls)
+            ]
+    return missing
+
+
+def test_every_name_the_benchmark_probes_exists():
+    # perfbench/probes.py patches these by name in every traced round; it is parsed
+    # here, not imported, so the check needs none of the harness
+    tree = ast.parse((ROOT / "perfbench" / "probes.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None)]
+    assert sum(call.func.id in ("fn", "meth") for call in calls) > 20
+    assert _missing_probe_targets(tree) == []
+
+
+def test_probe_check_flags_a_missing_name():
+    planted = """
+meth(fields.FieldCtx, ("dlog", "gone"), "fields.dlog")
+meth(fields.NoSuchClass, ("dlog",), "x")
+meth(fields.TowerCtx, ("build_field",), "x")
+fn(fields, "no_such_function", "x")
+fn(fields, "build_field", "fields.build_field")
+"""
+    assert _missing_probe_targets(ast.parse(planted)) == [
+        "fields.FieldCtx.gone",
+        "fields.NoSuchClass.dlog",
+        "fields.TowerCtx.build_field",
+        "fields.no_such_function",
+    ]
