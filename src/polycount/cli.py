@@ -33,9 +33,13 @@ TABLE5 = {
 }
 
 
-def _env_cap(name: str, default: int) -> int:
-    v = os.environ.get(name)
-    return int(v) if v else default
+# cap attribute -> (environment variable, default), read after parse_args when no flag was given
+_CAPS = {
+    "enum_cap": ("POLYCOUNT_ENUM_CAP", DEFAULT_ENUM_CAP),
+    "oracle_cap": ("POLYCOUNT_ORACLE_CAP", DEFAULT_ORACLE_CAP),
+    "listing_cap": ("POLYCOUNT_LISTING_CAP", DEFAULT_LISTING_CAP),
+}
+_parser: argparse.ArgumentParser | None = None
 
 
 def parse_element(ctx, text: str):
@@ -297,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--enum-cap",
         type=int,
-        default=_env_cap("POLYCOUNT_ENUM_CAP", DEFAULT_ENUM_CAP),
+        default=None,
         help="max field size any single enumeration may touch",
     )
     common.add_argument(
         "--oracle-cap",
         type=int,
-        default=_env_cap("POLYCOUNT_ORACLE_CAP", DEFAULT_ORACLE_CAP),
+        default=None,
         help="max field size the brute-force oracle may scan",
     )
     ap = argparse.ArgumentParser(
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("list", parents=[common], help="list the matching irreducible polynomials")
     add_spec_args(sp)
-    sp.add_argument("--listing-cap", type=int, default=_env_cap("POLYCOUNT_LISTING_CAP", DEFAULT_LISTING_CAP))
+    sp.add_argument("--listing-cap", type=int, default=None)
     sp.set_defaults(func=cmd_list)
 
     sp = sub.add_parser("table5", parents=[common], help="reproduce the small-field reference table and diff it")
@@ -371,7 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    for name, (var, default) in _CAPS.items():
+        if getattr(args, name, 0) is None:
+            setattr(args, name, int(os.environ.get(var) or default))
     try:
         return args.func(args)
     except PolycountError as exc:

@@ -327,7 +327,8 @@ class FieldCtx:
             fac = self.order_factorization()
             primes = [q for q, _ in fac]
             n = self.group_order
-            for idx in range(1, self.order):
+            # indices below p are F_p, whose orders divide p - 1 < n when r > 1
+            for idx in range(self.p if self.r > 1 else 1, self.order):
                 x = self.from_index(idx)
                 if all(not (x ** (n // q)) == self.one for q in primes):
                     self._gen = x

@@ -3,9 +3,9 @@
 One pass over F_{q^t}* (as powers of gamma_t) buckets every element by
 (exact subfield degree, trace to F_q, discrete log of the norm mod q-1).
 The pass walks one element of each F_q*-coset, since scaling by F_q*
-moves the trace and the norm log predictably, and expands its buckets to
-all of F_{q^t}* at the end.  From those buckets: N_t, T_t, and P_m for
-every (a, coset) cell at once.
+moves the trace and the norm log predictably, and keeps only its per-coset
+sums, O(q) numbers per degree; each (a, coset) cell is read from them on
+request, so N_t, T_t and P_m never need the q(q-1) table of every cell.
 Listing mode walks the matching Frobenius orbits and rebuilds minimal
 polynomials.
 """
@@ -31,23 +31,33 @@ DEFAULT_LISTING_CAP = 10**5
 class BruteResult:
     """Bucketed counts from one exhaustive pass over F_{q^t}*.
 
-    counts[di][a][w] is the number of x = gamma_t^e of exact degree
-    divs[di] with Tr_m(x) the base-field element of index a and
-    dlog_g(Norm_m(x)) = w; the array is read-only.  elements is the number
-    of orbit elements the pass walked.
+    The count of x = gamma_t^e of exact degree divs[di] with Tr_m(x) the
+    base-field element of index a and dlog_g(Norm_m(x)) = w is
+    source[di, cols[a] + w], 0 <= w < q - 1: each label reads a window of
+    q - 1 entries of its degree's row.  Both arrays are read-only.  elements
+    is the number of orbit elements the pass walked.
     """
 
     tower: TowerCtx
     t: int
     divs: list[int]
-    counts: np.ndarray
+    source: np.ndarray
+    cols: np.ndarray
     elements: int
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The read-only table counts[di][a][w] of every cell, built on each call."""
+        table = sliding_window_view(self.source, len(self.cols) - 1, axis=1)[:, self.cols]
+        table.flags.writeable = False
+        return table
 
     def cell(self, exact_degree: int, a_index: int, residue: int, s: int) -> int:
         """Count of exact-degree elements with trace a and norm-log = residue mod s."""
         if exact_degree not in self.divs:
             return 0
-        row = self.counts[self.divs.index(exact_degree), a_index]
+        start = int(self.cols[a_index])
+        row = self.source[self.divs.index(exact_degree), start : start + len(self.cols) - 1]
         return int(row[residue % s :: s].sum()) if s > 1 else int(row.sum())
 
 
@@ -64,9 +74,12 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     log w + km mod (q - 1).  The orbit walk through the composed trace form
     covers e in [0, R) only, one block at a time; each block turns into indices
     of a small table keyed by (degree, Tr != 0, v), with v = w at trace 0 and
-    v = w - m log_g(Tr) otherwise, the same for the whole coset.  One gather
-    expands that table into q(q-1) cells per degree, which the cap bounds with
-    q^t, as it did when the walk covered all of F_{q^t}*.
+    v = w - m log_g(Tr) otherwise, the same for the whole coset.  The result
+    keeps that table folded to 3(q - 1) sums per degree and the start of each
+    label's window of q - 1 of them; a cell sums every s-th entry of one
+    window.  The q(q-1) cells per degree are built only when `counts` is
+    read, and the cap still bounds them with q^t, as it did when the walk
+    covered all of F_{q^t}*.
     """
     q, m = tower.q, tower.m
     big_q = q**t - 1
@@ -119,9 +132,10 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     c = math.gcd(m, n)
     zero_row = np.tile(zero.reshape(len(divs), n // c, c).sum(axis=1) * c, n // c)
     source = np.concatenate([zero_row, unit, unit], axis=1)
-    table = sliding_window_view(source, n, axis=1)[:, np.where(log_g < 0, 0, n + shift)]
-    table.flags.writeable = False
-    result = BruteResult(tower=tower, t=t, divs=divs, counts=table, elements=elements)
+    cols = np.where(log_g < 0, 0, n + shift)
+    source.flags.writeable = False
+    cols.flags.writeable = False
+    result = BruteResult(tower=tower, t=t, divs=divs, source=source, cols=cols, elements=elements)
     _scan_cache[key] = result
     while len(_scan_cache) > _SCAN_CACHE_SIZE:
         del _scan_cache[next(iter(_scan_cache))]

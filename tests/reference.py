@@ -31,6 +31,18 @@ def brute_t_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     return scan.cell(t, spec.a.index, _h(spec, tower), spec.s)
 
 
+def naive_generator_index(field: FieldCtx) -> int:
+    """The first index from 1 whose element has order q - 1, each order by repeated products."""
+    for idx in range(1, field.order):
+        x = field.from_index(idx)
+        power, order = x, 1
+        while power != field.one:
+            power, order = power * x, order + 1
+        if order == field.group_order:
+            return idx
+    raise ValidationError("no element of full order")
+
+
 def whole_orbit_counts(tower: TowerCtx, t: int) -> np.ndarray:
     """brute_scan's bucket table from whole-orbit arrays and one bincount."""
     q, m = tower.q, tower.m

@@ -162,6 +162,20 @@ def test_env_var_caps(monkeypatch):
     assert "cap" in err
 
 
+def test_env_var_caps_are_read_on_every_call(monkeypatch):
+    # the parser is built once per process; a cap variable set after that still counts
+    argv = ("count", "--p", "2", "--m", "8", "--a", "0", "--s", "1", "--method", "brute")
+    monkeypatch.delenv("POLYCOUNT_ORACLE_CAP", raising=False)
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out.splitlines()[0] == "14"
+    monkeypatch.setenv("POLYCOUNT_ORACLE_CAP", "100")
+    code, _, err = run_cli(*argv)
+    assert code == 3
+    assert "oracle cap 100" in err
+    code, out, _ = run_cli(*argv, "--oracle-cap", "256")
+    assert code == 0 and out.splitlines()[0] == "14"
+
+
 def test_sum_jacobi():
     code, out, _ = run_cli("sum", "--kind", "jacobi", "--p", "5", "--t", "2", "--n", "2")
     assert code == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import whole_orbit_log_table, whole_orbit_trace_hist
+from reference import naive_generator_index, whole_orbit_log_table, whole_orbit_trace_hist
 
 import polycount
 from polycount.errors import (
@@ -27,7 +27,7 @@ from polycount.fields import (
     min_poly,
     poly_is_irreducible,
 )
-from polycount.intmath import divisors
+from polycount.intmath import divisors, is_prime
 
 
 def test_build_field_prime_fields():
@@ -86,6 +86,14 @@ def test_generator_order_is_exact():
         # no earlier element has full order
         for idx in range(1, g.index):
             assert ctx.element_order(ctx.from_index(idx)) < ctx.group_order
+
+
+def test_generator_matches_the_naive_search():
+    # the search skips F_p (indices below p) when r > 1; the naive one starts at 1
+    cases = [(p, r) for p in range(2, 1 << 10) if is_prime(p) for r in range(1, 11) if p**r <= 1 << 10]
+    for p, r in cases:
+        field = build_field(p, r)
+        assert field.generator.index == naive_generator_index(field), (p, r)
 
 
 def test_tower_examples():

@@ -82,6 +82,12 @@ def test_brute_scan_matches_naive_buckets(p, r, m):
             degree = next(d for d in scan.divs if tower.subfield_contains(x, d))
             want[scan.divs.index(degree), a, w] += 1
         assert np.array_equal(scan.counts, want)
+        # cell reads its window of the per-coset sums, not the table above
+        for di, degree in enumerate(scan.divs):
+            for a in range(q):
+                for s in divisors(q - 1):
+                    for residue in range(s):
+                        assert scan.cell(degree, a, residue, s) == want[di, a, residue::s].sum()
 
 
 # block sizes: 1 and 7 give one giant-step row (about sqrt(q^t) elements) per block,
@@ -141,8 +147,11 @@ def test_cached_tables_are_read_only():
     spec = CountSpec.make(2, 2, 5, 3, a=0, b=1)
     tower = build_tower(2, 2, 5)
     brute_p_m(spec)
+    scan = brute_scan(tower, 5)
     tables = [
-        brute_scan(tower, 5).counts,
+        scan.counts,
+        scan.source,
+        scan.cols,
         tower.top.log_table(),
         tower.top.frob_matrix(),
         tower.top.frob_matrix(0),
@@ -181,6 +190,25 @@ def test_brute_scan_memory_does_not_grow_with_the_orbit():
         tracemalloc.stop()
     assert peak < 8 << 20, peak
     assert int(scan.counts.sum()) == (1 << 22) - 1
+
+
+def test_brute_scan_memory_does_not_grow_with_the_cells():
+    # F_{2^11}: q(q - 1) = 4.2M cells per degree, a 64 MB table over t = 2; the scan
+    # keeps 3(q - 1) sums per degree and q window starts
+    tower = build_tower(2, 11, 2)
+    tower.base_trace_form()
+    tower.base.log_table()
+    oracle._scan_cache.pop((2, 11, 2, 2), None)
+    tracemalloc.start()
+    try:
+        scan = brute_scan(tower, 2)
+        cells = [scan.cell(2, a, 0, 1) for a in range(1 << 11)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert scan.source.nbytes + scan.cols.nbytes < 256 << 10
+    assert sum(cells) == (1 << 22) - (1 << 11)
 
 
 def test_scan_cache_keeps_the_last_eight_scans():
