@@ -46,8 +46,6 @@ from .cyclotomic import (
     OMEGA_21,
     OMEGA_23,
     CycInt,
-    EisensteinInt,
-    GaussianInt,
     QuadPow,
     quadratic_gauss_sum,
     sqrt_minus,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .errors import EnumerationCapExceeded, ValidationError
-from .fields import FieldCtx, FieldElement, TowerCtx, _index_add
+from .fields import DEFAULT_ENUM_CAP, FieldCtx, FieldElement, TowerCtx, _index_add
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
     q, p, r = field.order, field.p, field.r
     if (q - 1) % n != 0:
         raise ValidationError("character order must divide q - 1")
-    cap = (1 << 24) if cap is None else cap
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
     size = q ** max(t - 1, 0)
     if size > cap:
         raise EnumerationCapExceeded(

@@ -260,7 +260,7 @@ def cmd_jacobi(args) -> int:
     rows = []
     if args.order == 4:
         par = quartic_params(args.p, g)
-        val = jacobi_closed(4, args.t, args.p, par)
+        a, b = (jacobi_closed(4, args.t, args.p, par).reduced() + (0,))[:2]
         rows.append(
             {
                 "order": 4,
@@ -269,12 +269,12 @@ def cmd_jacobi(args) -> int:
                 "t": args.t,
                 "a": par.a4,
                 "b": par.b4,
-                "value": f"{val.a}{val.b:+}i",
+                "value": f"{a}{b:+}i",
             }
         )
     elif args.order == 3:
         par = cubic_params(args.p, g)
-        val = jacobi_closed(3, args.t, args.p, par)
+        a, b = (jacobi_closed(3, args.t, args.p, par).reduced() + (0,))[:2]
         rows.append(
             {
                 "order": 3,
@@ -283,7 +283,7 @@ def cmd_jacobi(args) -> int:
                 "t": args.t,
                 "a": par.a3,
                 "b": par.b3,
-                "value": f"{val.a}{val.b:+}z3",
+                "value": f"{a}{b:+}z3",
             }
         )
     elif args.order == 2:

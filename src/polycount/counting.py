@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charsums import MultChar, gauss_sum_lifted, jacobi_brute
-from .cyclotomic import CycInt, EisensteinInt, GaussianInt
+from .cyclotomic import CycInt
 from .errors import (
     EnumerationCapExceeded,
     InvariantError,
@@ -218,7 +218,7 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
         rot = 0
     else:
         mt_inv = pow((spec.m // t) % p, -1, p)
-        shift = tower.dlog_g(tower.embed(-(spec.a * mt_inv)))  # -(t/m) a
+        shift = tower.dlog_g(-(spec.a * mt_inv))  # -(t/m) a
         # at t = 1 class c holds the one element g^c, in the column of its trace
         rot = tower.trace_hist(1, q - 1, cap).argmax(axis=1)[(shift + w) % (q - 1)]
     # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w
@@ -265,8 +265,8 @@ def _jacobi_value(spec: CountSpec, t: int, order: int, allow_brute: bool, cap: i
     if order in (3, 4) and spec.r == 1:
         g = spec.base.generator_index
         if order == 4:
-            return jacobi_closed(4, t, p, _quartic(p, g)).to_cyc(4)
-        return jacobi_closed(3, t, p, _cubic(p, g)).to_cyc(3)
+            return jacobi_closed(4, t, p, _quartic(p, g))
+        return jacobi_closed(3, t, p, _cubic(p, g))
     if not allow_brute:
         raise TableNotApplicable(
             f"no closed Jacobi form for character order {order} at q = {q}"
@@ -436,7 +436,7 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
             elif (d, l) == (1, 2):
                 val = Fraction(p ** (t - 1) - 1 - sign_i0 * p ** ((t - 2) // 2) * (p - 1), 4)
             elif (d, l) == (1, 4):
-                re2 = (pi ** (t // 2) * GaussianInt.i_power(i0)).twice_real()
+                re2 = (pi ** (t // 2) * CycInt.root(4, i0)).twice_real()
                 val = Fraction(
                     p ** (t - 1) - 1 - sign_i0 * p ** ((t - 4) // 4) * (p - 1) * (p ** (t // 4) + re2),
                     4,
@@ -457,14 +457,14 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
                     4,
                 )
             elif (d, l) == (1, 2):
-                re2 = (pi ** (t // 2) * GaussianInt.i_power(i0)).twice_real()
+                re2 = (pi ** (t // 2) * CycInt.root(4, i0)).twice_real()
                 val = Fraction(
                     p ** (t - 1)
                     + sign_i0 * p ** ((t - 2) // 4) * (p ** ((t - 2) // 4) - rho_a0 * re2),
                     4,
                 )
             elif (d, l) == (1, 4):
-                re2 = (pi ** (t // 2) * GaussianInt.i_power(i0)).twice_real()
+                re2 = (pi ** (t // 2) * CycInt.root(4, i0)).twice_real()
                 val = Fraction(
                     p ** (t - 1) + sign_i0 * p ** ((t - 4) // 4) * (p ** (t // 4) + re2), 4
                 )
@@ -482,7 +482,7 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
             if (d, l) == (1, 1):
                 val = Fraction(p ** (t - 1) - 1, 3)
             elif (d, l) == (1, 3):
-                re2 = (pi ** (t // 3) * EisensteinInt.zeta_power(2 * i0)).twice_real()
+                re2 = (pi ** (t // 3) * CycInt.root(3, 2 * i0)).twice_real()
                 val = Fraction(
                     p ** (t - 1) - 1 - 2 * sign_t * p ** ((t - 3) // 3) * (p - 1) * Fraction(re2, 2),
                     3,
@@ -494,7 +494,7 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
                 qt3 = _q_t3(spec, t, par, i0)
                 val = Fraction(p ** (t - 1) - sign_t * qt3.twice_real(), 3)
             elif (d, l) == (1, 3):
-                re2 = (pi ** (t // 3) * EisensteinInt.zeta_power(2 * i0)).twice_real()
+                re2 = (pi ** (t // 3) * CycInt.root(3, 2 * i0)).twice_real()
                 val = Fraction(p ** (t - 1) + sign_t * p ** ((t - 3) // 3) * re2, 3)
             else:  # (3, 1)
                 val = Fraction(p ** (t - 1))
@@ -503,43 +503,28 @@ def _table_s34(spec: CountSpec, t: int, s: int) -> int:
     return int(val)
 
 
-def _q_t4(spec: CountSpec, t: int, par: QuarticParams, i0: int) -> GaussianInt:
+def _q_t4(spec: CountSpec, t: int, par: QuarticParams, i0: int) -> CycInt:
     p = spec.p
     log_neg_a0 = spec.base.dlog(-spec.a0(t))
     if t % 4 == 1:
-        chi_bar = GaussianInt.i_power(-log_neg_a0)
-        return GaussianInt(p ** ((t - 1) // 4)) * par.pi ** ((t - 1) // 2) * chi_bar * GaussianInt.i_power(i0)
+        chi_bar = CycInt.root(4, -log_neg_a0)
+        return p ** ((t - 1) // 4) * par.pi ** ((t - 1) // 2) * chi_bar * CycInt.root(4, i0)
     if t % 4 == 3:
-        chi = GaussianInt.i_power(log_neg_a0)
+        chi = CycInt.root(4, log_neg_a0)
         sign = -1 if par.f % 2 else 1
-        return (
-            GaussianInt(sign * p ** ((t - 3) // 4))
-            * par.pi ** ((t + 1) // 2)
-            * chi
-            * GaussianInt.i_power(i0)
-        )
+        return sign * p ** ((t - 3) // 4) * par.pi ** ((t + 1) // 2) * chi * CycInt.root(4, i0)
     raise InvariantError("Q_{t,4} needs odd t")  # (1,1) rows always have odd t
 
 
-def _q_t3(spec: CountSpec, t: int, par: CubicParams, i0: int) -> EisensteinInt:
+def _q_t3(spec: CountSpec, t: int, par: CubicParams, i0: int) -> CycInt:
     p = spec.p
     log_a0 = spec.base.dlog(spec.a0(t))
     if t % 3 == 1:
-        chi_bar = EisensteinInt.zeta_power((-log_a0) % 3)
-        return (
-            EisensteinInt(p ** ((t - 1) // 3))
-            * par.pi ** ((t - 1) // 3)
-            * chi_bar
-            * EisensteinInt.zeta_power(2 * i0)
-        )
+        chi_bar = CycInt.root(3, -log_a0)
+        return p ** ((t - 1) // 3) * par.pi ** ((t - 1) // 3) * chi_bar * CycInt.root(3, 2 * i0)
     if t % 3 == 2:
-        chi = EisensteinInt.zeta_power(log_a0 % 3)
-        return (
-            EisensteinInt(p ** ((t - 2) // 3))
-            * par.pi ** ((t + 1) // 3)
-            * chi
-            * EisensteinInt.zeta_power(2 * i0)
-        )
+        chi = CycInt.root(3, log_a0)
+        return p ** ((t - 2) // 3) * par.pi ** ((t + 1) // 3) * chi * CycInt.root(3, 2 * i0)
     raise InvariantError("Q_{t,3} needs t not divisible by 3")
 
 
@@ -785,9 +770,9 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
         else:
             log_a = spec.base.dlog(spec.a)
             rho_a = _rho_of_log(log_a)
-            chi_a = GaussianInt.i_power(log_a)
+            chi_a = CycInt.root(4, log_a)
             if m == p:
-                inner = pi ** ((p - 1) // 2) * chi_a * GaussianInt.i_power(h)
+                inner = pi ** ((p - 1) // 2) * chi_a * CycInt.root(4, h)
                 val = Fraction(
                     p ** (p - 1)
                     + (-1) ** h * (p ** ((p - 1) // 2) * rho_a + 2 * p ** ((p - 1) // 4) * Fraction(inner.twice_real(), 2)),
@@ -796,20 +781,17 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
             else:
                 log_m = spec.base.dlog(spec.base.from_int(m))
                 rho_m = _rho_of_log(log_m)
-                chi_m3a = GaussianInt.i_power(3 * log_m + log_a)
+                chi_m3a = CycInt.root(4, 3 * log_m + log_a)
                 if m % 4 == 1:
                     r_m = (
-                        GaussianInt(p ** ((m - 1) // 4)) * pi ** ((m - 1) // 2) * chi_a * GaussianInt.i_power(h)
-                        - chi_m3a * GaussianInt.i_power(h)
+                        p ** ((m - 1) // 4) * pi ** ((m - 1) // 2) * chi_a * CycInt.root(4, h)
+                        - chi_m3a * CycInt.root(4, h)
                     )
                 else:
                     sign = -1 if par.f % 2 else 1
                     r_m = (
-                        GaussianInt(sign * p ** ((m - 3) // 4))
-                        * pi ** ((m + 1) // 2)
-                        * chi_a.conjugate()
-                        * GaussianInt.i_power(h)
-                        - chi_m3a * GaussianInt.i_power(3 * h)
+                        sign * p ** ((m - 3) // 4) * pi ** ((m + 1) // 2) * chi_a.conjugate() * CycInt.root(4, h)
+                        - chi_m3a * CycInt.root(4, 3 * h)
                     )
                 val = Fraction(
                     p ** (m - 1) - 1 + (-1) ** h * (rho_a * (p ** ((m - 1) // 2) - rho_m) + r_m.twice_real()),
@@ -824,20 +806,20 @@ def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
             val = Fraction(p ** (p - 2) - 1, 3) if m == p else Fraction(p ** (m - 1) - 1, 3 * m)
         else:
             log_a = spec.base.dlog(spec.a)
-            chi_a = EisensteinInt.zeta_power(log_a)
+            chi_a = CycInt.root(3, log_a)
             if m == p:
-                inner = pi ** ((p - 1) // 3) * chi_a * EisensteinInt.zeta_power(2 * h)
+                inner = pi ** ((p - 1) // 3) * chi_a * CycInt.root(3, 2 * h)
                 val = Fraction(p ** (p - 1) + 2 * p ** ((p - 1) // 3) * Fraction(inner.twice_real(), 2), 3 * p)
             else:
                 log_m = spec.base.dlog(spec.base.from_int(m))
-                chi_m_bar = EisensteinInt.zeta_power(-log_m)
+                chi_m_bar = CycInt.root(3, -log_m)
                 if m % 3 == 1:
-                    l_m = ((p * pi) ** ((m - 1) // 3) - chi_m_bar) * chi_a * EisensteinInt.zeta_power(2 * h)
+                    l_m = ((p * pi) ** ((m - 1) // 3) - chi_m_bar) * chi_a * CycInt.root(3, 2 * h)
                 else:
                     l_m = (
-                        EisensteinInt(p ** ((m - 2) // 3)) * pi ** ((m + 1) // 3) * chi_a * EisensteinInt.zeta_power(h)
+                        p ** ((m - 2) // 3) * pi ** ((m + 1) // 3) * chi_a * CycInt.root(3, h)
                         - chi_m_bar
-                    ) * chi_a * EisensteinInt.zeta_power(h)
+                    ) * chi_a * CycInt.root(3, h)
                 val = Fraction(p ** (m - 1) - 1 + l_m.twice_real(), 3 * m)
     else:
         raise NotApplicable(f"no prime-m closed form for s = {s}")

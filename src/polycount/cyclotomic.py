@@ -6,10 +6,11 @@ cyclotomic polynomial.  Working modulo x^L - 1 keeps the hot path (adding
 histograms of character values) to plain vector addition; the reduction
 only happens at comparison time.
 
-`QuadPow` holds numbers (u + v*sqrt(-D)) / sqrt(2)^k exactly, which is
-where the index-2 Gauss-sum constants and their powers live.  `GaussianInt`
-and `EisensteinInt` cover Z[i] and Z[zeta_3] for the quartic and cubic
-Jacobi-sum parameters.
+Every character value is a `CycInt`: Z[i] is `CycInt(4)` and Z[zeta_3] is
+`CycInt(3)`, which is where the quartic and cubic Jacobi-sum parameters and
+the closed Jacobi sums live.  `QuadPow` holds numbers
+(u + v*sqrt(-D)) / sqrt(2)^k exactly, which is where the index-2 Gauss-sum
+constants and their powers live; their sqrt(2) gradings are in no Z[zeta_L].
 
 No floating point anywhere; magnitude checks compare squared moduli.
 """
@@ -133,6 +134,10 @@ class CycInt:
         """Complex conjugation, sigma_{-1}."""
         return self.galois(-1)
 
+    def twice_real(self) -> int:
+        """z + conj(z), which must reduce to a rational integer."""
+        return (self + self.conjugate()).expect_integer("twice the real part")
+
     def reduced(self) -> tuple[int, ...]:
         """Canonical representative: remainder mod Phi_L, low degree first."""
         phi = list(cyclotomic_poly(self.order))
@@ -206,156 +211,6 @@ def sqrt_minus(d: int, order: int) -> CycInt:
         s5 = quadratic_gauss_sum(5).embed(15)
         return (s3 * s5).embed(order)
     raise ValueError(f"no construction for sqrt(-{d})")
-
-
-class GaussianInt:
-    """a + b*i in Z[i]."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = int(a)
-        self.b = int(b)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return GaussianInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return GaussianInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return GaussianInt(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return GaussianInt(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = GaussianInt(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    @staticmethod
-    def _coerce(x):
-        return x if isinstance(x, GaussianInt) else GaussianInt(x)
-
-    @staticmethod
-    def i_power(k: int) -> "GaussianInt":
-        return (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1))[k % 4]
-
-    def conjugate(self):
-        return GaussianInt(self.a, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a + self.b * self.b
-
-    def twice_real(self) -> int:
-        return 2 * self.a
-
-    def to_cyc(self, order: int = 4) -> CycInt:
-        if order % 4 != 0:
-            raise InvariantError(f"Z[i] does not embed in Z[zeta_{order}]")
-        return (CycInt.integer(4, self.a) + CycInt.root(4, 1, self.b)).embed(order)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"GaussianInt({self.a}, {self.b})"
-
-
-class EisensteinInt:
-    """a + b*zeta_3 in Z[zeta_3]."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = int(a)
-        self.b = int(b)
-
-    @classmethod
-    def from_sqrt3(cls, x: int, y: int) -> "EisensteinInt":
-        """x + y*sqrt(-3), using sqrt(-3) = 1 + 2*zeta_3."""
-        return cls(x + y, 2 * y)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return EisensteinInt(-self.a, -self.b)
-
-    def __mul__(self, other):
-        # zeta^2 = -1 - zeta
-        other = self._coerce(other)
-        return EisensteinInt(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a - self.b * other.b,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = EisensteinInt(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    @staticmethod
-    def _coerce(x):
-        return x if isinstance(x, EisensteinInt) else EisensteinInt(x)
-
-    @staticmethod
-    def zeta_power(k: int) -> "EisensteinInt":
-        return (EisensteinInt(1, 0), EisensteinInt(0, 1), EisensteinInt(-1, -1))[k % 3]
-
-    def conjugate(self):
-        return EisensteinInt(self.a - self.b, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def twice_real(self) -> int:
-        return 2 * self.a - self.b
-
-    def to_cyc(self, order: int = 3) -> CycInt:
-        if order % 3 != 0:
-            raise InvariantError(f"Z[zeta_3] does not embed in Z[zeta_{order}]")
-        return (CycInt.integer(3, self.a) + CycInt.root(3, 1, self.b)).embed(order)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"EisensteinInt({self.a}, {self.b})"
 
 
 class QuadPow:

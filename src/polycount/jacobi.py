@@ -7,7 +7,8 @@ normalization chi(g) = i (resp. zeta_3).  The parameter searches are
 exhaustive and assert uniqueness.
 
 Order 2 works over any odd prime power q with rho the quadratic
-character; orders 3 and 4 are restricted to q = p.
+character; orders 3 and 4 are restricted to q = p, where the values lie in
+Z[zeta_3] = CycInt(3) and Z[i] = CycInt(4).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, EisensteinInt, GaussianInt
+from .cyclotomic import CycInt
 from .errors import BadResidue, UnsupportedGeneralQ, ValidationError
 from .intmath import factorize, is_prime, legendre
 
@@ -31,8 +32,8 @@ class QuarticParams:
     f: int  # (p - 1) / 4
 
     @property
-    def pi(self) -> GaussianInt:
-        return GaussianInt(-1 if self.f % 2 else 1) * GaussianInt(self.a4, self.b4)
+    def pi(self) -> CycInt:
+        return CycInt(4, (self.a4, self.b4, 0, 0)) * (-1 if self.f % 2 else 1)
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class CubicParams:
     chi2_exp: int  # chi(2) = zeta_3^chi2_exp
 
     @property
-    def pi(self) -> EisensteinInt:
-        base = EisensteinInt.from_sqrt3(self.a3, self.b3)
-        return EisensteinInt.zeta_power(self.chi2_exp) * base
+    def pi(self) -> CycInt:
+        # a3 + b3 sqrt(-3), with sqrt(-3) = 1 + 2 zeta_3
+        base = CycInt(3, (self.a3 + self.b3, 2 * self.b3, 0))
+        return CycInt.root(3, self.chi2_exp) * base
 
 
 def _check_primitive_root(g: int, p: int):
@@ -118,8 +120,9 @@ def jacobi_closed(order: int, t: int, q: int, params=None):
     """Closed-form J_t for the canonical character of the given order.
 
     order 2: any odd q, returns an int.  order 4: q = p = 1 mod 4,
-    returns a GaussianInt.  order 3: q = p = 1 mod 3, returns an
-    EisensteinInt.  Branches select on t mod 4, t mod 3, or parity.
+    returns a CycInt(4), an element of Z[i].  order 3: q = p = 1 mod 3,
+    returns a CycInt(3), an element of Z[zeta_3].  Branches select on
+    t mod 4, t mod 3, or parity.
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
@@ -140,13 +143,13 @@ def jacobi_closed(order: int, t: int, q: int, params=None):
         p, pi = params.p, params.pi
         r = t % 4
         if r == 0:
-            return GaussianInt(-(p ** ((t - 4) // 4))) * pi ** (t // 2)
+            return -(p ** ((t - 4) // 4)) * pi ** (t // 2)
         if r == 1:
-            return GaussianInt(p ** ((t - 1) // 4)) * pi ** ((t - 1) // 2)
+            return p ** ((t - 1) // 4) * pi ** ((t - 1) // 2)
         if r == 2:
-            return GaussianInt(p ** ((t - 2) // 4)) * pi ** (t // 2)
+            return p ** ((t - 2) // 4) * pi ** (t // 2)
         sign = -1 if params.f % 2 else 1
-        return GaussianInt(sign * p ** ((t - 3) // 4)) * pi ** ((t + 1) // 2)
+        return sign * p ** ((t - 3) // 4) * pi ** ((t + 1) // 2)
     if order == 3:
         if params is None or not isinstance(params, CubicParams):
             raise ValidationError("order-3 closed form needs CubicParams")
@@ -157,10 +160,10 @@ def jacobi_closed(order: int, t: int, q: int, params=None):
         p, pi = params.p, params.pi
         r = t % 3
         if r == 0:
-            return EisensteinInt(-(p ** ((t - 3) // 3))) * pi ** (t // 3)
+            return -(p ** ((t - 3) // 3)) * pi ** (t // 3)
         if r == 1:
-            return EisensteinInt(p ** ((t - 1) // 3)) * pi ** ((t - 1) // 3)
-        return EisensteinInt(p ** ((t - 2) // 3)) * pi ** ((t + 1) // 3)
+            return p ** ((t - 1) // 3) * pi ** ((t - 1) // 3)
+        return p ** ((t - 2) // 3) * pi ** ((t + 1) // 3)
     raise ValidationError(f"no closed form for character order {order}")
 
 
@@ -169,4 +172,4 @@ def jacobi_closed_cyc(order: int, t: int, q: int, params=None) -> CycInt:
     v = jacobi_closed(order, t, q, params)
     if order == 2:
         return CycInt.integer(12, v)
-    return v.to_cyc(12)
+    return v.embed(12)

@@ -227,5 +227,5 @@ def _verify_listed(spec: CountSpec, tower: TowerCtx, root, coeffs, h: int):
         raise InvariantError("coefficient of x^{m-1} must be -a")
     if coeffs[0] != (nrm if m % 2 == 0 else -nrm).index:
         raise InvariantError("constant term must be (-1)^m b")
-    if spec.s > 1 and tower.dlog_g(tower.embed(nrm)) % spec.s != h:
+    if spec.s > 1 and tower.dlog_g(nrm) % spec.s != h:
         raise InvariantError("listed polynomial has norm outside the coset")

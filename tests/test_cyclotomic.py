@@ -11,14 +11,12 @@ from polycount.cyclotomic import (
     OMEGA_21,
     OMEGA_23,
     CycInt,
-    EisensteinInt,
-    GaussianInt,
     QuadPow,
     quadratic_gauss_sum,
     sqrt_minus,
     zeta,
 )
-from polycount.errors import OrderMismatch
+from polycount.errors import InvariantError, OrderMismatch
 
 
 def test_root_sum_vanishes():
@@ -105,24 +103,30 @@ def test_quadpow_to_cyc_round_trip():
 
 
 def test_gaussian_int():
-    i = GaussianInt.i_power(1)
-    assert i * i == GaussianInt(-1)
-    z = GaussianInt(1, 2)
-    assert z.norm() == 5
-    assert z.conjugate() == GaussianInt(1, -2)
+    i = CycInt.root(4, 1)
+    assert i * i == -1
+    z = CycInt(4, (1, 2, 0, 0))
+    assert z * z.conjugate() == 5
+    assert z.conjugate() == CycInt(4, (1, -2, 0, 0))
     assert (z**2).twice_real() == -6
-    assert z.to_cyc(4) == CycInt(4, (1, 2, 0, 0))
-    assert z.to_cyc(12) * z.conjugate().to_cyc(12) == CycInt.integer(12, 5)
+    assert z.embed(12) * z.conjugate().embed(12) == CycInt.integer(12, 5)
 
 
 def test_eisenstein_int():
-    z = EisensteinInt.zeta_power(1)
-    assert z * z == EisensteinInt.zeta_power(2)
-    assert z * z * z == EisensteinInt(1)
-    w = EisensteinInt.from_sqrt3(2, 1)  # 2 + sqrt(-3)
-    assert w.norm() == 7
+    z = CycInt.root(3, 1)
+    assert z * z == CycInt.root(3, 2)
+    assert z * z * z == 1
+    w = CycInt(3, (2 + 1, 2 * 1, 0))  # 2 + sqrt(-3), with sqrt(-3) = 1 + 2 zeta_3
+    assert w * w.conjugate() == 7
     assert w.twice_real() == 4
-    assert (w * w.conjugate()) == EisensteinInt(7)
+    assert w == 2 + sqrt_minus(3, 3)
+
+
+def test_twice_real_refuses_a_non_real_trace():
+    # zeta_5 + zeta_5^4 = (sqrt(5) - 1) / 2 is not a rational integer
+    with pytest.raises(InvariantError):
+        zeta(5).twice_real()
+    assert (zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)).twice_real() == -2
 
 
 def test_serialization():

@@ -208,3 +208,16 @@ fn(fields, "build_field", "fields.build_field")
         "fields.TowerCtx.build_field",
         "fields.no_such_function",
     ]
+
+
+def test_every_mutant_fragment_occurs_once():
+    # tests/mutants.py patches each fragment in a copy of the tree; a moved fragment would stop testing anything
+    import mutants
+
+    found = []
+    for mutant in mutants.MUTANTS:
+        count = (ROOT / mutant.file).read_text().count(mutant.fragment)
+        if count != 1:
+            found.append(f"{mutant.name}: {count} occurrences in {mutant.file}")
+        found += [f"{mutant.name}: no test file {name}" for name in mutant.tests if not (ROOT / name).is_file()]
+    assert found == []
