@@ -76,7 +76,6 @@ from .jacobi import (
     QuarticParams,
     cubic_params,
     jacobi_closed,
-    jacobi_closed_cyc,
     quartic_params,
 )
 from .oracle import (

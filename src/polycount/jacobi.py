@@ -165,11 +165,3 @@ def jacobi_closed(order: int, t: int, q: int, params=None):
             return p ** ((t - 1) // 3) * pi ** ((t - 1) // 3)
         return p ** ((t - 2) // 3) * pi ** ((t + 1) // 3)
     raise ValidationError(f"no closed form for character order {order}")
-
-
-def jacobi_closed_cyc(order: int, t: int, q: int, params=None) -> CycInt:
-    """jacobi_closed embedded into CycInt(12) for exact cross-checks."""
-    v = jacobi_closed(order, t, q, params)
-    if order == 2:
-        return CycInt.integer(12, v)
-    return v.embed(12)

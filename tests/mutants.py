@@ -2,16 +2,18 @@
 
 Run from the repository root:
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py NAME ...   # only the named ones
+    python3 tests/mutants.py
 
 The tree is copied once to a temporary directory.  Each mutant replaces one
 exact source fragment there, runs its test files, and is restored.  The
 script prints one row per mutant with the number of failing tests and the
-first of them, and exits nonzero if any mutant survives.  Equivalent mutants
-change no value, so no test can kill them; they are listed with the reason
-and not run.  `test_source.py` requires every fragment to occur exactly once
-in its file, so a refactor that moves the code has to move its mutant too.
+first of them, and exits nonzero if any mutant survives.  `test_source.py`
+requires every fragment to occur exactly once in its file, so a refactor that
+moves the code has to move its mutant too.
+
+Equivalent mutants change no value, so no test can kill them, and they are
+not listed: dropping the `np.add.at` branch of `fields.trace_hist` only
+changes speed, because the bincount branch adds the same counts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class Mutant:
     fragment: str
     replacement: str
     tests: tuple[str, ...]
-    equivalent: str | None = None  # why no test can kill it
 
 
 MUTANTS = [
@@ -99,14 +100,6 @@ MUTANTS = [
         "traces[i % g :: g]",
         ("tests/test_charsums.py",),
     ),
-    Mutant(
-        "trace_hist without its np.add.at branch",
-        "src/polycount/fields.py",
-        "if size > len(labels):  # a bincount",
-        "if False:  # a bincount",
-        ("tests/test_fields.py",),
-        equivalent="both branches add the same counts; np.add.at only avoids a whole-table bincount per block",
-    ),
 ]
 
 
@@ -134,12 +127,7 @@ def _run(tree: Path, mutant: Mutant) -> list[str]:
     return failed
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="polycount-mutants-") as tmp:
         tree = Path(tmp) / "repo"
@@ -147,10 +135,7 @@ def main(names: list[str]) -> int:
         shutil.copytree(ROOT / "tests", tree / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
         print("mutant\tkilled\tseconds\tkilled_by")
-        for mutant in chosen:
-            if mutant.equivalent:
-                print(f"{mutant.name}\tequivalent\t-\t{mutant.equivalent}")
-                continue
+        for mutant in MUTANTS:
             start = time.perf_counter()
             failed = _run(tree, mutant)
             seconds = time.perf_counter() - start
@@ -161,4 +146,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
