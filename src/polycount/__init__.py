@@ -69,7 +69,6 @@ from .intmath import (
     mobius,
     multiplicative_order,
     necklace_count,
-    primitive_root,
 )
 from .jacobi import (
     CubicParams,

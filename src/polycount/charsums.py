@@ -133,8 +133,10 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
     indices, in O(q) memory; exact in Z[zeta_n].
     """
     q, p, r = field.order, field.p, field.r
-    if (q - 1) % n != 0:
-        raise ValidationError("character order must divide q - 1")
+    if n < 1 or (q - 1) % n != 0:
+        raise ValidationError("character order must be a positive divisor of q - 1")
+    if t < 1:
+        raise ValidationError("a Jacobi sum needs t >= 1 variables")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     size = q ** max(t - 1, 0)
     if size > cap:

@@ -18,9 +18,8 @@ import sys
 from .catalog import p2_closed_detail, p2_context, p2_general_pm
 from .counting import CountSpec, p_m
 from .charsums import MultChar, gauss_sum, jacobi_brute, monomial_sum
-from .errors import PolycountError, ValidationError, VerificationFailed
+from .errors import InvalidInput, PolycountError, ValidationError, VerificationFailed
 from .fields import DEFAULT_ENUM_CAP, build_field, build_tower
-from .intmath import primitive_root
 from .jacobi import cubic_params, jacobi_closed, quartic_params
 from .oracle import DEFAULT_LISTING_CAP, DEFAULT_ORACLE_CAP, brute_p_m, list_polys
 
@@ -43,16 +42,17 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def parse_element(ctx, text: str):
-    """Element syntax: plain integer (index), 'c0,c1,...' coordinates, or 'g^k'."""
+    """Element syntax: plain integer (index), 'c0,c1,...' coordinates, or 'g^k'; else InvalidInput."""
     text = text.strip()
-    if text.startswith("g^"):
-        return ctx.generator ** int(text[2:])
-    if "," in text:
-        return ctx.elem([int(c) for c in text.split(",")])
-    n = int(text)
-    if ctx.r == 1:
-        return ctx.from_int(n)
-    return ctx.from_index(n)
+    try:
+        if text.startswith("g^"):
+            return ctx.generator ** int(text[2:])
+        if "," in text:
+            return ctx.elem([int(c) for c in text.split(",")])
+        n = int(text)
+        return ctx.from_int(n) if ctx.r == 1 else ctx.from_index(n)
+    except ValueError as exc:
+        raise InvalidInput(f"bad element {text!r} for F_{ctx.order}: {exc}") from None
 
 
 def _spec_from_args(args) -> CountSpec:
@@ -256,7 +256,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    g = args.g if args.g is not None else primitive_root(args.p)
+    g = args.g if args.g is not None else build_field(args.p, 1).generator_index
     rows = []
     if args.order == 4:
         par = quartic_params(args.p, g)

@@ -40,6 +40,7 @@ from .cyclotomic import CycInt
 from .errors import (
     EnumerationCapExceeded,
     InvariantError,
+    NotApplicable,
     TableNotApplicable,
     ValidationError,
 )
@@ -50,7 +51,7 @@ from .fields import (
     build_field,
     build_tower,
 )
-from .intmath import divisors, mobius, multiplicative_order
+from .intmath import divisors, is_prime, mobius, multiplicative_order
 from .jacobi import CubicParams, QuarticParams, cubic_params, jacobi_closed, quartic_params
 
 TABLE_NAMES = ("s2", "s3", "s4", "semiprimitive")
@@ -735,11 +736,8 @@ def p_m(spec: CountSpec, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> i
     return out
 
 
-def p_m_prime_closed(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> int:
+def p_m_prime_closed(spec: CountSpec) -> int:
     """The displayed closed forms for prime m and s in {2, 3, 4}."""
-    from .errors import NotApplicable
-    from .intmath import is_prime
-
     m, s, q, p = spec.m, spec.s, spec.q, spec.p
     if not is_prime(m):
         raise NotApplicable("the prime-m closed forms need m prime")

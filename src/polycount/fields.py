@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -490,38 +490,19 @@ class FieldCtx:
 
     # -- discrete logarithms --
 
-    def dlog(self, x: FieldElement, base: FieldElement | None = None, order: int | None = None) -> int:
-        """Exponent e in [0, order) with base^e = x.
+    def dlog(self, x: FieldElement) -> int:
+        """Exponent e in [0, q - 1) with generator^e = x: the only discrete log.
 
-        base defaults to the canonical generator, of order q - 1; an explicit
-        base needs its order n.  For q <= LOG_TABLE_MAX_ORDER both logs come
-        from the table: with k = (q - 1) / n, k must be gcd(log base, q - 1)
-        and must divide log x.  Above it, Pohlig-Hellman runs in the subgroup
-        of order n.
+        A read of the log table for q <= LOG_TABLE_MAX_ORDER, Pohlig-Hellman
+        above it.  TowerCtx.dlog_g and dlog_gamma multiply or divide it.
         """
         if x.ctx is not self:
             raise ValueError("element from a different field")
         if x.is_zero():
             raise ZeroHasNoLog("zero has no discrete logarithm")
-        n = self.group_order
-        if base is None:
-            if order not in (None, n):
-                raise InvariantError(f"the generator has order {n}, not {order}")
-            base, order = self.generator, n
-        elif order is None:
-            raise ValueError("an explicit base needs its order")
-        if n % order:
-            raise InvariantError(f"{order} does not divide q - 1 = {n}")
         if self.order > LOG_TABLE_MAX_ORDER:
-            return self._pohlig_hellman(x, base, order)
-        table = self.log_table()
-        log_x, log_b = int(table[x.index]), int(table[base.index])
-        k = n // order
-        if math.gcd(log_b, n) != k:
-            raise InvariantError(f"base does not have order {order}")
-        if log_x % k:
-            raise InvariantError("x is not a power of base")
-        return log_x // k * pow(log_b // k, -1, order) % order
+            return self._pohlig_hellman(x)
+        return int(self.log_table()[x.index])
 
     def log_table(self) -> np.ndarray:
         """Read-only int32 array whose entry i is the log of the element of index i (-1 at 0).
@@ -542,29 +523,21 @@ class FieldCtx:
             self._log_table = table
         return table
 
-    def _pohlig_hellman(self, x: FieldElement, base: FieldElement, order: int) -> int:
-        """Log of nonzero x to base of the given order (a divisor of q - 1).
+    def _pohlig_hellman(self, x: FieldElement) -> int:
+        """Log of nonzero x to the generator, of order q - 1.
 
-        Digit by digit in each prime-power subgroup, then CRT.  base must have
-        exactly that order, and base^e == x is checked at the end.
+        Digit by digit in each prime-power subgroup of order_factorization(),
+        then CRT; generator^e == x is checked at the end.
         """
-        factors = []
-        for q, _ in self.order_factorization():
-            e = 0
-            while order % q ** (e + 1) == 0:
-                e += 1
-            if e:
-                factors.append((q, e))
-        if not base**order == self.one:
-            raise InvariantError(f"base does not have order {order}")
+        gen, order = self.generator, self.group_order
         result, mod = 0, 1
-        for q, e in factors:
+        for q, e in self.order_factorization():
             pe = q**e
-            g_sub = base ** (order // pe)
+            g_sub = gen ** (order // pe)
             x_sub = x ** (order // pe)
-            gq = g_sub ** (q ** (e - 1))  # base^(order/q), of order q
+            gq = g_sub ** (q ** (e - 1))  # generator^(order/q), of order q
             if gq == self.one:
-                raise InvariantError(f"base does not have order {order}")
+                raise InvariantError("the generator does not have order q - 1")
             log = 0
             for i in range(e):
                 t = (x_sub * (g_sub**log).inverse()) ** (q ** (e - 1 - i))
@@ -572,8 +545,8 @@ class FieldCtx:
             # CRT
             result += mod * ((log - result) * pow(mod, -1, pe) % pe)
             mod *= pe
-        if not (base**result == x):
-            raise InvariantError("x is not a power of base")
+        if not (gen**result == x):
+            raise InvariantError("x is not a power of the generator")
         return result % order
 
     def _bsgs(self, x: FieldElement, g: FieldElement, n: int) -> int:
@@ -690,14 +663,13 @@ class TowerCtx:
     norm down to F_{q^t}, and g = gamma[1] the induced generator of F_q.
     """
 
-    def __init__(self, p: int, r: int, m: int, enum_cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, p: int, r: int, m: int):
         if m < 1:
             raise InvalidDegree("tower degree must be >= 1")
         self.p = p
         self.r = r
         self.m = m
         self.q = p**r
-        self.enum_cap = enum_cap
         self.base = build_field(p, r)
         self.top = build_field(p, r * m)
         top_group = self.top.group_order
@@ -710,7 +682,6 @@ class TowerCtx:
         self._trace_hists: dict[tuple[int, int], np.ndarray] = {}
         self._embed_rows: list[list[int]] | None = None
         self._solver: _FpSolver | None = None
-        self._g_base: FieldElement | None = None
         self._verify_tower()
 
     def _verify_tower(self):
@@ -861,24 +832,42 @@ class TowerCtx:
 
     # -- discrete logs relative to the tower labels --
 
+    @cached_property
+    def g_log_inv(self) -> int:
+        """The inverse mod q - 1 of F_q's log of g: log_g(x) = log(x) * g_log_inv.
+
+        Computed on first use, so a tower that never takes a log to g never
+        builds its embedding.
+        """
+        n = self.q - 1
+        log_g = self.base.dlog(self.to_base(self.g))
+        if math.gcd(log_g, n) != 1:
+            raise InvariantError("g does not generate F_q*")
+        return pow(log_g, -1, n)
+
     def dlog_gamma(self, x: FieldElement, t: int) -> int:
-        """Index of x in the cyclic group generated by gamma_t."""
+        """Index of x in the cyclic group generated by gamma_t.
+
+        gamma_t = gamma_m^k with k = (q^m - 1)/(q^t - 1), so for t > 1 this is
+        the top field's log of x divided by k.
+        """
         if t == 1:
             return self.dlog_g(x)
         self._require_subfield(x, t)
-        return self.top.dlog(x, self.gamma[t], self.q**t - 1)
+        e, k = self.top.dlog(x), self.top.group_order // (self.q**t - 1)
+        if e % k:
+            raise InvariantError(f"x is not a power of gamma_{t}")
+        return e // k
 
     def dlog_g(self, x: FieldElement) -> int:
         """Index of x in the group generated by g, taken in F_q; x may be given in the top field."""
-        if self._g_base is None:
-            self._g_base = self.to_base(self.g)
-        return self.base.dlog(self.to_base(x), self._g_base, self.q - 1)
+        return self.base.dlog(self.to_base(x)) * self.g_log_inv % (self.q - 1)
 
     # -- bulk enumeration --
 
     def check_cap(self, size: int, cap: int | None, what: str):
-        """Refuse `what` when its size exceeds cap; cap None means the tower's enum_cap."""
-        cap = self.enum_cap if cap is None else cap
+        """Refuse `what` when its size exceeds cap; cap None means DEFAULT_ENUM_CAP."""
+        cap = DEFAULT_ENUM_CAP if cap is None else cap
         if size > cap:
             raise EnumerationCapExceeded(
                 f"{what} needs {size} elements, beyond enumeration cap {cap}; closed "

@@ -133,19 +133,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def primitive_root(p: int) -> int:
-    """Smallest primitive root modulo prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ArithmeticError("unreachable")
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, 1} for odd prime p."""
     a %= p

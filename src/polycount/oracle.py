@@ -89,13 +89,9 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     if key in _scan_cache:
         return _scan_cache[key]
     n = q - 1
-    # log_g of the q trace labels (-1 at the label 0, which has none), from F_q's log
-    # table: with log g = k, log_g(a) = log(a) / k mod (q - 1)
+    # log_g of the q trace labels (-1 at the label 0, which has none), from F_q's log table
     logs = tower.base.log_table().astype(np.int64)
-    k = int(logs[tower.to_base(tower.g).index])
-    if math.gcd(k, n) != 1:
-        raise InvariantError("g does not generate F_q*")
-    log_g = np.where(logs < 0, -1, logs * pow(k, -1, n) % n)
+    log_g = np.where(logs < 0, -1, logs * tower.g_log_inv % n)
     # shift[a] = -m log_g(a) mod (q - 1); a label's key among a degree's 4(q - 1) keys is
     # w at trace 0 and 2(q - 1) + shift[a] + w otherwise, folded mod q - 1 only at the end
     shift = -m * log_g % n

@@ -100,6 +100,27 @@ MUTANTS = [
         "traces[i % g :: g]",
         ("tests/test_charsums.py",),
     ),
+    Mutant(
+        "g_log_inv without the inverse",
+        "src/polycount/fields.py",
+        "pow(log_g, -1, n)",
+        "pow(log_g, 1, n)",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "dlog_gamma returns e // k + 1",
+        "src/polycount/fields.py",
+        "        return e // k\n",
+        "        return e // k + 1\n",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "brute_scan labels with canonical logs",
+        "src/polycount/oracle.py",
+        "logs * tower.g_log_inv % n",
+        "logs % n",
+        ("tests/test_oracle.py",),
+    ),
 ]
 
 

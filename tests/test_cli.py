@@ -66,6 +66,27 @@ def test_count_validation_error_exit_code():
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --p 3 --m 3 --a 5,1",
+        "count --p 3 --m 3 --a foo",
+        "count --p 3 --m 3 --a g^x",
+        "count --p 5 --r 2 --m 3 --a 99",
+        "jacobi --p 15 --order 4 --t 1",
+        "sum --kind jacobi --p 5 --t 2 --n 0",
+        "sum --kind jacobi --p 5 --t 0 --n 2",
+    ],
+)
+def test_invalid_input_exits_2_with_one_error_line(argv):
+    # an uncaught exception would escape main and fail here with its traceback
+    code, out, err = run_cli(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cap_exit_code():
     code, _, err = run_cli(
         "count", "--p", "2", "--m", "16", "--a", "0", "--s", "1",

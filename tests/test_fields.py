@@ -101,7 +101,7 @@ def test_tower_examples():
     assert tw.g == tw.top.one  # F_2* = {1}
 
     tw = build_tower(2, 2, 3)
-    assert tw.top.dlog(tw.g, tw.gamma[3], 63) == 21  # (4^3-1)/(4-1)
+    assert tw.dlog_gamma(tw.g, 3) == 21  # (4^3-1)/(4-1)
     assert tw.top.element_order(tw.g) == 3
 
     tw = build_tower(3, 1, 2)
@@ -196,27 +196,21 @@ def test_dlog_examples_and_round_trip():
     for e in range(0, 24, 5):
         assert tw.dlog_gamma(g2**e, 2) == e
     with pytest.raises(ZeroHasNoLog):
-        tw.top.dlog(tw.top.zero, g2, 24)
-    with pytest.raises(ValueError):
-        tw.top.dlog(g2, g2)  # an explicit base needs its order
-    # gamma_2 is not a power of g, and g does not have order 8
-    with pytest.raises(InvariantError):
-        tw.top.dlog(g2, tw.g, 4)
-    with pytest.raises(InvariantError):
-        tw.top.dlog(tw.g, tw.g, 8)
-    # the same failures above LOG_TABLE_MAX_ORDER, where Pohlig-Hellman runs
+        tw.top.dlog(tw.top.zero)
+    # above LOG_TABLE_MAX_ORDER, where Pohlig-Hellman runs
     tw = build_tower(2, 1, 18)
     g9 = tw.gamma[9]
-    assert tw.top.dlog(g9**5, g9, 2**9 - 1) == 5
-    with pytest.raises(InvariantError):
-        tw.top.dlog(tw.gamma[18], g9, 2**9 - 1)
-    with pytest.raises(InvariantError):
-        tw.top.dlog(g9, g9, 2**18 - 1)
+    assert tw.dlog_gamma(g9**5, 9) == 5
+    with pytest.raises(SubfieldViolation):
+        tw.dlog_gamma(tw.gamma[18], 9)
 
 
 def test_dlog_exp_identity_many():
-    # (2, 2, 9), (2, 1, 18) and (3, 1, 12) lie above LOG_TABLE_MAX_ORDER: Pohlig-Hellman
-    for p, r, m in [(2, 2, 2), (3, 1, 3), (7, 1, 2), (5, 2, 2), (2, 2, 9), (2, 1, 18), (3, 1, 12)]:
+    # (2, 2, 9), (2, 1, 18) and (3, 1, 12) lie above LOG_TABLE_MAX_ORDER: Pohlig-Hellman.
+    # (2, 3, 2), (13, 1, 2) and (11, 2, 2) have units mod q - 1 that are not their own
+    # inverses, so a relabel to g by log g instead of its inverse shows
+    towers = [(2, 2, 2), (3, 1, 3), (7, 1, 2), (5, 2, 2), (2, 2, 9), (2, 1, 18), (3, 1, 12)]
+    for p, r, m in towers + [(2, 3, 2), (13, 1, 2), (11, 2, 2)]:
         tw = build_tower(p, r, m)
         n = tw.q**m - 1
         g = tw.gamma[m]
@@ -231,15 +225,13 @@ def test_dlog_exp_identity_many():
 def test_log_table_matches_pohlig_hellman():
     for p, r in [(2, 9), (3, 5), (5, 4)]:
         ctx = build_field(p, r)
-        g, n = ctx.generator, ctx.group_order
         for idx in range(1, ctx.order):
             x = ctx.from_index(idx)
-            assert ctx.dlog(x) == ctx._pohlig_hellman(x, g, n)
+            assert ctx.dlog(x) == ctx._pohlig_hellman(x)
     ctx = build_field(2, 16)
-    g, n = ctx.generator, ctx.group_order
     for idx in random.Random(16).sample(range(1, ctx.order), 200):
         x = ctx.from_index(idx)
-        assert ctx.dlog(x) == ctx._pohlig_hellman(x, g, n)
+        assert ctx.dlog(x) == ctx._pohlig_hellman(x)
 
 
 def test_forged_generator_fails_the_table_check():
@@ -480,12 +472,12 @@ def test_construction_is_not_capped():
     from polycount.errors import EnumerationCapExceeded
     from polycount.fields import TowerCtx
 
-    tw = TowerCtx(2, 1, 26, enum_cap=1 << 10)
+    tw = TowerCtx(2, 1, 26)
     assert tw.top.order == 2**26
     with pytest.raises(EnumerationCapExceeded):
-        tw.orbit_abs_traces(26)
+        tw.orbit_abs_traces(26, cap=1 << 10)
     # the cap is per-operation: smaller subfields still enumerate
-    assert tw.orbit_abs_traces(2).shape == (3,)
+    assert tw.orbit_abs_traces(2, cap=1 << 10).shape == (3,)
 
 
 def test_orbit_abs_traces_hold_traces_beyond_255():

@@ -1,3 +1,4 @@
+from polycount.fields import build_field
 from polycount.intmath import (
     cyclotomic_poly,
     divisors,
@@ -8,7 +9,6 @@ from polycount.intmath import (
     mobius,
     multiplicative_order,
     necklace_count,
-    primitive_root,
 )
 
 
@@ -43,8 +43,9 @@ def test_orders():
 
 
 def test_primitive_root_and_legendre():
-    assert primitive_root(5) == 2
-    assert primitive_root(13) == 2
+    # the smallest primitive root mod p is F_p's canonical generator
+    assert build_field(5, 1).generator_index == 2
+    assert build_field(13, 1).generator_index == 2
     assert legendre(2, 5) == -1
     assert legendre(4, 5) == 1
     assert legendre(0, 7) == 0
