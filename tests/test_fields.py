@@ -207,8 +207,8 @@ def test_dlog_examples_and_round_trip():
 
 def test_dlog_exp_identity_many():
     # (2, 2, 9), (2, 1, 18) and (3, 1, 12) lie above LOG_TABLE_MAX_ORDER: Pohlig-Hellman.
-    # (2, 3, 2), (13, 1, 2) and (11, 2, 2) have units mod q - 1 that are not their own
-    # inverses, so a relabel to g by log g instead of its inverse shows
+    # mod q - 1 = 7 and 120, (2, 3, 2) and (11, 2, 2) have units that are not their own
+    # inverses, so a relabel to g by log g instead of its inverse shows; (13, 1, 2) adds q - 1 = 12
     towers = [(2, 2, 2), (3, 1, 3), (7, 1, 2), (5, 2, 2), (2, 2, 9), (2, 1, 18), (3, 1, 12)]
     for p, r, m in towers + [(2, 3, 2), (13, 1, 2), (11, 2, 2)]:
         tw = build_tower(p, r, m)
