@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import DEFAULT_ENUM_CAP, FieldElement, build_field, build_tower
-from .intmath import factorize, multiplicative_order
+from .intmath import factorize, multiplicative_order, sqrt_q_power
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,6 @@ class CatalogValue:
     signs: dict[int, int]
 
 
-def _sq(r: int, half_exp: int) -> Fraction:
-    """2^{r * half_exp / 2} as an exact Fraction (asserted integral exponent)."""
-    e = r * half_exp
-    if e % 2 != 0:
-        raise InvariantError("odd sqrt(q) exponent in a rational catalog term")
-    return Fraction(2 ** (e // 2)) if e >= 0 else Fraction(1, 2 ** (-e // 2))
-
-
 def _tr(w: QuadPow, e: int, sqrt2_extra: int) -> Fraction:
     """(w^e + conj(w^e)) * sqrt(2)^sqrt2_extra, asserted rational."""
     return (w**e).trace_sqrt2(sqrt2_extra)
@@ -229,7 +221,7 @@ def p2_closed_detail(r: int, m: int, b) -> CatalogValue:
         if r % ordv != 0:
             return done(base, Fraction(0), "prime:inert")
         pm = (-1) ** (r // ordv)
-        root = _sq(r, v - 2)
+        root = sqrt_q_power(2, r, v - 2)
         if ind % v != 0:
             return done(base, Fraction(pm, v) * root, "prime:v!|ind")
         return done(base, Fraction(-pm * (v - 1), v) * root, "prime:v|ind")
@@ -280,7 +272,7 @@ def p2_closed_detail(r: int, m: int, b) -> CatalogValue:
             # adds this term, but P = (N_{v^2} - N_v)/v^2 subtracts it
             return done(base, -Fraction(q ** (v - 1) - 1, v * v * (q - 1)), "v^2:inert")
         pm1 = (-1) ** (r // ord1)
-        big_root = _sq(r, v * v - 2)
+        big_root = sqrt_q_power(2, r, v * v - 2)
         if r % ord2 != 0:
             if ind % v != 0:
                 return done(base, Fraction(pm1, v * v) * big_root, "v^2:mid,v!|ind")
@@ -290,7 +282,7 @@ def p2_closed_detail(r: int, m: int, b) -> CatalogValue:
                 "v^2:mid,v|ind",
             )
         pm2 = (-1) ** (r // ord2)
-        small_root = _sq(r, v - 2)
+        small_root = sqrt_q_power(2, r, v - 2)
         if ind % v != 0:
             return done(base, Fraction(pm2, v * v) * big_root, "v^2:split,v!|ind")
         if ind % (v * v) != 0:
@@ -336,8 +328,8 @@ def p2_closed_detail(r: int, m: int, b) -> CatalogValue:
         if r % 2 != 0:
             return done(base, -Fraction(q**8 - 1, 27 * (q - 1)), "27:odd r")
         pm = (-1) ** (r // 2)
-        r25 = _sq(r, 25)
-        r7 = _sq(r, 7)
+        r25 = sqrt_q_power(2, r, 25)
+        r7 = sqrt_q_power(2, r, 7)
         if ind % 3 != 0:
             return done(base, Fraction(pm, 27) * r25, "27:3!|ind")
         if r % 6 != 0:
@@ -430,38 +422,38 @@ def _family15(ctx: P2Context, m: int, ind: int, signs, done) -> CatalogValue:
             if ind % 3 != 0:
                 return done(
                     base,
-                    -Fraction(1, 15) * (qf + 1 + _sq(r, 13) - _sq(r, 1)),
+                    -Fraction(1, 15) * (qf + 1 + sqrt_q_power(2, r, 13) - sqrt_q_power(2, r, 1)),
                     "15:mid,3!|ind",
                 )
             return done(
                 base,
                 -Fraction(1, 15)
-                * (3 * Fraction(q**4 - 1, q - 1) - 2 * _sq(r, 13) + (_sq(r, 1) + 1) ** 2),
+                * (3 * Fraction(q**4 - 1, q - 1) - 2 * sqrt_q_power(2, r, 13) + (sqrt_q_power(2, r, 1) + 1) ** 2),
                 "15:mid,3|ind",
             )
         _, c = ctx.resolve_gauss(15)
         signs[15] = c
         pm = (-1) ** (r // 4)
         e = 15 * r // 4
-        root13 = _sq(r, 13)
+        root13 = sqrt_q_power(2, r, 13)
         if ind % 15 == 0:
             delta = (
                 -Fraction(2, 15) * (2 * _tr(OMEGA_15, e, 0) + 1 + 2 * pm) * root13
-                - Fraction(1, 5) * (Fraction(q**4 - 1, q - 1) - pm * 4 * _sq(r, 3))
-                - Fraction(1, 3) * (_sq(r, 1) - 1) ** 2
+                - Fraction(1, 5) * (Fraction(q**4 - 1, q - 1) - pm * 4 * sqrt_q_power(2, r, 3))
+                - Fraction(1, 3) * (sqrt_q_power(2, r, 1) - 1) ** 2
             )
             return done(base, delta, "15:15|ind")
         res = ind % 15
         if res in coset2(15, 3):
             delta = (
                 Fraction(1, 15) * (_tr(OMEGA_15, e, 0) - 2 + pm) * root13
-                - Fraction(1, 5) * (Fraction(q**4 - 1, q - 1) + pm * _sq(r, 3))
+                - Fraction(1, 5) * (Fraction(q**4 - 1, q - 1) + pm * sqrt_q_power(2, r, 3))
             )
             return done(base, delta, "15:ind in C_3")
         if res in coset2(15, 5):
             delta = (
                 Fraction(1, 15) * (2 * _tr(OMEGA_15, e, 0) + 1 - 4 * pm) * root13
-                - Fraction(1, 3) * (qf + 1 + _sq(r, 1))
+                - Fraction(1, 3) * (qf + 1 + sqrt_q_power(2, r, 1))
             )
             return done(base, delta, "15:ind in C_5")
         # the pairing of the exponent shift with C_c vs C_-c is resolved
@@ -526,7 +518,7 @@ def _family21(ctx: P2Context, ind: int, signs, done) -> CatalogValue:
         return done(base, -Fraction(q**6 + q**2 - 2, 21 * (q - 1)), "21:inert")
     if r % 2 == 0 and r % 3 != 0:
         pm = (-1) ** (r // 2)
-        sq = _sq(r, 1)
+        sq = sqrt_q_power(2, r, 1)
         if ind % 3 != 0:
             return done(
                 base, -Fraction(1, 21) * (qf + 1 - pm * (q**9 - 1) * sq), "21:2|r,3!|ind"
@@ -567,7 +559,7 @@ def _family21(ctx: P2Context, ind: int, signs, done) -> CatalogValue:
     pm = (-1) ** (r // 2)
     e21 = 7 * r // 2
     e7 = 7 * r // 3
-    root5 = _sq(r, 5)
+    root5 = sqrt_q_power(2, r, 5)
     plus = QuadPow(7, 1, 1, 0)  # 1 + sqrt(-7)
     minus = QuadPow(7, 1, -1, 0)
     res = ind % 21
@@ -575,13 +567,13 @@ def _family21(ctx: P2Context, ind: int, signs, done) -> CatalogValue:
         delta = -(
             Fraction(1, 21) * (3 * (2 + pm) * _tr(OMEGA_21, e21, 0) + pm * 2 * q**7) * root5
             + Fraction(1, 7) * (Fraction(q**6 - 1, q - 1) - 3 * _tr(OMEGA_7, e7, 5 * r))
-            + Fraction(1, 3) * (1 - pm * _sq(r, 1)) ** 2
+            + Fraction(1, 3) * (1 - pm * sqrt_q_power(2, r, 1)) ** 2
         )
         return done(base, delta, "21:6|r,21|ind")
     if res in coset2(21, 7):
         delta = Fraction(1, 21) * (
             3 * (1 - pm) * _tr(OMEGA_21, e21, 0) + pm * qf**7
-        ) * root5 - Fraction(1, 3) * (qf + 1 + pm * _sq(r, 1))
+        ) * root5 - Fraction(1, 3) * (qf + 1 + pm * sqrt_q_power(2, r, 1))
         return done(base, delta, "21:6|r,ind in C_7")
     if res in coset2(21, 3 * c):
         delta = root5 / 21 * (

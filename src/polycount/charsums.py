@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt
-from .errors import EnumerationCapExceeded, ValidationError
-from .fields import DEFAULT_ENUM_CAP, FieldCtx, FieldElement, TowerCtx, _index_add
+from .errors import ValidationError
+from .fields import FieldCtx, FieldElement, TowerCtx, _index_add, check_cap
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def monomial_sum(tower: TowerCtx, t: int, i: int, n: int, cap: int | None = None
     if n <= 0:
         raise ValidationError("monomial exponent must be positive")
     g = math.gcd(n, tower.q**t - 1)
-    tower.check_cap(tower.q**t // g + tower.p, cap, f"class {i % g} mod {g} of F_{{q^{t}}}*")
+    check_cap(tower.q**t // g + tower.p, cap, f"class {i % g} mod {g} of F_{{q^{t}}}*")
     row = np.zeros(tower.p, dtype=np.int64)
     for start, traces in tower.trace_blocks(t, cap):
         row += np.bincount(traces[(i - start) % g :: g], minlength=tower.p)
@@ -137,13 +137,7 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
         raise ValidationError("character order must be a positive divisor of q - 1")
     if t < 1:
         raise ValidationError("a Jacobi sum needs t >= 1 variables")
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    size = q ** max(t - 1, 0)
-    if size > cap:
-        raise EnumerationCapExceeded(
-            f"Jacobi sum with {t} variables needs {size} elements, beyond cap {cap}; closed "
-            f"forms or the Davenport-Hasse lift remain available where applicable"
-        )
+    check_cap(q ** max(t - 1, 0), cap, f"the Jacobi sum with {t} variables")
     if t == 1:
         return CycInt.integer(n, 1)  # lambda(1)
 
@@ -182,15 +176,24 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
     return CycInt(n, coeffs.tolist())
 
 
+def semiprimitive_shift(p: int, e: int, nt: int, v: int) -> int:
+    """The shift k_v of the semiprimitive monomial sum for v | p^e + 1 at degree nt over F_{p^{2e}}.
+
+    k_v = v/2 exactly when p > 2, nt is odd and (p^e + 1)/v is odd, else 0.
+    """
+    if p > 2 and nt % 2 == 1 and v % 2 == 0 and ((p**e + 1) // v) % 2 == 1:
+        return v // 2
+    return 0
+
+
 def monomial_closed_semiprimitive(p: int, e: int, n: int, t: int, s: int, i: int) -> int:
     """Closed value of sum_{x != 0} e_t(gamma_t^i x^s) when s | p^e + 1, r = 2en.
 
-    Two values only, split by i mod s against the shift k_s (which is s/2
-    exactly when p > 2, nt odd and (p^e + 1)/s odd, else 0).
+    Two values only, split by i mod s against the shift k_s (semiprimitive_shift).
     """
     if (p**e + 1) % s != 0:
         raise ValidationError("semiprimitive closed form needs s | p^e + 1")
-    k_s = s // 2 if (p > 2 and (n * t) % 2 == 1 and s % 2 == 0 and ((p**e + 1) // s) % 2 == 1) else 0
+    k_s = semiprimitive_shift(p, e, n * t, s)
     root = p ** (e * n * t)  # sqrt(q^t) for q = p^{2en}
     sign = -1 if (n * t) % 2 else 1
     if i % s == k_s % s:

@@ -32,13 +32,28 @@ TABLE5 = {
 }
 
 
-# cap attribute -> (environment variable, default), read after parse_args when no flag was given
+# cap attribute -> (environment variable, default); main reads the variable when the
+# subcommand takes the flag and none was given
 _CAPS = {
     "enum_cap": ("POLYCOUNT_ENUM_CAP", DEFAULT_ENUM_CAP),
     "oracle_cap": ("POLYCOUNT_ORACLE_CAP", DEFAULT_ORACLE_CAP),
     "listing_cap": ("POLYCOUNT_LISTING_CAP", DEFAULT_LISTING_CAP),
 }
 _parser: argparse.ArgumentParser | None = None
+
+# closed Jacobi order -> (parameter search, its two parameter fields, the name of the unit zeta_order)
+_JACOBI_PARAMS = {4: (quartic_params, "a4", "b4", "i"), 3: (cubic_params, "a3", "b3", "z3")}
+
+
+def _env_cap(var: str, default: int) -> int:
+    """The cap set by environment variable `var`, or default when it is unset or empty."""
+    text = os.environ.get(var)
+    if not text:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(f"{var} must be an integer, not {text!r}") from None
 
 
 def parse_element(ctx, text: str):
@@ -257,40 +272,16 @@ def cmd_sum(args) -> int:
 
 def cmd_jacobi(args) -> int:
     g = args.g if args.g is not None else build_field(args.p, 1).generator_index
-    rows = []
-    if args.order == 4:
-        par = quartic_params(args.p, g)
-        a, b = (jacobi_closed(4, args.t, args.p, par).reduced() + (0,))[:2]
-        rows.append(
-            {
-                "order": 4,
-                "p": args.p,
-                "g": g,
-                "t": args.t,
-                "a": par.a4,
-                "b": par.b4,
-                "value": f"{a}{b:+}i",
-            }
-        )
-    elif args.order == 3:
-        par = cubic_params(args.p, g)
-        a, b = (jacobi_closed(3, args.t, args.p, par).reduced() + (0,))[:2]
-        rows.append(
-            {
-                "order": 3,
-                "p": args.p,
-                "g": g,
-                "t": args.t,
-                "a": par.a3,
-                "b": par.b3,
-                "value": f"{a}{b:+}z3",
-            }
-        )
+    if args.order in _JACOBI_PARAMS:
+        params, a_name, b_name, unit = _JACOBI_PARAMS[args.order]
+        par = params(args.p, g)
+        a, b = (jacobi_closed(args.order, args.t, args.p, par).reduced() + (0,))[:2]
+        row = {"a": getattr(par, a_name), "b": getattr(par, b_name), "value": f"{a}{b:+}{unit}"}
     elif args.order == 2:
-        val = jacobi_closed(2, args.t, args.p)
-        rows.append({"order": 2, "p": args.p, "g": g, "t": args.t, "a": "", "b": "", "value": str(val)})
+        row = {"a": "", "b": "", "value": str(jacobi_closed(2, args.t, args.p))}
     else:
         raise ValidationError("closed Jacobi forms exist for orders 2, 3, 4")
+    rows = [{"order": args.order, "p": args.p, "g": g, "t": args.t, **row}]
     _emit(rows, args, header=["order", "p", "g", "t", "a", "b", "value"])
     return 0
 
@@ -298,18 +289,10 @@ def cmd_jacobi(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common.add_argument(
-        "--enum-cap",
-        type=int,
-        default=None,
-        help="max field size any single enumeration may touch",
-    )
-    common.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=None,
-        help="max field size the brute-force oracle may scan",
-    )
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument("--enum-cap", type=int, default=None, help="max field size any single enumeration may touch")
+    oracle_cap = argparse.ArgumentParser(add_help=False)
+    oracle_cap.add_argument("--oracle-cap", type=int, default=None, help="max field size the brute-force oracle may scan")
     ap = argparse.ArgumentParser(
         prog="polycount",
         description="Count monic irreducible polynomials over F_q with fixed "
@@ -332,17 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--b", default=None, help="norm coset representative (same syntax as --a)")
         group.add_argument("--h", type=int, default=None, help="coset label relative to the canonical generator")
 
-    sp = sub.add_parser("count", parents=[common], help="P_m(a, s, h) by the chosen method")
+    sp = sub.add_parser("count", parents=[common, enum_cap, oracle_cap], help="P_m(a, s, h) by the chosen method")
     add_spec_args(sp)
     sp.add_argument("--method", choices=("auto", "brute", "general", "table", "closed"), default="auto")
     sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("list", parents=[common], help="list the matching irreducible polynomials")
+    sp = sub.add_parser("list", parents=[common, oracle_cap], help="list the matching irreducible polynomials")
     add_spec_args(sp)
     sp.add_argument("--listing-cap", type=int, default=None)
     sp.set_defaults(func=cmd_list)
 
-    sp = sub.add_parser("table5", parents=[common], help="reproduce the small-field reference table and diff it")
+    sp = sub.add_parser("table5", parents=[common, oracle_cap], help="reproduce the small-field reference table and diff it")
     sp.set_defaults(func=cmd_table5)
 
     sp = sub.add_parser("catalog", parents=[common], help="closed-form P_m(0, q-1, .) catalog for q = 2^r")
@@ -351,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all-cosets", action="store_true")
     sp.set_defaults(func=cmd_catalog)
 
-    sp = sub.add_parser("verify", parents=[common], help="cross-path equality grid; nonzero exit on failure")
+    sp = sub.add_parser("verify", parents=[common, enum_cap], help="cross-path equality grid; nonzero exit on failure")
     sp.add_argument("--full", action="store_true", help="run the full grid (minutes)")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("sum", parents=[common], help="evaluate one character sum ad hoc")
+    sp = sub.add_parser("sum", parents=[common, enum_cap], help="evaluate one character sum ad hoc")
     sp.add_argument("--kind", choices=("monomial", "gauss", "jacobi"), required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--r", type=int, default=1)
@@ -379,10 +362,10 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    for name, (var, default) in _CAPS.items():
-        if getattr(args, name, 0) is None:
-            setattr(args, name, int(os.environ.get(var) or default))
     try:
+        for name, (var, default) in _CAPS.items():
+            if getattr(args, name, 0) is None:
+                setattr(args, name, _env_cap(var, default))
         return args.func(args)
     except PolycountError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsums import MultChar, gauss_sum_lifted, jacobi_brute
+from .charsums import MultChar, gauss_sum_lifted, jacobi_brute, semiprimitive_shift
 from .cyclotomic import CycInt
 from .errors import (
     EnumerationCapExceeded,
@@ -50,9 +50,10 @@ from .fields import (
     TowerCtx,
     build_field,
     build_tower,
+    check_cap,
 )
-from .intmath import divisors, is_prime, mobius, multiplicative_order
-from .jacobi import CubicParams, QuarticParams, cubic_params, jacobi_closed, quartic_params
+from .intmath import divisors, is_prime, mobius, multiplicative_order, sqrt_q_power
+from .jacobi import CubicParams, QuarticParams, cubic_params, jacobi_closed, quartic_params, rho_minus_one
 
 TABLE_NAMES = ("s2", "s3", "s4", "semiprimitive")
 
@@ -208,7 +209,7 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     if not _restpd(spec, t):
         raise ValidationError("the double sum requires p not dividing m/t and d | h")
     q, p, s = spec.q, spec.p, spec.s
-    tower.check_cap(_general_size(q, p, t), cap, f"the double sum over F_q* x F_{{q^{t}}}*")
+    check_cap(_general_size(q, p, t), cap, f"the double sum over F_q* x F_{{q^{t}}}*")
     params = derive_params(spec, t, h=tower.dlog_g(spec.b) % s)
     big_g = math.gcd(s // params.d, q**t - 1)
     # G | s | q - 1, so the histogram by q - 1 classes folds onto G classes
@@ -353,15 +354,6 @@ def m_t_lifted(spec: CountSpec, t: int, cap: int = DEFAULT_ENUM_CAP) -> int:
 # -- closed N_t tables --
 
 
-def _sqrt_q_power(p: int, r: int, num: int) -> Fraction:
-    """q^{num/2} as an exact Fraction; r*num must be even."""
-    e = r * num
-    if e % 2 != 0:
-        raise InvariantError("odd power of sqrt(q) escaped a table row")
-    e //= 2
-    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
-
-
 def _rho_of_log(e: int) -> int:
     return -1 if e % 2 else 1
 
@@ -393,7 +385,7 @@ def _table_s2(spec: CountSpec, t: int) -> int:
     params = derive_params(spec, t)
     d, l = params.d, params.l
     h = spec.h
-    rho_m1 = -1 if ((q - 1) // 2) % 2 else 1
+    rho_m1 = rho_minus_one(q)
     if spec.a.is_zero():
         if (d, l) == (1, 1):
             val = Fraction(q ** (t - 1) - 1, 2)
@@ -539,13 +531,6 @@ def semiprimitive_setup(p: int, r: int, s: int):
     return None
 
 
-def _k_value(p: int, e: int, nt: int, v: int) -> int:
-    """The k_s shift of the semiprimitive monomial sum, for modulus v."""
-    if p > 2 and nt % 2 == 1 and v % 2 == 0 and ((p**e + 1) // v) % 2 == 1:
-        return v // 2
-    return 0
-
-
 def _table_semiprimitive(spec: CountSpec, t: int) -> int:
     q, p, r, s = spec.q, spec.p, spec.r, spec.s
     setup = semiprimitive_setup(p, r, s)
@@ -557,28 +542,28 @@ def _table_semiprimitive(spec: CountSpec, t: int) -> int:
     sd = s // d
     sign_nt = (-1) ** ((n * t) % 2)
     ds = Fraction(d, s)
-    root = _sqrt_q_power(p, r, t - 2)
+    root = sqrt_q_power(p, r, t - 2)
     if spec.a.is_zero():
-        k_l = _k_value(p, e, n * t, l)
+        k_l = semiprimitive_shift(p, e, n * t, l)
         if l > 1 and i0 % l != k_l % l:
             val = ds * (q ** (t - 1) - 1 + sign_nt * (q - 1) * root)
         else:
             val = ds * (q ** (t - 1) - 1 - sign_nt * (q - 1) * (l - 1) * root)
     else:
-        k_sd = _k_value(p, e, n * t, sd)
+        k_sd = semiprimitive_shift(p, e, n * t, sd)
         ind_a0 = params.t0 % sd * spec.base.dlog(spec.a0(t)) % sd if sd > 1 else 0
         kk = (k_sd - i0 - ind_a0) % sd if sd > 1 else 0
         if sd > 1 and kk % l != 0:
             val = ds * (q ** (t - 1) - sign_nt * root)
         else:
-            sqrt_q = _sqrt_q_power(p, r, 1)
+            sqrt_q = sqrt_q_power(p, r, 1)
             sign_n = (-1) ** (n % 2)
             if u > 1:
                 t0l = (params.t0 % (l * u)) // l
                 j0 = kk // l * pow(t0l, -1, u) % u
             else:
                 j0 = 0
-            k_u = _k_value(p, e, n, u)  # Prop applied at t = 1
+            k_u = semiprimitive_shift(p, e, n, u)  # Prop applied at t = 1
             if u > 1 and j0 % u != k_u % u:
                 inner = (sign_n * sqrt_q - 1) * l + 1
             else:
@@ -698,8 +683,8 @@ def _n_from_m(spec: CountSpec, t: int, m_t: int) -> int:
     return n
 
 
-def _run_route(spec: CountSpec, t: int, route: str, tower: TowerCtx | None, cap: int) -> int:
-    """N_t along one planned route; general builds the tower."""
+def _run_route(spec: CountSpec, t: int, route: str, cap: int) -> int:
+    """N_t along one planned route; general reads the cached tower."""
     if route == "special":
         return n_t_special(spec, t)
     if route in TABLE_NAMES:
@@ -709,25 +694,22 @@ def _run_route(spec: CountSpec, t: int, route: str, tower: TowerCtx | None, cap:
     elif route in ("jacobi", "jacobi_brute"):
         m_t = m_t_jacobi(spec, t, allow_brute=route == "jacobi_brute", cap=cap)
     else:
-        tower = build_tower(spec.p, spec.r, spec.m) if tower is None else tower
-        m_t = m_t_general(tower, spec, t, cap)
+        m_t = m_t_general(build_tower(spec.p, spec.r, spec.m), spec, t, cap)
     return _n_from_m(spec, t, m_t)
 
 
-def n_t(
-    spec: CountSpec, t: int, method: str = "auto", tower: TowerCtx | None = None, cap: int = DEFAULT_ENUM_CAP
-) -> int:
+def n_t(spec: CountSpec, t: int, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> int:
     """N_t = |S_t| along the route the planner picks for t (see plan)."""
     if spec.m % t != 0:
         raise ValidationError(f"{t} does not divide m = {spec.m}")
     route = _route(spec, t, method, cap, _tables_for(spec, method))
-    return _run_route(spec, t, route, tower, cap)
+    return _run_route(spec, t, route, cap)
 
 
 def p_m(spec: CountSpec, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> int:
     """P_m(a, s, h) via Moebius inversion over the N_t, along plan(spec, method, cap)."""
     steps = plan(spec, method, cap)
-    total = sum(mu * _run_route(spec, t, route, None, cap) for t, mu, route in steps)
+    total = sum(mu * _run_route(spec, t, route, cap) for t, mu, route in steps)
     if total % spec.m != 0:
         raise InvariantError("Moebius sum must be divisible by m")
     out = total // spec.m
@@ -745,7 +727,7 @@ def p_m_prime_closed(spec: CountSpec) -> int:
     if s == 2:
         if q % 2 == 0 or m <= 2:
             raise NotApplicable("s = 2 closed form needs odd q and prime m > 2")
-        rho_m1 = -1 if ((q - 1) // 2) % 2 else 1
+        rho_m1 = rho_minus_one(q)
         if spec.a.is_zero():
             val = Fraction(q ** (m - 1) - q, 2 * m) if m == p else Fraction(q ** (m - 1) - 1, 2 * m)
         else:

@@ -47,10 +47,10 @@ class CycInt:
         return cls(order, (int(n),) + (0,) * (order - 1))
 
     @classmethod
-    def root(cls, order: int, exponent: int, coeff: int = 1) -> "CycInt":
-        """coeff * zeta_L^exponent."""
+    def root(cls, order: int, exponent: int) -> "CycInt":
+        """zeta_L^exponent."""
         v = [0] * order
-        v[exponent % order] = int(coeff)
+        v[exponent % order] = 1
         return cls(order, v)
 
     @classmethod
@@ -186,10 +186,6 @@ class CycInt:
 
     def __repr__(self):
         return f"CycInt({self.order}, {list(self.coeffs)})"
-
-
-def zeta(order: int, exponent: int = 1) -> CycInt:
-    return CycInt.root(order, exponent)
 
 
 @lru_cache(maxsize=64)

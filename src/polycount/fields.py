@@ -62,6 +62,16 @@ LOG_TABLE_MAX_ORDER = 1 << 16
 _TRACE_HIST_CACHE_SIZE = 8
 
 
+def check_cap(size: int, cap: int | None, what: str):
+    """Refuse `what` when its size exceeds cap; cap None means DEFAULT_ENUM_CAP."""
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if size > cap:
+        raise EnumerationCapExceeded(
+            f"{what} needs {size} elements, beyond enumeration cap {cap}; closed "
+            f"forms or the Davenport-Hasse lift remain available where applicable"
+        )
+
+
 # -- dense polynomial helpers over F_p (lists, low degree first) --
 # A monic modulus f of degree df is passed as df and its taps, the pairs (j, f_j)
 # with f_j != 0 and j < df.  Products are summed exactly and reduced mod p at the end.
@@ -865,20 +875,11 @@ class TowerCtx:
 
     # -- bulk enumeration --
 
-    def check_cap(self, size: int, cap: int | None, what: str):
-        """Refuse `what` when its size exceeds cap; cap None means DEFAULT_ENUM_CAP."""
-        cap = DEFAULT_ENUM_CAP if cap is None else cap
-        if size > cap:
-            raise EnumerationCapExceeded(
-                f"{what} needs {size} elements, beyond enumeration cap {cap}; closed "
-                f"forms or the Davenport-Hasse lift remain available where applicable"
-            )
-
     def trace_blocks(self, t: int, cap: int | None = None):
         """orbit_blocks of abs_trace(gamma_t^j, t), j < q^t - 1; refuses t not dividing m or q^t over the cap."""
         if t not in self.gamma:
             raise InvalidDegree(f"{t} does not divide {self.m}")
-        self.check_cap(self.q**t, cap, f"the orbit of F_{{q^{t}}}")
+        check_cap(self.q**t, cap, f"the orbit of F_{{q^{t}}}")
         return self.top.orbit_blocks(self.gamma[t], self.abs_trace_column(t), self.q**t - 1)
 
     def orbit_abs_traces(self, t: int, cap: int | None = None) -> np.ndarray:
@@ -898,7 +899,7 @@ class TowerCtx:
         big_q = self.q**t - 1
         if g < 1 or big_q % g:
             raise ValidationError(f"{g} does not divide q^{t} - 1 = {big_q}")
-        self.check_cap(max(big_q + 1, g * self.p), cap, f"the F_{{q^{t}}} trace histogram by {g} classes")
+        check_cap(max(big_q + 1, g * self.p), cap, f"the F_{{q^{t}}} trace histogram by {g} classes")
         key = (t, g)
         if key not in self._trace_hists:
             size = g * self.p

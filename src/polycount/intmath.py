@@ -8,6 +8,7 @@ division plus Pollard rho, and the usual multiplicative gadgets.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError
@@ -148,6 +149,15 @@ def necklace_count(q: int, m: int) -> int:
     if total % m != 0:
         raise InvariantError("the necklace sum must be divisible by m")
     return total // m
+
+
+def sqrt_q_power(p: int, r: int, num: int) -> Fraction:
+    """q^{num/2} for q = p^r as an exact Fraction; r * num must be even."""
+    e = r * num
+    if e % 2 != 0:
+        raise InvariantError(f"odd power of sqrt({p}^{r}) in a rational term")
+    e //= 2
+    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
 
 
 # -- integer polynomials (dense, low degree first), used for cyclotomics --

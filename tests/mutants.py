@@ -13,7 +13,11 @@ moves the code has to move its mutant too.
 
 Equivalent mutants change no value, so no test can kill them, and they are
 not listed: dropping the `np.add.at` branch of `fields.trace_hist` only
-changes speed, because the bincount branch adds the same counts.
+changes speed, because the bincount branch adds the same counts.  Forcing
+`semiprimitive_shift` to 0 only where `counting._table_semiprimitive` reads
+it is another: there k_l = 0 always, because l | t, and k_{s/d} and k_u are
+both nonzero or both 0 and cancel in the j0 test.  So the shift mutant below
+is killed by the monomial lemma's tests, not by the table's.
 """
 
 from __future__ import annotations
@@ -120,6 +124,20 @@ MUTANTS = [
         "logs * tower.g_log_inv % n",
         "logs % n",
         ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "semiprimitive_shift always 0",
+        "src/polycount/charsums.py",
+        "        return v // 2\n",
+        "        return 0\n",
+        ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "check_cap refuses at size == cap",
+        "src/polycount/fields.py",
+        "    if size > cap:\n",
+        "    if size >= cap:\n",
+        ("tests/test_charsums.py",),
     ),
 ]
 

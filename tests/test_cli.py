@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from polycount.cli import main
+from polycount.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -195,6 +195,48 @@ def test_env_var_caps_are_read_on_every_call(monkeypatch):
     assert "oracle cap 100" in err
     code, out, _ = run_cli(*argv, "--oracle-cap", "256")
     assert code == 0 and out.splitlines()[0] == "14"
+
+
+@pytest.mark.parametrize(
+    "var, argv",
+    [
+        ("POLYCOUNT_ORACLE_CAP", "count --p 3 --m 3 --method brute"),
+        ("POLYCOUNT_ENUM_CAP", "count --p 3 --m 3"),
+        ("POLYCOUNT_LISTING_CAP", "list --p 2 --m 3"),
+    ],
+)
+def test_malformed_cap_variable_exits_2_with_one_error_line(monkeypatch, var, argv):
+    monkeypatch.setenv(var, "abc")
+    code, out, err = run_cli(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and var in err
+    assert "Traceback" not in err
+
+
+# subcommand -> (its smallest valid arguments, the cap flags it reads)
+CAP_FLAGS = {
+    "count": ("--p 2 --m 3", {"--enum-cap", "--oracle-cap"}),
+    "list": ("--p 2 --m 3", {"--oracle-cap"}),
+    "table5": ("", {"--oracle-cap"}),
+    "catalog": ("--r 2 --m 3", set()),
+    "verify": ("", {"--enum-cap"}),
+    "sum": ("--kind jacobi --p 5 --t 2 --n 2", {"--enum-cap"}),
+    "jacobi": ("--p 13 --order 4 --t 3", set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CAP_FLAGS))
+@pytest.mark.parametrize("flag", ["--enum-cap", "--oracle-cap"])
+def test_each_subcommand_takes_only_the_caps_it_reads(command, flag):
+    args, reads = CAP_FLAGS[command]
+    argv = [command, *args.split(), flag, "7"]
+    if flag in reads:
+        assert getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_")) == 7
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 def test_sum_jacobi():

@@ -221,3 +221,48 @@ def test_every_mutant_fragment_occurs_once():
             found.append(f"{mutant.name}: {count} occurrences in {mutant.file}")
         found += [f"{mutant.name}: no test file {name}" for name in mutant.tests if not (ROOT / name).is_file()]
     assert found == []
+
+
+def _bound_names(tree):
+    """Every name the top level of a module binds by import, def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return names
+
+
+def _public_surface(tree):
+    """The public names a package __init__ binds, leaving out its submodules."""
+    return {name for name in _bound_names(tree) if not name.startswith("_") and not (SRC / f"{name}.py").is_file()}
+
+
+def _readme_entry_points():
+    """The names README's "Library entry points" block imports from polycount."""
+    section = (ROOT / "README.md").read_text().split("## Library entry points", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "polycount"
+        for alias in node.names
+    }
+
+
+def test_top_level_is_readme_entry_points():
+    # README documents the whole top level; everything else is imported from its module
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    entry_points = _readme_entry_points()
+    assert len(entry_points) == 17
+    assert _public_surface(tree) == entry_points | {"clear_caches"}
+    assert "__all__" not in _bound_names(tree)
+
+
+def test_surface_check_flags_a_planted_import():
+    source = (SRC / "__init__.py").read_text()
+    planted = ast.parse(source + "from .cyclotomic import CycInt\nfrom . import verify\n")
+    assert _public_surface(planted) - _public_surface(ast.parse(source)) == {"CycInt"}
