@@ -8,6 +8,9 @@ The `list_*.tsv` files were written before both Rabin tests became one
 over F_q, and pin every listed polynomial of their cell.  `jacobi.txt` was
 written before the closed quartic and cubic Jacobi sums moved from their own
 Z[i] and Z[zeta_3] classes to `CycInt`, and pins their TSV and JSON output.
+`sum_jacobi.txt` was written while `sum --kind jacobi` still walked all
+q^{t-1} tuples, before it read class counts of cyclotomic numbers, and pins
+its TSV and JSON output.
 """
 
 import io
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from polycount.cli import main
+from polycount.intmath import divisors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,6 +33,22 @@ JACOBI_QUERIES = {
     3: ((7, 13, 19, 31, 37, 43), 8),
     2: ((3, 5, 7, 11), 4),
 }
+
+# (p, r) of the pinned `sum --kind jacobi` fields: every n | q - 1, k in {0, 1, n - 1}
+# and t <= 4 with q^{t-1} <= 2^16; then F_{2^12} at n = q - 1, t = 2, 3
+SUM_JACOBI_FIELDS = [(5, 1), (13, 1), (3, 2), (5, 2), (2, 4), (2, 6)]
+
+
+def sum_jacobi_queries():
+    """(p, r, n, k, t) of every pinned `sum --kind jacobi` query, in file order."""
+    out = []
+    for p, r in SUM_JACOBI_FIELDS:
+        q = p**r
+        for n in divisors(q - 1):
+            for k in sorted({0, 1 % n, n - 1}):
+                out += [(p, r, n, k, t) for t in range(1, 5) if q ** (t - 1) <= 1 << 16]
+    out += [(2, 12, 4095, k, t) for k in (0, 1, 4094) for t in (2, 3)]
+    return out
 
 
 @pytest.mark.parametrize(
@@ -59,3 +79,13 @@ def test_jacobi_output_matches_golden_file():
                         argv = f"jacobi --p {p} --order {order} --t {t} --format {fmt}".split()
                         assert main(argv) == 0
     assert out.getvalue().encode() == (GOLDEN / "jacobi.txt").read_bytes()
+
+
+def test_sum_jacobi_output_matches_golden_file():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for p, r, n, k, t in sum_jacobi_queries():
+            for fmt in ("tsv", "json"):
+                argv = f"sum --kind jacobi --p {p} --r {r} --n {n} --k {k} --t {t} --format {fmt}".split()
+                assert main(argv) == 0
+    assert out.getvalue().encode() == (GOLDEN / "sum_jacobi.txt").read_bytes()
