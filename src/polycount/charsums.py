@@ -4,9 +4,9 @@ Three sum species: monomial exponential sums over F_{q^t}, Gauss sums,
 and Jacobi sums.  A monomial or Gauss sum over F_{q^t} depends on an
 element gamma_t^j only through j mod g and its absolute trace: a Gauss sum
 is a Fourier coefficient of TowerCtx.trace_hist(t, g), a monomial sum counts
-one class from the walk TowerCtx.trace_blocks.  Jacobi sums histogram their
-character exponents directly.  Counts become a CycInt once at the end, so
-the intermediate work is plain integer vector addition.
+one class from the walk TowerCtx.trace_blocks.  Jacobi sums over F_q read
+class counts by log mod n, built from cyclotomic numbers, not from tuples.
+Counts become a CycInt once at the end, so the work is integer vectors.
 
 For p = 2 the Davenport-Hasse identity lifts a Gauss sum from the small
 field carrying the character to any extension by sign-twisted exact
@@ -22,14 +22,13 @@ sum per order, at k = 1, and permutes it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CycInt
-from .errors import ValidationError
+from .errors import CapExceeded, InvariantError, ValidationError
 from .fields import FieldCtx, FieldElement, TowerCtx, _index_add, check_cap
 
 
@@ -120,83 +119,83 @@ def gauss_sum_lifted(tower: TowerCtx, chi: MultChar, t_prime: int, cap: int | No
     return -((-f) ** t_prime)
 
 
-# the trailing coordinates of jacobi_brute are enumerated together, this many at most (or q)
-_JACOBI_BLOCK = 1 << 12
+def jacobi_class_counts(field: FieldCtx, n: int, t: int) -> np.ndarray:
+    """A[c] = #{x in (F_q*)^t : x_1 + ... + x_t = 1, log(x_1 ... x_t) = c mod n}, as int64.
 
+    Logs are to field.generator and n | q - 1, so J_t(lambda^k) = sum_c A[c] zeta_n^{kc}
+    for every nontrivial power of the canonical order-n character.
 
-def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None) -> CycInt:
-    """J_t(lambda) = sum over x_1 + ... + x_t = 1 of lambda(x_1 ... x_t).
-
-    lambda is the k-th power of the canonical order-n character of F_q*
-    (sending field.generator to zeta_n).  Iterates the t - 1 free
-    coordinates directly, the trailing ones as numpy blocks of element
-    indices, in O(q) memory; exact in Z[zeta_n].
+    Let A_k count k variables, and B_k the same with sum 0.  For u != 0, x -> u x
+    maps sum 1 onto sum u and the product to u^k times it, so sum u counts
+    A_k[c - k log u].  Split on the last coordinate y.  In A_{k+1}, y = 1 leaves
+    sum 0 and y not in {0, 1} leaves sum 1 - y, so A_{k+1} = B_k + A_k (*) H_k, a
+    cyclic convolution with H_k[u] = #{y not in {0, 1} : log y + k log(1 - y) = u}.
+    In B_{k+1}, y in F_q* leaves sum -y, with log(-y) = log(-1) + log y, and each
+    class of log y mod n holds (q - 1)/n elements, so B_{k+1}[c] = ((q - 1)/n)
+    sum_i A_k[c - (k + 1) i - k log(-1)]; (k + 1) i runs g times over the multiples
+    of g = gcd(k + 1, n), a sum over one class mod g.  A_1 = delta_0 and B_1 = 0.
+    Each entry counts at most q^{t-1} tuples, exact in int64 below 2^62; the total
+    is checked against ((q - 1)^t - (-1)^t)/q.  O(q + n^2) per step.
     """
-    q, p, r = field.order, field.p, field.r
+    q = field.order
     if n < 1 or (q - 1) % n != 0:
         raise ValidationError("character order must be a positive divisor of q - 1")
     if t < 1:
         raise ValidationError("a Jacobi sum needs t >= 1 variables")
-    check_cap(q ** max(t - 1, 0), cap, f"the Jacobi sum with {t} variables")
-    if t == 1:
-        return CycInt.integer(n, 1)  # lambda(1)
-
-    # exponent of lambda at each nonzero index (entry 0 is never read unmasked)
-    exps = field.log_table().astype(np.int64) * k % n
-    exps_list = exps.tolist()
-    # all w-tuples of the trailing coordinates: index of their sum, exponent, any zero
-    width = 1
-    while width < t - 1 and q ** (width + 1) <= max(q, _JACOBI_BLOCK):
-        width += 1
-    xs = np.arange(q, dtype=np.int64)
-    tail_sum, tail_exp, tail_zero = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, bool)
-    for _ in range(width):
-        tail_sum = _index_add(tail_sum[:, None], xs[None, :], p, r).ravel()
-        tail_exp = ((tail_exp[:, None] + exps[None, :]) % n).ravel()
-        tail_zero = (tail_zero[:, None] | (xs == 0)[None, :]).ravel()
-
-    one_idx = field.one.index
-    coeffs = np.zeros(n, dtype=np.int64)
-    with_zero = 0  # tuples with a zero coordinate: lambda_0 takes value 1 there
-    for head in itertools.product(range(q), repeat=t - 1 - width):
-        if 0 in head:
-            with_zero += len(tail_sum)
-            continue
-        s, e = 0, 0
-        for i in head:
-            s = _index_add(s, i, p, r)
-            e += exps_list[i]
-        last = _index_add(one_idx, _index_add(s, tail_sum, p, r), p, r, sign=-1)
-        dead = tail_zero | (last == 0)
-        live = ~dead
-        coeffs += np.bincount((e + tail_exp[live] + exps[last[live]]) % n, minlength=n)
-        with_zero += int(np.count_nonzero(dead))
-    if k % n == 0:
-        coeffs[0] += with_zero
-    return CycInt(n, coeffs.tolist())
+    if q ** (t - 1) >= 1 << 62:
+        raise CapExceeded(f"class counts of {t} variables over F_{q} overflow int64")
+    logs = field.log_table().astype(np.int64)
+    one_minus = logs[_index_add(field.one.index, np.arange(q), field.p, field.r, sign=-1)]
+    live = (logs >= 0) & (one_minus >= 0)  # y not in {0, 1}
+    log_y, log_1my = logs[live], one_minus[live]
+    log_m1 = (q - 1) // 2 if q % 2 else 0
+    a, b = (np.arange(n) == 0).astype(np.int64), 0  # A_1, B_1
+    for k in range(1, t):
+        g = math.gcd(k + 1, n)
+        h = np.bincount((log_y + k * log_1my) % n, minlength=n)
+        full = np.convolve(a, h) if k > 1 else h  # A_1 (*) H_1 = H_1
+        folded = np.pad(full, (0, -len(full) % n)).reshape(-1, n).sum(axis=0)  # indices mod n
+        a, b = b + folded, (q - 1) // n * g * a.reshape(-1, g).sum(axis=0)[(np.arange(n) - k * log_m1) % g]
+    if int(a.sum()) != ((q - 1) ** t - (-1) ** t) // q:
+        raise InvariantError("class counts do not add up to the tuples with sum 1")
+    return a
 
 
-def semiprimitive_shift(p: int, e: int, nt: int, v: int) -> int:
-    """The shift k_v of the semiprimitive monomial sum for v | p^e + 1 at degree nt over F_{p^{2e}}.
+def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None) -> CycInt:
+    """J_t(lambda) = sum over x_1 + ... + x_t = 1 of lambda(x_1 ... x_t), exact in Z[zeta_n].
 
-    k_v = v/2 exactly when p > 2, nt is odd and (p^e + 1)/v is odd, else 0.
+    lambda is the k-th power of the canonical order-n character of F_q*
+    (sending field.generator to zeta_n), read off jacobi_class_counts; the
+    trivial character also counts the tuples with a zero coordinate.  The
+    cap is compared with the q^{t-1} tuples with sum 1, not with the work.
     """
-    if p > 2 and nt % 2 == 1 and v % 2 == 0 and ((p**e + 1) // v) % 2 == 1:
-        return v // 2
-    return 0
+    q = field.order
+    if n < 1 or (q - 1) % n != 0:
+        raise ValidationError("character order must be a positive divisor of q - 1")
+    if t < 1:
+        raise ValidationError("a Jacobi sum needs t >= 1 variables")
+    check_cap(q ** (t - 1), cap, f"the Jacobi sum with {t} variables")
+    counts = jacobi_class_counts(field, n, t)
+    coeffs = np.zeros(n, dtype=np.int64)
+    np.add.at(coeffs, k * np.arange(n) % n, counts)
+    if k % n == 0:
+        coeffs[0] += q ** (t - 1) - int(counts.sum())
+    return CycInt(n, coeffs.tolist())
 
 
 def monomial_closed_semiprimitive(p: int, e: int, n: int, t: int, s: int, i: int) -> int:
     """Closed value of sum_{x != 0} e_t(gamma_t^i x^s) when s | p^e + 1, r = 2en.
 
-    Two values only, split by i mod s against the shift k_s (semiprimitive_shift).
+    Two values only, split by i mod s against the shift k_s, which is s/2
+    exactly when p > 2, nt is odd and (p^e + 1)/s is odd, and 0 otherwise.
     """
     if (p**e + 1) % s != 0:
         raise ValidationError("semiprimitive closed form needs s | p^e + 1")
-    k_s = semiprimitive_shift(p, e, n * t, s)
+    odd_nt = (n * t) % 2
+    k_s = s // 2 if p > 2 and odd_nt and s % 2 == 0 and (p**e + 1) // s % 2 else 0
     root = p ** (e * n * t)  # sqrt(q^t) for q = p^{2en}
-    sign = -1 if (n * t) % 2 else 1
-    if i % s == k_s % s:
+    sign = -1 if odd_nt else 1
+    if i % s == k_s:
         return -sign * (s - 1) * root - 1
     return sign * root - 1
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsums import MultChar, gauss_sum_lifted, jacobi_brute, semiprimitive_shift
+from .charsums import MultChar, gauss_sum_lifted, jacobi_class_counts
 from .cyclotomic import CycInt
 from .errors import (
     EnumerationCapExceeded,
@@ -256,11 +256,10 @@ def _character_sum(n: int, x: int, value, const: int = 0) -> CycInt:
     return CycInt(n, acc)
 
 
-def _jacobi_value(spec: CountSpec, t: int, order: int, allow_brute: bool, cap: int) -> CycInt:
+def _jacobi_value(spec: CountSpec, t: int, order: int) -> CycInt:
     """J_t of the canonical order-`order` character of F_q (order > 1), in Z[zeta_order].
 
-    Uses the closed 2/3/4 forms when available (q = p for 3, 4), brute
-    summation otherwise (if allowed)."""
+    Only the closed 2/3/4 forms (q = p for 3, 4); TableNotApplicable otherwise."""
     q, p = spec.q, spec.p
     if order == 2:
         return CycInt.integer(2, jacobi_closed(2, t, q))
@@ -269,11 +268,7 @@ def _jacobi_value(spec: CountSpec, t: int, order: int, allow_brute: bool, cap: i
         if order == 4:
             return jacobi_closed(4, t, p, _quartic(p, g))
         return jacobi_closed(3, t, p, _cubic(p, g))
-    if not allow_brute:
-        raise TableNotApplicable(
-            f"no closed Jacobi form for character order {order} at q = {q}"
-        )
-    return jacobi_brute(spec.base, order, 1, t, cap)
+    raise TableNotApplicable(f"no closed Jacobi form for character order {order} at q = {q}")
 
 
 @lru_cache(maxsize=64)
@@ -286,37 +281,36 @@ def _cubic(p, g) -> CubicParams:
     return cubic_params(p, g)
 
 
-def m_t_jacobi(
-    spec: CountSpec,
-    t: int,
-    allow_brute: bool = False,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> int:
+def m_t_jacobi(spec: CountSpec, t: int, allow_brute: bool = False, cap: int = DEFAULT_ENUM_CAP) -> int:
     """M_t through Jacobi sums over F_q (no extension-field enumeration).
 
     a = 0:  M_t = (q-1) (-1 + (-1)^t q sum_{lambda in H_l*} J_t(lambda) conj(lambda)(g^{i0}))
     a != 0: M_t = 1 + (-1)^{t-1} q sum_{lambda in H_{s/d}*} J_t(conj lambda) lambda((-a0)^t g^{i0}))
+
+    Both inner sums are S = sum_{c=1}^{n-1} J_t(lambda^c) zeta_n^{-cx}, lambda canonical of order n,
+    (n, x) = (l, i0) or (s/d, log of the argument); the closed route takes each J_t in closed form.
+    With allow_brute, J_t(lambda^c) = sum_e A[e] zeta_n^{ce} (A from jacobi_class_counts), and
+    sum_{c=0}^{n-1} zeta_n^{c(e-x)} = n [e = x mod n], so S = n A[x mod n] - sum_e A[e].
     """
     if not _restpd(spec, t):
         raise ValidationError("Jacobi route requires p not dividing m/t and d | h")
     q = spec.q
     params = derive_params(spec, t)
     sign_t = -1 if t % 2 == 0 else 1  # (-1)^{t-1} = -(-1)^t
-
-    def value(order):
-        return _jacobi_value(spec, t, order, allow_brute, cap)
-
     if spec.a.is_zero():
-        n = params.l
-        inner = _character_sum(n, params.i0, value).expect_integer("a=0 Jacobi inner sum")
+        n, x = params.l, params.i0
+    else:
+        n = spec.s // params.d
+        # lambda_j(g^e) = zeta_{s/d}^{j e}, and the argument is (-a0)^t g^{i0}
+        x = (t * spec.base.dlog(-spec.a0(t)) + params.i0) % (q - 1)
+    if allow_brute:
+        check_cap(q ** (t - 1), cap, f"the Jacobi sum with {t} variables")
+        counts = jacobi_class_counts(spec.base, n, t)
+        inner = n * int(counts[x % n]) - int(counts.sum())
+    else:
+        inner = _character_sum(n, x, lambda order: _jacobi_value(spec, t, order)).expect_integer("Jacobi inner sum")
+    if spec.a.is_zero():
         return (q - 1) * (-1 + (-sign_t) * q * inner)
-    n = spec.s // params.d
-    if n == 1:
-        return 1
-    log_neg_a0 = spec.base.dlog(-spec.a0(t))
-    # lambda_j(g^e) = zeta_{s/d}^{j e}, and the argument is (-a0)^t g^{i0}
-    arg_log = (t * log_neg_a0 + params.i0) % (q - 1)
-    inner = _character_sum(n, arg_log, value).expect_integer("a!=0 Jacobi inner sum")
     return 1 + sign_t * q * inner
 
 
@@ -536,7 +530,7 @@ def _table_semiprimitive(spec: CountSpec, t: int) -> int:
     setup = semiprimitive_setup(p, r, s)
     if setup is None:
         raise TableNotApplicable("s does not divide p^e + 1 for any e with r = 2en")
-    e, n = setup
+    _, n = setup
     params = derive_params(spec, t)
     d, l, u, i0 = params.d, params.l, params.u, params.i0
     sd = s // d
@@ -544,15 +538,13 @@ def _table_semiprimitive(spec: CountSpec, t: int) -> int:
     ds = Fraction(d, s)
     root = sqrt_q_power(p, r, t - 2)
     if spec.a.is_zero():
-        k_l = semiprimitive_shift(p, e, n * t, l)
-        if l > 1 and i0 % l != k_l % l:
+        if l > 1 and i0 % l != 0:
             val = ds * (q ** (t - 1) - 1 + sign_nt * (q - 1) * root)
         else:
             val = ds * (q ** (t - 1) - 1 - sign_nt * (q - 1) * (l - 1) * root)
     else:
-        k_sd = semiprimitive_shift(p, e, n * t, sd)
         ind_a0 = params.t0 % sd * spec.base.dlog(spec.a0(t)) % sd if sd > 1 else 0
-        kk = (k_sd - i0 - ind_a0) % sd if sd > 1 else 0
+        kk = (-i0 - ind_a0) % sd if sd > 1 else 0
         if sd > 1 and kk % l != 0:
             val = ds * (q ** (t - 1) - sign_nt * root)
         else:
@@ -563,8 +555,7 @@ def _table_semiprimitive(spec: CountSpec, t: int) -> int:
                 j0 = kk // l * pow(t0l, -1, u) % u
             else:
                 j0 = 0
-            k_u = semiprimitive_shift(p, e, n, u)  # Prop applied at t = 1
-            if u > 1 and j0 % u != k_u % u:
+            if u > 1 and j0 % u != 0:
                 inner = (sign_n * sqrt_q - 1) * l + 1
             else:
                 inner = (-sign_n * (u - 1) * sqrt_q - 1) * l + 1

@@ -4,20 +4,22 @@ Run from the repository root:
 
     python3 tests/mutants.py
 
-The tree is copied once to a temporary directory.  Each mutant replaces one
-exact source fragment there, runs its test files, and is restored.  The
-script prints one row per mutant with the number of failing tests and the
-first of them, and exits nonzero if any mutant survives.  `test_source.py`
-requires every fragment to occur exactly once in its file, so a refactor that
-moves the code has to move its mutant too.
+The tree (`src/`, `tests/`, `perfbench/` and `pyproject.toml`) is copied once
+to a temporary directory.  First every test file that some mutant names runs
+there unmutated; if one fails, a kill would prove nothing, so the script stops
+with exit 1 as a harness error.  Then each mutant replaces one exact source
+fragment, runs its test files, and is restored.  The script prints one row per
+mutant with the number of failing tests and the first of them, and exits
+nonzero if any mutant survives.  `test_source.py` requires every fragment to
+occur exactly once in its file, so a refactor that moves the code has to move
+its mutant too.
 
 Equivalent mutants change no value, so no test can kill them, and they are
 not listed: dropping the `np.add.at` branch of `fields.trace_hist` only
-changes speed, because the bincount branch adds the same counts.  Forcing
-`semiprimitive_shift` to 0 only where `counting._table_semiprimitive` reads
-it is another: there k_l = 0 always, because l | t, and k_{s/d} and k_u are
-both nonzero or both 0 and cancel in the j0 test.  So the shift mutant below
-is killed by the monomial lemma's tests, not by the table's.
+changes speed, because the bincount branch adds the same counts.  The
+semiprimitive table needs no shift: l | t makes k_l = 0, and k_{s/d} and k_u
+are both 0 or both nonzero and cancel in the j0 test.  So the shift mutant
+below sits in the monomial lemma, whose tests kill it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ MUTANTS = [
         "re2 = (pi ** (t // 2) * CycInt.root(4, -i0)).twice_real()\n"
         "                val = Fraction(\n"
         "                    p ** (t - 1) - 1 - sign_i0",
-        ("tests/test_golden.py",),
+        ("tests/test_golden.py", "tests/test_identities.py"),
     ),
     Mutant(
         "sign of rho_w in m_t_general",
@@ -126,10 +128,31 @@ MUTANTS = [
         ("tests/test_oracle.py",),
     ),
     Mutant(
-        "semiprimitive_shift always 0",
+        "semiprimitive monomial shift always 0",
         "src/polycount/charsums.py",
-        "        return v // 2\n",
-        "        return 0\n",
+        "k_s = s // 2 if",
+        "k_s = 0 if",
+        ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "class counts without the sum-0 term B_k",
+        "src/polycount/charsums.py",
+        "a, b = b + folded,",
+        "a, b = folded,",
+        ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "class counts read k log(1 - y) as log(1 - y)",
+        "src/polycount/charsums.py",
+        "(log_y + k * log_1my) % n",
+        "(log_y + log_1my) % n",
+        ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "class counts read (k + 1) as k in the B recurrence",
+        "src/polycount/charsums.py",
+        "g = math.gcd(k + 1, n)",
+        "g = math.gcd(k, n)",
         ("tests/test_charsums.py",),
     ),
     Mutant(
@@ -142,6 +165,22 @@ MUTANTS = [
 ]
 
 
+def _failing(tree: Path, tests) -> list[str]:
+    """Run the test files in tree; return the failing test ids."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *tests],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    if proc.returncode != 0 and not failed:
+        failed = [f"pytest exit {proc.returncode}"]
+    return failed
+
+
 def _run(tree: Path, mutant: Mutant) -> list[str]:
     """Apply mutant in tree, run its tests, restore; return the failing test ids."""
     path = tree / mutant.file
@@ -150,29 +189,25 @@ def _run(tree: Path, mutant: Mutant) -> list[str]:
         raise SystemExit(f"{mutant.name}: fragment does not occur exactly once in {mutant.file}")
     path.write_text(source.replace(mutant.fragment, mutant.replacement))
     try:
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=tree,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        return _failing(tree, mutant.tests)
     finally:
         path.write_text(source)
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-    if proc.returncode != 0 and not failed:
-        failed = [f"pytest exit {proc.returncode}"]
-    return failed
 
 
 def main() -> int:
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="polycount-mutants-") as tmp:
         tree = Path(tmp) / "repo"
-        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", tree / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        for name in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
         shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        start = time.perf_counter()
+        tests = sorted({name for mutant in MUTANTS for name in mutant.tests})
+        failed = _failing(tree, tests)
+        print(f"unmutated\t{len(failed)}\t{time.perf_counter() - start:.1f}\t{' '.join(tests)}", flush=True)
+        if failed:
+            print(f"harness error: {failed[0]} (+{len(failed) - 1} more) fails on the unmutated tree", file=sys.stderr)
+            return 1
         print("mutant\tkilled\tseconds\tkilled_by")
         for mutant in MUTANTS:
             start = time.perf_counter()

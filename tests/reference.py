@@ -4,9 +4,12 @@ Nothing in the package imports this module.  The whole-array functions
 recompute an oracle value, a trace histogram or a log table the simplest
 way, over whole-orbit arrays, so the streamed code in polycount.oracle and
 polycount.fields can be compared with it.  The character sum checks
-compare two independent routes to the same sum.
+compare two independent routes to the same sum.  The Jacobi tuple walk
+visits every one of the q^{t-1} tuples with sum 1 that the package counts
+by classes instead.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +18,8 @@ from polycount.charsums import MultChar, gauss_sum, gauss_sum_folded, gauss_sum_
 from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
 from polycount.errors import ValidationError
-from polycount.fields import FieldCtx, FieldElement, TowerCtx, build_tower, min_poly
-from polycount.intmath import divisors, factorize
+from polycount.fields import FieldCtx, FieldElement, TowerCtx, _index_add, build_tower, min_poly
+from polycount.intmath import divisors, factorize, mobius
 from polycount.oracle import DEFAULT_ORACLE_CAP, brute_scan
 
 
@@ -93,6 +96,82 @@ def whole_orbit_listing(spec: CountSpec) -> list[tuple[int, ...]]:
     if q > 2:
         exps = exps[exps % (q - 1) % spec.s == _h(spec, tower)]
     return sorted({tuple(c.index for c in min_poly(tower, gamma**e)[0]) for e in exps.tolist()})
+
+
+# the trailing coordinates of the Jacobi tuple walk are enumerated together, this many at most (or q)
+_JACOBI_BLOCK = 1 << 12
+
+
+def jacobi_tuples(field: FieldCtx, n: int, k: int, t: int) -> tuple[np.ndarray, int]:
+    """Walk every x in F_q^t with x_1 + ... + x_t = 1.
+
+    Returns the histogram of k log(x_1 ... x_t) mod n over the tuples with no
+    zero coordinate, and the number of tuples with one.  The t - 1 free
+    coordinates are iterated directly, the trailing ones as numpy blocks of
+    element indices, in O(q) memory.
+    """
+    q, p, r = field.order, field.p, field.r
+    coeffs = np.zeros(n, dtype=np.int64)
+    if t == 1:
+        coeffs[0] = 1  # the one tuple (1), log 0
+        return coeffs, 0
+    # exponent of lambda at each nonzero index (entry 0 is never read unmasked)
+    exps = field.log_table().astype(np.int64) * k % n
+    exps_list = exps.tolist()
+    # all w-tuples of the trailing coordinates: index of their sum, exponent, any zero
+    width = 1
+    while width < t - 1 and q ** (width + 1) <= max(q, _JACOBI_BLOCK):
+        width += 1
+    xs = np.arange(q, dtype=np.int64)
+    tail_sum, tail_exp, tail_zero = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, bool)
+    for _ in range(width):
+        tail_sum = _index_add(tail_sum[:, None], xs[None, :], p, r).ravel()
+        tail_exp = ((tail_exp[:, None] + exps[None, :]) % n).ravel()
+        tail_zero = (tail_zero[:, None] | (xs == 0)[None, :]).ravel()
+
+    one_idx = field.one.index
+    with_zero = 0
+    for head in itertools.product(range(q), repeat=t - 1 - width):
+        if 0 in head:
+            with_zero += len(tail_sum)
+            continue
+        s, e = 0, 0
+        for i in head:
+            s = _index_add(s, i, p, r)
+            e += exps_list[i]
+        last = _index_add(one_idx, _index_add(s, tail_sum, p, r), p, r, sign=-1)
+        dead = tail_zero | (last == 0)
+        live = ~dead
+        coeffs += np.bincount((e + tail_exp[live] + exps[last[live]]) % n, minlength=n)
+        with_zero += int(np.count_nonzero(dead))
+    return coeffs, with_zero
+
+
+def jacobi_tuple_walk(field: FieldCtx, n: int, k: int, t: int) -> CycInt:
+    """J_t(lambda^k) for the canonical order-n character, summed over all q^{t-1} tuples.
+
+    The trivial character takes value 1 at 0, so it also counts the tuples
+    with a zero coordinate.
+    """
+    coeffs, with_zero = jacobi_tuples(field, n, k, t)
+    if k % n == 0:
+        coeffs[0] += with_zero
+    return CycInt(n, coeffs.tolist())
+
+
+def norm_class_count(q: int, m: int, s: int, h: int) -> int:
+    """(1/m) sum_{t | m} mu(m/t) (q^t - 1)/(q - 1) #{e mod q - 1 : (m/t) e = h mod s}.
+
+    The number of monic irreducibles of degree m over F_q whose norm lies in
+    the class h mod s, whatever their trace (test_identities proves it).
+    """
+    total = 0
+    for t in divisors(m):
+        hits = sum(1 for e in range(q - 1) if ((m // t) * e - h) % s == 0)
+        total += mobius(m // t) * (q**t - 1) // (q - 1) * hits
+    if total % m:
+        raise ValueError("the Moebius sum is not divisible by m")
+    return total // m
 
 
 @dataclass

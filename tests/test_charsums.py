@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import char_connect_check, dh_consistency_check
+from reference import char_connect_check, dh_consistency_check, jacobi_tuple_walk, jacobi_tuples
 
 from polycount import fields
 from polycount.charsums import (
@@ -12,12 +12,13 @@ from polycount.charsums import (
     gauss_sum_folded,
     gauss_sum_lifted,
     jacobi_brute,
+    jacobi_class_counts,
     monomial_closed_char2,
     monomial_closed_semiprimitive,
     monomial_sum,
 )
 from polycount.cyclotomic import CycInt, sqrt_minus
-from polycount.errors import EnumerationCapExceeded, InvalidDegree, ValidationError
+from polycount.errors import CapExceeded, EnumerationCapExceeded, InvalidDegree, ValidationError
 from polycount.fields import build_field, build_tower
 from polycount.intmath import divisors
 
@@ -283,6 +284,37 @@ def test_jacobi_hermitian_symmetry():
             a = jacobi_brute(f, n, n - k, t)
             b = jacobi_brute(f, n, k, t).conjugate()
             assert a == b
+
+
+# (p, r): p = 2 and odd r > 1 included; each is checked at every t <= 4 with q^{t-1} <= 2^16
+_CLASS_COUNT_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (2, 12), (3, 1), (3, 2), (3, 3)]
+_CLASS_COUNT_FIELDS += [(3, 5), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1), (31, 1), (37, 1)]
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_class_counts_match_the_tuple_walk(data):
+    # one walk by q - 1 classes folds onto the class counts of every n | q - 1; then the
+    # Jacobi sum at a drawn (n, k) against its own walk
+    for p, r in _CLASS_COUNT_FIELDS:
+        field, q = build_field(p, r), p**r
+        for t in range(1, 5):
+            if q ** (t - 1) > 1 << 16:
+                break
+            walked, _ = jacobi_tuples(field, q - 1, 1, t)
+            for n in divisors(q - 1):
+                assert jacobi_class_counts(field, n, t).tolist() == walked.reshape(-1, n).sum(axis=0).tolist(), (q, n, t)
+            n = data.draw(st.sampled_from(divisors(q - 1)), label=f"n at q = {q}, t = {t}")
+            k = data.draw(st.integers(0, n - 1), label=f"k at q = {q}, n = {n}, t = {t}")
+            assert jacobi_brute(field, n, k, t) == jacobi_tuple_walk(field, n, k, t), (q, n, k, t)
+
+
+def test_class_counts_refuse_what_int64_cannot_hold():
+    # q^{t-1} = 2^64 tuples could overflow; refused before any table is read
+    with pytest.raises(CapExceeded):
+        jacobi_class_counts(build_field(2, 16), 3, 5)
+    with pytest.raises(ValidationError):
+        jacobi_class_counts(build_field(5, 1), 3, 2)
 
 
 @pytest.mark.parametrize("p,r", [(2, 4), (2, 6), (3, 2), (7, 1), (13, 1)])

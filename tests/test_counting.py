@@ -199,21 +199,21 @@ def test_m_t_lifted_lifts_once_per_character_order(monkeypatch):
     assert got == lifted_per_character(spec, 25)
 
 
-def test_m_t_jacobi_sums_once_per_character_order(monkeypatch):
+def test_m_t_jacobi_reads_one_class_count(monkeypatch):
     import polycount.counting as counting
 
     calls = []
-    real = counting.jacobi_brute
+    real = counting.jacobi_class_counts
 
-    def spy(field, n, k, t, cap=None):
-        calls.append((n, k))
-        return real(field, n, k, t, cap)
+    def spy(field, n, t):
+        calls.append((n, t))
+        return real(field, n, t)
 
-    monkeypatch.setattr(counting, "jacobi_brute", spy)
-    # n = s/d = 30: orders 2 and 3 are closed at q = p, orders 5, 6, 10, 15, 30 are brute
+    monkeypatch.setattr(counting, "jacobi_class_counts", spy)
+    # n = s/d = 30: all 29 nontrivial characters, of orders 2, 3, 5, 6, 10, 15 and 30, read one vector
     spec = CountSpec.make(31, 1, 3, 30, a=1, h=7)
     got = m_t_jacobi(spec, 3, allow_brute=True)
-    assert sorted(calls) == [(5, 1), (6, 1), (10, 1), (15, 1), (30, 1)]
+    assert calls == [(30, 3)]
     assert got == m_t_general(build_tower(31, 1, 3), spec, 3)
 
 
