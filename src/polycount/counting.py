@@ -301,8 +301,8 @@ def m_t_jacobi(spec: CountSpec, t: int, allow_brute: bool = False, cap: int = DE
         n, x = params.l, params.i0
     else:
         n = spec.s // params.d
-        # lambda_j(g^e) = zeta_{s/d}^{j e}, and the argument is (-a0)^t g^{i0}
-        x = (t * spec.base.dlog(-spec.a0(t)) + params.i0) % (q - 1)
+        # lambda_j(g^e) = zeta_{s/d}^{j e}, and the argument is (-a0)^t g^{i0}; n = 1 needs no log
+        x = (t * spec.base.dlog(-spec.a0(t)) + params.i0) % (q - 1) if n > 1 else 0
     if allow_brute:
         check_cap(q ** (t - 1), cap, f"the Jacobi sum with {t} variables")
         counts = jacobi_class_counts(spec.base, n, t)
