@@ -309,7 +309,7 @@ def test_class_counts_match_the_tuple_walk(data):
             assert jacobi_brute(field, n, k, t) == jacobi_tuple_walk(field, n, k, t), (q, n, k, t)
 
 
-def test_class_counts_refuse_what_int64_cannot_hold():
+def test_class_counts_refuse_bad_orders_and_int64_overflow():
     # q^{t-1} = 2^64 tuples could overflow; refused before any table is read
     with pytest.raises(CapExceeded):
         jacobi_class_counts(build_field(2, 16), 3, 5)
