@@ -1,0 +1,59 @@
+"""The base-field embedding F_q -> F_{q^m} of a tower, pinned and checked.
+
+`tests/golden/embedding.tsv` records, for every tower with q <= 2^10, r > 1
+and m <= 4, and for a few towers with r = 1, the index of embed(X) for the
+base element X of index p (for r = 1, of the base generator instead), and
+the index of to_base(g).  The embedding sends X to beta, the first root of
+F_q's modulus along the powers of g, so this file pins that choice and every
+label that rests on it.  The properties that make embed a field embedding
+with to_base its inverse are checked on every element and on random pairs.
+"""
+
+import random
+from pathlib import Path
+
+from polycount.fields import build_tower
+from polycount.intmath import is_prime
+
+GOLDEN = Path(__file__).parent / "golden" / "embedding.tsv"
+
+_R1_TOWERS = [(2, 1, 4), (3, 1, 3), (5, 1, 2), (13, 1, 4), (101, 1, 2)]
+
+
+def _towers():
+    out = []
+    for p in (p for p in range(2, 32) if is_prime(p)):
+        for r in range(2, 11):
+            if p**r <= 1 << 10:
+                out += [(p, r, m) for m in range(1, 5)]
+    return sorted(out) + _R1_TOWERS
+
+
+def _check_embedding(tower, rng):
+    """embed lands in the top field, preserves sums and products, and to_base inverts it."""
+    base = tower.base
+    elems = [base.from_index(i) for i in range(base.order)]
+    images = [tower.embed(x) for x in elems]
+    assert all(y.ctx is tower.top for y in images)
+    assert [tower.to_base(y) for y in images] == elems
+    for _ in range(24):
+        i, j = rng.randrange(base.order), rng.randrange(base.order)
+        assert tower.embed(elems[i] + elems[j]) == images[i] + images[j]
+        assert tower.embed(elems[i] * elems[j]) == images[i] * images[j]
+
+
+def embedding_rows(check=False):
+    """One line `p r m embed(X) to_base(g)` per tower, as written to the golden file."""
+    rng = random.Random(1)
+    rows = []
+    for p, r, m in _towers():
+        tower = build_tower(p, r, m)
+        if check:
+            _check_embedding(tower, rng)
+        x = tower.base.from_index(p) if r > 1 else tower.base.generator
+        rows.append(f"{p}\t{r}\t{m}\t{tower.embed(x).index}\t{tower.to_base(tower.g).index}")
+    return rows
+
+
+def test_embedding_matches_the_golden_file_and_is_a_field_embedding():
+    assert embedding_rows(check=True) == GOLDEN.read_text().splitlines()
