@@ -26,7 +26,8 @@ def clear_caches() -> None:
     """Empty every module cache that holds fields or values derived from them.
 
     Answers never depend on cache state; this only returns the process to
-    a cold start.  intmath's caches hold pure integer functions and stay.
+    a cold start.  intmath's caches, each bounded, hold pure integer functions
+    and stay.
     """
     _fields.build_field.cache_clear()
     _fields._live_fields.clear()

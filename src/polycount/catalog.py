@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .charsums import MultChar, gauss_sum_folded
+from .charsums import gauss_sum_folded
 from .counting import CountSpec, p_m
 from .cyclotomic import OMEGA_7, OMEGA_15, OMEGA_21, OMEGA_23, QuadPow
 from .errors import (
@@ -148,7 +148,7 @@ class P2Context:
         if self.r % r_small != 0:
             raise ValidationError(f"F_{{2^{self.r}}} has no subgroup of order {n}")
         sub = build_tower(2, r_small, self.r // r_small)
-        val = gauss_sum_folded(sub, 1, MultChar(level=1, order=n, k=1))
+        val = gauss_sum_folded(sub, 1, n)
         for c in (1, -1):
             cand = _GAUSS_CANDIDATES[n](c)
             if val == cand.to_cyc(n):
@@ -158,7 +158,7 @@ class P2Context:
                 if n == 21:
                     # the same sum at chi^3 must be the negative (and carries
                     # the same c as the order-7 resolution by the lift)
-                    val3 = gauss_sum_folded(sub, 1, MultChar(level=1, order=n, k=3))
+                    val3 = gauss_sum_folded(sub, 1, n, 3)
                     if not val3 == -val:
                         raise InvariantError("F(chi^3) != -F(chi) for N = 21")
                     c7 = self.resolve_gauss(7)[1]

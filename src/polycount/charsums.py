@@ -1,5 +1,10 @@
 """Multiplicative characters and exact evaluation of their sums.
 
+A character is named by two integers (n, k): the k-th power of the order-n
+character of F_{q^t}* that sends gamma_t to zeta_n (for the Jacobi sums over
+F_q, field.generator to zeta_n).  The field level t is the sum's own argument,
+so nothing repeats it.
+
 Three sum species: monomial exponential sums over F_{q^t}, Gauss sums,
 and Jacobi sums.  A monomial or Gauss sum over F_{q^t} depends on an
 element gamma_t^j only through j mod g and its absolute trace: a Gauss sum
@@ -14,8 +19,8 @@ powering; norm compatibility of the two character pinnings is automatic
 when both levels live in one tower.
 
 The sums in Z[zeta_N] (gauss_sum_folded, gauss_sum_lifted, jacobi_brute)
-are Galois-equivariant: at chi^k, gcd(k, N) = 1, each is sigma_k (zeta_N ->
-zeta_N^k, `CycInt.galois`) of its value at chi, the same coefficients
+are Galois-equivariant: at (N, k), gcd(k, N) = 1, each is sigma_k (zeta_N ->
+zeta_N^k, `CycInt.galois`) of its value at (N, 1), the same coefficients
 permuted.  So a caller that needs every character of order N computes one
 sum per order, at k = 1, and permutes it.
 """
@@ -23,40 +28,12 @@ sum per order, at k = 1, and permutes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CycInt
 from .errors import CapExceeded, InvariantError, ValidationError
-from .fields import FieldCtx, FieldElement, TowerCtx, _index_add, check_cap
-
-
-@dataclass(frozen=True)
-class MultChar:
-    """Character of F_{q^t}* pinned to the tower generators.
-
-    The canonical order-n character sends gamma_t to zeta_n; this object
-    is its k-th power.  Values are exponent indices into zeta_n, with
-    lambda(0) = 0 for nontrivial characters and lambda_0(0) = 1.
-    """
-
-    level: int
-    order: int
-    k: int = 1
-
-    def exponent_of_log(self, j: int) -> int:
-        return (self.k * j) % self.order
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.k % self.order == 0
-
-    def value_exponent(self, tower: TowerCtx, x: FieldElement):
-        """Exponent e with lambda(x) = zeta_order^e, or None when lambda(x) = 0."""
-        if x.is_zero():
-            return 0 if self.is_trivial else None
-        return self.exponent_of_log(tower.dlog_gamma(x, self.level))
+from .fields import FieldCtx, TowerCtx, _index_add, check_cap
 
 
 def monomial_sum(tower: TowerCtx, t: int, i: int, n: int, cap: int | None = None) -> CycInt:
@@ -77,45 +54,41 @@ def monomial_sum(tower: TowerCtx, t: int, i: int, n: int, cap: int | None = None
     return CycInt.from_counts(tower.p, (g * row).tolist())
 
 
-def gauss_sum(tower: TowerCtx, t: int, chi: MultChar, cap: int | None = None) -> CycInt:
-    """G_t(chi) = sum over F_{q^t}* of e_t(x) chi(x), in Z[zeta_{pN}].
+def gauss_sum(tower: TowerCtx, t: int, n: int, k: int = 1, cap: int | None = None) -> CycInt:
+    """G_t(lambda^k) = sum over F_{q^t}* of e_t(x) lambda^k(x), in Z[zeta_{pn}].
 
-    chi(gamma_t^j) = zeta_N^{k c} for j in class c mod N, so the trace
-    histogram by N classes counts zeta_p^tau zeta_N^{k c} at [c, tau].
+    lambda is the order-n character of F_{q^t}* sending gamma_t to zeta_n, so
+    lambda^k(gamma_t^j) = zeta_n^{k c} for j in class c mod n, and the trace
+    histogram by n classes counts zeta_p^tau zeta_n^{k c} at [c, tau].
     """
-    if chi.level != t:
-        raise ValidationError("character level does not match the field")
-    p, n = tower.p, chi.order
+    p = tower.p
     hist = tower.trace_hist(t, n, cap)
     order = p * n
-    exps = (np.arange(p) * n + (chi.k * np.arange(n) % n * p)[:, None]) % order
+    exps = (np.arange(p) * n + (k * np.arange(n) % n * p)[:, None]) % order
     coeffs = np.zeros(order, dtype=np.int64)
     np.add.at(coeffs, exps, hist)
     return CycInt(order, coeffs.tolist())
 
 
-def gauss_sum_folded(tower: TowerCtx, t: int, chi: MultChar, cap: int | None = None) -> CycInt:
-    """Same Gauss sum for p = 2, folded into Z[zeta_N] via zeta_2 = -1."""
+def gauss_sum_folded(tower: TowerCtx, t: int, n: int, k: int = 1, cap: int | None = None) -> CycInt:
+    """Same Gauss sum for p = 2, folded into Z[zeta_n] via zeta_2 = -1."""
     if tower.p != 2:
         raise ValidationError("sign folding needs characteristic 2")
-    if chi.level != t:
-        raise ValidationError("character level does not match the field")
-    n = chi.order
     hist = tower.trace_hist(t, n, cap)
     coeffs = np.zeros(n, dtype=np.int64)
-    np.add.at(coeffs, chi.k * np.arange(n) % n, hist[:, 0] - hist[:, 1])
+    np.add.at(coeffs, k * np.arange(n) % n, hist[:, 0] - hist[:, 1])
     return CycInt(n, coeffs.tolist())
 
 
-def gauss_sum_lifted(tower: TowerCtx, chi: MultChar, t_prime: int, cap: int | None = None) -> CycInt:
-    """Gauss sum over the degree-t' extension of level chi.level, by lifting.
+def gauss_sum_lifted(tower: TowerCtx, t_prime: int, n: int, k: int = 1, cap: int | None = None) -> CycInt:
+    """The Gauss sum of (n, k) over F_q, lifted to the degree-t' extension.
 
-    Characteristic 2 only: equals -(-F(chi))^{t'} where F is the Gauss sum
-    over the subfield at level chi.level, per the Davenport-Hasse identity.
-    The result lives in Z[zeta_N] and matches the direct Gauss sum at level
-    chi.level * t_prime with the norm-compatible character.
+    Characteristic 2 only: equals -(-F)^{t'} where F = gauss_sum_folded(tower,
+    1, n, k), per the Davenport-Hasse identity.  The result lives in Z[zeta_n]
+    and matches the direct Gauss sum over F_{q^t'} with the norm-compatible
+    character, gauss_sum_folded(tower, t', n, k) when t' | m.
     """
-    f = gauss_sum_folded(tower, chi.level, chi, cap)
+    f = gauss_sum_folded(tower, 1, n, k, cap)
     return -((-f) ** t_prime)
 
 

@@ -17,7 +17,7 @@ import sys
 
 from .catalog import p2_closed_detail, p2_context, p2_general_pm
 from .counting import CountSpec, p_m
-from .charsums import MultChar, gauss_sum, jacobi_brute, monomial_sum
+from .charsums import gauss_sum, jacobi_brute, monomial_sum
 from .errors import InvalidInput, PolycountError, ValidationError, VerificationFailed
 from .fields import DEFAULT_ENUM_CAP, build_field, build_tower
 from .jacobi import cubic_params, jacobi_closed, quartic_params
@@ -238,8 +238,7 @@ def cmd_sum(args) -> int:
         val = monomial_sum(tower, args.t, args.i, args.n, cap=args.enum_cap)
     elif args.kind == "gauss":
         tower = build_tower(args.p, args.r, args.t)
-        chi = MultChar(level=args.t, order=args.n, k=args.k)
-        val = gauss_sum(tower, args.t, chi, cap=args.enum_cap)
+        val = gauss_sum(tower, args.t, args.n, args.k, cap=args.enum_cap)
     elif args.kind == "jacobi":
         val = jacobi_brute(build_field(args.p, args.r), args.n, args.k, args.t, cap=args.enum_cap)
     else:  # pragma: no cover

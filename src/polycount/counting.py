@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsums import MultChar, gauss_sum_lifted, jacobi_class_counts
+from .charsums import gauss_sum_lifted, jacobi_class_counts
 from .cyclotomic import CycInt
 from .errors import (
     EnumerationCapExceeded,
@@ -63,7 +63,7 @@ class CountSpec:
     """A counting query.  The coset is held as an explicit b and its label h.
 
     h = dlog(b) mod s for the canonical generator of F_q, computed once when
-    the spec is built, so it always agrees with b.
+    the spec is built, so it always agrees with b; s = 1 takes no log.
     """
 
     p: int
@@ -75,7 +75,7 @@ class CountSpec:
     h: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", self.base.dlog(self.b) % self.s)
+        object.__setattr__(self, "h", self.base.dlog(self.b) % self.s if self.s > 1 else 0)
 
     @classmethod
     def make(cls, p, r, m, s, a=0, b=None, h=None) -> "CountSpec":
@@ -338,7 +338,7 @@ def m_t_lifted(spec: CountSpec, t: int, cap: int = DEFAULT_ENUM_CAP) -> int:
         if r % r_small != 0:
             raise InvariantError(f"a character of order {order} needs F_{{2^{r_small}}} inside F_q")
         sub = build_tower(2, r_small, r // r_small)
-        return gauss_sum_lifted(sub, MultChar(level=1, order=order), (r * t) // r_small, cap)
+        return gauss_sum_lifted(sub, (r * t) // r_small, order, cap=cap)
 
     # const: the trivial-character term G_t(lambda_0) = -1
     inner = _character_sum(l, params.i0, lift, -1).expect_integer("lifted Gauss sum combination")

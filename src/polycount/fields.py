@@ -16,9 +16,11 @@ squaring spreads the bits.  Odd p decodes the digits once per product, or
 once per power, and multiplies coefficient lists.
 
 A tower F_q^t <= F_{q^m} is realized inside the single field F_{p^{rm}};
-the subfield test is x^{q^t} == x.  Bulk enumeration (orbits of a generator
-mapped through an F_p-linear form) is vectorized with numpy, since the
-Frobenius, traces, and multiplication-by-a-constant are all linear maps.
+the subfield test is x^{q^t} == x, and F_q itself embeds by X -> beta, a
+root of its modulus, held as one matrix and its left inverse.  Bulk
+enumeration (orbits of a generator mapped through an F_p-linear form) is
+vectorized with numpy, since the Frobenius, traces, and
+multiplication-by-a-constant are all linear maps.
 An orbit is split baby step, giant step, j = bB + i, and each output digit
 is one exact integer product of the giant-step coordinates with the form
 read at the baby steps (in characteristic 2, the parity of the AND of packed
@@ -288,7 +290,6 @@ class FieldCtx:
         self._taps = _taps(self.modulus)
         self._mod_low = _undigits(self.modulus[:-1], p)  # the modulus less x^r, as an index
         self._gen = None
-        self._gen_factored = None
         self._frob1 = None
         self._frob_pows: dict[int, np.ndarray] = {}
         self._log_table: np.ndarray | None = None
@@ -334,8 +335,7 @@ class FieldCtx:
     def generator(self) -> FieldElement:
         """First element, in index order, of multiplicative order p^r - 1."""
         if self._gen is None:
-            fac = self.order_factorization()
-            primes = [q for q, _ in fac]
+            primes = [q for q, _ in factor_prime_power_order(self.p, self.r)]
             n = self.group_order
             # indices below p are F_p, whose orders divide p - 1 < n when r > 1
             for idx in range(self.p if self.r > 1 else 1, self.order):
@@ -350,11 +350,6 @@ class FieldCtx:
     @property
     def generator_index(self) -> int:
         return self.generator.index
-
-    def order_factorization(self) -> tuple[tuple[int, int], ...]:
-        if self._gen_factored is None:
-            self._gen_factored = factor_prime_power_order(self.p, self.r)
-        return self._gen_factored
 
     # -- element constructors --
 
@@ -536,12 +531,16 @@ class FieldCtx:
     def _pohlig_hellman(self, x: FieldElement) -> int:
         """Log of nonzero x to the generator, of order q - 1.
 
-        Digit by digit in each prime-power subgroup of order_factorization(),
-        then CRT; generator^e == x is checked at the end.
+        Digit by digit in each prime-power subgroup of q - 1, then CRT;
+        generator^e == x is checked at the end.  The largest prime factor l of
+        q - 1 sets the baby-step table, isqrt(l - 1) + 1 entries, which the
+        enumeration cap bounds before any step is taken.
         """
         gen, order = self.generator, self.group_order
+        fac = factor_prime_power_order(self.p, self.r)
+        check_cap(math.isqrt(fac[-1][0] - 1) + 1, None, f"the baby steps of a log in F_{self.order}*")
         result, mod = 0, 1
-        for q, e in self.order_factorization():
+        for q, e in fac:
             pe = q**e
             g_sub = gen ** (order // pe)
             x_sub = x ** (order // pe)
@@ -584,7 +583,7 @@ class FieldCtx:
         if x.is_zero():
             raise ValueError("zero has no multiplicative order")
         order = self.group_order
-        for q, e in self.order_factorization():
+        for q, e in factor_prime_power_order(self.p, self.r):
             for _ in range(e):
                 if x ** (order // q) == self.one:
                     order //= q
@@ -618,52 +617,40 @@ def build_field(p: int, r: int) -> FieldCtx:
     return ctx
 
 
-class _FpSolver:
-    """Solves a @ B = y over F_p for a (r unknowns), B an r x n matrix."""
+def _left_inverse(e: np.ndarray, p: int) -> np.ndarray:
+    """The n x r matrix M over F_p with e @ M = I, for e of shape r x n and rank r.
 
-    def __init__(self, b_rows: list[list[int]], p: int, n: int):
-        self.p = p
-        self.r = len(b_rows)
-        self.n = n
-        # row-reduce the r x n matrix, tracking operations on an identity
-        mat = [list(row) for row in b_rows]
-        ops = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
-        pivots = []
-        row = 0
-        for col in range(n):
-            sel = None
-            for i in range(row, self.r):
-                if mat[i][col] % p:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            mat[row], mat[sel] = mat[sel], mat[row]
-            ops[row], ops[sel] = ops[sel], ops[row]
-            inv = pow(mat[row][col], p - 2, p)
-            mat[row] = [c * inv % p for c in mat[row]]
-            ops[row] = [c * inv % p for c in ops[row]]
-            for i in range(self.r):
-                if i != row and mat[i][col] % p:
-                    f = mat[i][col]
-                    mat[i] = [(c - f * d) % p for c, d in zip(mat[i], mat[row])]
-                    ops[i] = [(c - f * d) % p for c, d in zip(ops[i], ops[row])]
-            pivots.append(col)
-            row += 1
-            if row == self.r:
-                break
-        if row != self.r:
-            raise InvariantError("embedding basis is not full rank")
-        self.mat = mat
-        self.ops = ops
-        self.pivots = pivots
-
-    def solve(self, y: list[int]) -> list[int]:
-        # mat = ops @ B is in reduced form with mat[i][pivots[j]] = delta_ij,
-        # so c @ B = y gives c = z @ ops with z[i] = y[pivots[i]]
-        p = self.p
-        z = [y[col] % p for col in self.pivots]
-        return [sum(z[i] * self.ops[i][j] for i in range(self.r)) % p for j in range(self.r)]
+    Gauss-Jordan on the rows of e, recording the row operations in ops, brings
+    ops @ e to reduced form with column pivots[i] the i-th unit vector; so
+    e[:, pivots] @ ops = I, and M holds row i of ops at row pivots[i], 0 elsewhere.
+    """
+    r, n = e.shape
+    mat = [[int(c) % p for c in row] for row in e]
+    ops = [[int(i == j) for j in range(r)] for i in range(r)]
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        sel = next((i for i in range(row, r) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        ops[row], ops[sel] = ops[sel], ops[row]
+        inv = pow(mat[row][col], p - 2, p)
+        mat[row] = [c * inv % p for c in mat[row]]
+        ops[row] = [c * inv % p for c in ops[row]]
+        for i in range(r):
+            f = mat[i][col]
+            if i != row and f:
+                mat[i] = [(c - f * d) % p for c, d in zip(mat[i], mat[row])]
+                ops[i] = [(c - f * d) % p for c, d in zip(ops[i], ops[row])]
+        pivots.append(col)
+        if len(pivots) == r:
+            break
+    if len(pivots) != r:
+        raise InvariantError("embedding basis is not full rank")
+    inverse = np.zeros((n, r), dtype=np.int64)
+    inverse[pivots] = ops
+    return inverse
 
 
 class TowerCtx:
@@ -690,8 +677,6 @@ class TowerCtx:
         self.g = self.gamma[1]
         self._abs_trace_cols: dict[int, np.ndarray] = {}
         self._trace_hists: dict[tuple[int, int], np.ndarray] = {}
-        self._embed_rows: list[list[int]] | None = None
-        self._solver: _FpSolver | None = None
         self._verify_tower()
 
     def _verify_tower(self):
@@ -730,13 +715,11 @@ class TowerCtx:
         """The rm x r form taking x to the F_q coordinates of Tr_{q^m/q}(x).
 
         The trace matrix T (sum of the q-Frobenius powers) lands in the
-        embedded F_q, so composing it with the base-field solver,
-        T[:, pivots] @ ops, reads the base coordinates off directly.
+        embedded F_q, so composing it with the embedding's left inverse,
+        T @ M, reads the base coordinates off directly.
         """
         trace = self._power_sum(self.frob_q_matrix(1), self.m)
-        self._embedding()
-        ops = np.array(self._solver.ops, dtype=np.int64)
-        return (trace[:, self._solver.pivots] @ ops) % self.p
+        return trace @ self._embedding[1] % self.p
 
     def abs_trace_column(self, t: int) -> np.ndarray:
         """Linear form giving the absolute trace of F_{q^t}-subfield elements."""
@@ -782,37 +765,33 @@ class TowerCtx:
 
     # -- base field embedding --
 
-    def _embedding(self):
-        if self._embed_rows is not None:
-            return
-        n = self.r * self.m
-        if self.r == 1:
-            self._embed_rows = [[1 if i == 0 else 0 for i in range(n)]]
-            self._solver = _FpSolver(self._embed_rows, self.p, n)
-            return
-        # find the first root (along powers of g) of the base modulus in the top
-        # field; the root set is an orbit of Frobenius, the choice is canonical
-        # given the canonical gamma.
-        beta = None
-        cur = self.top.one
-        f = self.base.modulus
-        for _ in range(self.q - 1):
-            acc = self.top.zero
-            for c in reversed(f):
-                acc = acc * cur + self.top.from_int(c)
-            if acc.is_zero():
-                beta = cur
-                break
-            cur = cur * self.g
-        if beta is None:  # pragma: no cover
-            raise InvariantError("base modulus has no root in the top field")
-        rows = []
-        b = self.top.one
+    @cached_property
+    def _embedding(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, M): E is r x rm with rows beta^i, i < r, and M is rm x r with E @ M = I.
+
+        x @ E embeds F_q coordinates in the top field and y @ M reads them back
+        off the embedded F_q.  beta is the first root of the base modulus along
+        the powers of g (1 when r = 1); the roots are one Frobenius orbit, so the
+        choice is canonical given the canonical gamma.
+        """
+        beta = self.top.one
+        if self.r > 1:
+            f = self.base.modulus
+            for _ in range(self.q - 1):
+                acc = self.top.zero
+                for c in reversed(f):
+                    acc = acc * beta + self.top.from_int(c)
+                if acc.is_zero():
+                    break
+                beta = beta * self.g
+            else:  # pragma: no cover
+                raise InvariantError("base modulus has no root in the top field")
+        rows, b = [], self.top.one
         for _ in range(self.r):
-            rows.append(list(b.coords))
+            rows.append(b.coords)
             b = b * beta
-        self._embed_rows = rows
-        self._solver = _FpSolver(rows, self.p, n)
+        e = np.array(rows, dtype=np.int64)
+        return e, _left_inverse(e, self.p)
 
     def embed(self, x: FieldElement) -> FieldElement:
         """Map a base-field element into the top field."""
@@ -820,22 +799,13 @@ class TowerCtx:
             return x
         if x.ctx is not self.base:
             raise ValueError("embed expects a base-field element")
-        self._embedding()
-        n = self.r * self.m
-        out = [0] * n
-        for a, row in zip(x.coords, self._embed_rows):
-            if a:
-                for i, c in enumerate(row):
-                    out[i] = (out[i] + a * c) % self.p
-        return self.top.elem(out)
+        return self.top.elem((np.array(x.coords, dtype=np.int64) @ self._embedding[0] % self.p).tolist())
 
     def to_base(self, y: FieldElement) -> FieldElement:
         """Inverse of embed; raises SubfieldViolation off the F_q subset."""
         if y.ctx is self.base:
             return y
-        self._embedding()
-        coeffs = self._solver.solve(list(y.coords))
-        cand = self.base.elem(coeffs)
+        cand = self.base.elem((np.array(y.coords, dtype=np.int64) @ self._embedding[1] % self.p).tolist())
         if not self.embed(cand) == y:
             raise SubfieldViolation("element is not in the embedded base field")
         return cand

@@ -101,7 +101,7 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def mobius(n: int) -> int:
     if n == 1:
         return 1
@@ -193,7 +193,7 @@ def poly_divmod_z(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return quo, rem
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first.
 
@@ -215,7 +215,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def factor_prime_power_order(p: int, n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of p^n - 1, split along cyclotomic values first.
 

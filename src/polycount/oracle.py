@@ -138,17 +138,13 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     return result
 
 
-def _spec_tower(spec: CountSpec) -> TowerCtx:
-    return build_tower(spec.p, spec.r, spec.m)
-
-
 def _h_for_tower(spec: CountSpec, tower: TowerCtx) -> int:
     return tower.dlog_g(spec.b) % spec.s if spec.s > 1 else 0
 
 
 def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """P_m by exhaustion: degree-exactly-m roots with matching (a, coset), / m."""
-    tower = _spec_tower(spec)
+    tower = build_tower(spec.p, spec.r, spec.m)
     scan = brute_scan(tower, spec.m, cap)
     h = _h_for_tower(spec, tower)
     total = scan.cell(spec.m, spec.a.index, h, spec.s)
@@ -159,7 +155,7 @@ def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """|S_t|: all x in F_{q^t} with Tr_m(x) = a and Norm_m(x) in the coset."""
-    tower = _spec_tower(spec)
+    tower = build_tower(spec.p, spec.r, spec.m)
     scan = brute_scan(tower, t, cap)
     h = _h_for_tower(spec, tower)
     return sum(scan.cell(tt, spec.a.index, h, spec.s) for tt in divisors(t))
@@ -179,7 +175,7 @@ def list_polys(
     count = brute_p_m(spec, cap)
     if count > listing_cap:
         raise ListingCapExceeded(f"{count} polynomials exceed the listing cap {listing_cap}")
-    tower = _spec_tower(spec)
+    tower = build_tower(spec.p, spec.r, spec.m)
     q, m = tower.q, spec.m
     big_q = q**m - 1
     h = _h_for_tower(spec, tower)

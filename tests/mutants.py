@@ -156,6 +156,34 @@ MUTANTS = [
         ("tests/test_charsums.py",),
     ),
     Mutant(
+        "the embedding's left inverse writes ops to the first r rows",
+        "src/polycount/fields.py",
+        "inverse[pivots] = ops",
+        "inverse[:r] = ops",
+        ("tests/test_embedding.py",),
+    ),
+    Mutant(
+        "gauss_sum drops the power k",
+        "src/polycount/charsums.py",
+        "(k * np.arange(n) % n * p)",
+        "(np.arange(n) % n * p)",
+        ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "gauss_sum_folded drops the power k",
+        "src/polycount/charsums.py",
+        "np.add.at(coeffs, k * np.arange(n) % n, hist[:, 0] - hist[:, 1])",
+        "np.add.at(coeffs, np.arange(n) % n, hist[:, 0] - hist[:, 1])",
+        ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "CycInt.galois sends zeta to zeta^-k",
+        "src/polycount/cyclotomic.py",
+        "v[e * k % L] = c",
+        "v[e * -k % L] = c",
+        ("tests/test_cyclotomic.py",),
+    ),
+    Mutant(
         "check_cap refuses at size == cap",
         "src/polycount/fields.py",
         "    if size > cap:\n",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polycount.charsums import MultChar, gauss_sum, gauss_sum_folded, gauss_sum_lifted, monomial_sum
+from polycount.charsums import gauss_sum, gauss_sum_folded, gauss_sum_lifted, monomial_sum
 from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
 from polycount.errors import ValidationError
@@ -174,6 +174,19 @@ def norm_class_count(q: int, m: int, s: int, h: int) -> int:
     return total // m
 
 
+def carlitz_count(p: int, r: int, m: int) -> int:
+    """(1/(qm)) sum_{d | m, p not dividing d} mu(d) q^{m/d}, q = p^r.
+
+    The number of monic irreducibles of degree m over F_q with a given nonzero
+    trace coefficient and any norm (Carlitz 1952; test_identities proves it).
+    """
+    q = p**r
+    total = sum(mobius(d) * q ** (m // d) for d in divisors(m) if d % p)
+    if total % (q * m):
+        raise ValueError("the Moebius sum is not divisible by qm")
+    return total // (q * m)
+
+
 @dataclass
 class ConnectReport:
     """Both sides of the monomial-to-Gauss-sum identity, compared exactly."""
@@ -200,8 +213,7 @@ def char_connect_check(tower: TowerCtx, t: int, alpha: FieldElement, n: int) -> 
     for j in range(n):
         # lambda_j sends g to zeta_n^j, so lambda_j . Norm_t is the level-t
         # character sending gamma_t to zeta_n^j
-        chi_bar = MultChar(level=t, order=n, k=(-j) % n)
-        g_val = gauss_sum(tower, t, chi_bar)
+        g_val = gauss_sum(tower, t, n, (-j) % n)
         lam_val = CycInt.root(order, (j * norm_log % n) * p)
         rhs = rhs + g_val.embed(order) * lam_val
     lhs_e = lhs.embed(order)
@@ -210,7 +222,6 @@ def char_connect_check(tower: TowerCtx, t: int, alpha: FieldElement, n: int) -> 
 def dh_consistency_check(r_small: int, t_prime: int, n: int, k: int) -> bool:
     """Davenport-Hasse lift vs the direct Gauss sum, in one shared tower."""
     tower = build_tower(2, r_small, t_prime)
-    chi = MultChar(level=1, order=n, k=k)
-    lifted = gauss_sum_lifted(tower, chi, t_prime)
-    direct = gauss_sum_folded(tower, t_prime, MultChar(level=t_prime, order=n, k=k))
+    lifted = gauss_sum_lifted(tower, t_prime, n, k)
+    direct = gauss_sum_folded(tower, t_prime, n, k)
     return lifted == direct

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polycount
-from polycount import catalog, counting, cyclotomic, fields, oracle
+from polycount import catalog, counting, cyclotomic, fields, intmath, oracle
 from polycount.catalog import p2_closed_detail
 from polycount.counting import METHODS, CountSpec, p_m, plan
 from polycount.errors import CapExceeded, EnumerationCapExceeded, NotApplicable
@@ -132,6 +132,16 @@ BOUNDED = [
 def test_every_lru_cache_is_bounded():
     assert [cache for cache, *_ in BOUNDED] == LRU_CACHES
     assert all(cache.cache_info().maxsize == 64 for cache in LRU_CACHES)
+
+
+def test_intmath_caches_are_bounded_and_outlive_clear_caches():
+    # pure integer functions: clear_caches leaves them, and each keeps at most 128 entries
+    calls = [(intmath.mobius, (30,)), (intmath.cyclotomic_poly, (30,)), (intmath.factor_prime_power_order, (2, 30))]
+    for cache, key in calls:
+        assert cache.cache_info().maxsize == 128
+        cache(*key)
+    polycount.clear_caches()
+    assert all(cache.cache_info().currsize for cache, _ in calls)
 
 
 @pytest.mark.parametrize("cache, key, value, others", BOUNDED, ids=[c.__name__ for c, *_ in BOUNDED])

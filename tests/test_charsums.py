@@ -7,7 +7,6 @@ from reference import char_connect_check, dh_consistency_check, jacobi_tuple_wal
 
 from polycount import fields
 from polycount.charsums import (
-    MultChar,
     gauss_sum,
     gauss_sum_folded,
     gauss_sum_lifted,
@@ -35,17 +34,18 @@ def naive_monomial_sum(tower, t, i, n):
     return CycInt.from_counts(p, counts)
 
 
-def naive_gauss_sum(tower, t, chi, fold=False):
-    """Independent oracle: zeta_p^Tr(x) chi(x) summed element by element.
+def naive_gauss_sum(tower, t, n, k, fold=False):
+    """Independent oracle: zeta_p^Tr(x) lambda^k(x) summed element by element.
 
-    With fold (p = 2) zeta_2 = -1 and the sum lives in Z[zeta_N]."""
-    p, n = tower.p, chi.order
+    lambda sends gamma_t to zeta_n.  With fold (p = 2) zeta_2 = -1 and the sum
+    lives in Z[zeta_n]."""
+    p = tower.p
     order = n if fold else p * n
     coeffs = [0] * order
     gt = tower.gamma[t]
     x = tower.top.one
     for e in range(tower.q**t - 1):
-        tr, b = tower.abs_trace(x, t), chi.k * e % n
+        tr, b = tower.abs_trace(x, t), k * e % n
         if fold:
             coeffs[b] += 1 - 2 * tr
         else:
@@ -61,21 +61,6 @@ _SMALL_TOWERS = [
     for m in range(1, 11)
     if (p**r) ** m <= 1 << 10
 ]
-
-
-def test_multchar_value_conventions():
-    # lambda(xy) = lambda(x) lambda(y); lambda(0) = 0 unless lambda is trivial
-    tw = build_tower(5, 1, 2)
-    chi = MultChar(level=2, order=4, k=1)
-    g2 = tw.gamma[2]
-    for e1 in (0, 3, 7):
-        for e2 in (1, 5):
-            lhs = chi.value_exponent(tw, g2**e1 * g2**e2)
-            rhs = (chi.value_exponent(tw, g2**e1) + chi.value_exponent(tw, g2**e2)) % 4
-            assert lhs == rhs
-    assert chi.value_exponent(tw, tw.top.zero) is None
-    trivial = MultChar(level=2, order=4, k=0)
-    assert trivial.value_exponent(tw, tw.top.zero) == 0
 
 
 def test_monomial_orthogonality():
@@ -128,12 +113,12 @@ def test_monomial_sum_reads_its_class_across_blocks(monkeypatch):
 
 def test_gauss_trivial_character():
     tw = build_tower(5, 1, 2)
-    assert gauss_sum(tw, 2, MultChar(2, 1, 0)).as_integer() == -1
+    assert gauss_sum(tw, 2, 1, 0).as_integer() == -1
 
 
 def test_gauss_f8_order7():
     tw = build_tower(2, 3, 1)
-    g = gauss_sum(tw, 1, MultChar(1, 7, 1))
+    g = gauss_sum(tw, 1, 7)
     cand = {
         c: (CycInt.integer(7, -1) + sqrt_minus(7, 7) * c).embed(14) for c in (1, -1)
     }
@@ -143,7 +128,7 @@ def test_gauss_f8_order7():
 
 def test_gauss_f16_order15():
     tw = build_tower(2, 4, 1)
-    g = gauss_sum(tw, 1, MultChar(1, 15, 1))
+    g = gauss_sum(tw, 1, 15)
     cand = {
         c: (CycInt.integer(15, 1) + sqrt_minus(15, 15) * c).embed(30) for c in (1, -1)
     }
@@ -160,33 +145,30 @@ def test_gauss_modulus_invariant():
             if n == 1:
                 continue
             for k in range(1, n):
-                g = gauss_sum(tw, t, MultChar(t, n, k))
+                g = gauss_sum(tw, t, n, k)
                 want = tw.q**t if k % n else -1
                 assert (g * g.conjugate()).as_integer() == tw.q**t
 
 
 def test_gauss_folded_matches_unfolded():
     tw = build_tower(2, 2, 2)
-    chi = MultChar(2, 5, 1)
-    folded = gauss_sum_folded(tw, 2, chi)
-    full = gauss_sum(tw, 2, chi)
+    folded = gauss_sum_folded(tw, 2, 5)
+    full = gauss_sum(tw, 2, 5)
     assert folded.embed(10) == full
 
 
 def test_dh_identity_t_prime_one():
     tw = build_tower(2, 3, 1)
-    chi = MultChar(1, 7, 1)
-    assert gauss_sum_lifted(tw, chi, 1) == gauss_sum_folded(tw, 1, chi)
+    assert gauss_sum_lifted(tw, 1, 7) == gauss_sum_folded(tw, 1, 7)
 
 
 def test_dh_f8_to_f64():
     # G over F_64 equals -F_3(chi)^2 with the norm-compatible character
     tower = build_tower(2, 3, 2)
-    chi = MultChar(1, 7, 1)
-    f3 = gauss_sum_folded(tower, 1, chi)
-    lifted = gauss_sum_lifted(tower, chi, 2)
+    f3 = gauss_sum_folded(tower, 1, 7)
+    lifted = gauss_sum_lifted(tower, 2, 7)
     assert lifted == -(f3 * f3) + CycInt.integer(7, 0)
-    direct = gauss_sum_folded(tower, 2, MultChar(2, 7, 1))
+    direct = gauss_sum_folded(tower, 2, 7)
     assert lifted == direct
 
 
@@ -208,8 +190,7 @@ def test_dh_consistency_grid():
 
 def test_dh_modulus():
     tower = build_tower(2, 4, 3)
-    chi = MultChar(1, 15, 2)
-    g = gauss_sum_lifted(tower, chi, 3)
+    g = gauss_sum_lifted(tower, 3, 15, 2)
     assert (g * g.conjugate()).as_integer() == 2**12
 
 
@@ -332,11 +313,11 @@ def test_sums_at_chi_k_are_galois_conjugates(p, r):
             if p != 2:
                 continue
             for t in (1, 2):
-                base = gauss_sum_folded(tower, t, MultChar(t, n, 1)).galois(k)
-                assert gauss_sum_folded(tower, t, MultChar(t, n, k)).coeffs == base.coeffs
+                base = gauss_sum_folded(tower, t, n).galois(k)
+                assert gauss_sum_folded(tower, t, n, k).coeffs == base.coeffs
             for t_prime in (1, 2, 3):
-                base = gauss_sum_lifted(tower, MultChar(1, n, 1), t_prime).galois(k)
-                assert gauss_sum_lifted(tower, MultChar(1, n, k), t_prime).coeffs == base.coeffs
+                base = gauss_sum_lifted(tower, t_prime, n).galois(k)
+                assert gauss_sum_lifted(tower, t_prime, n, k).coeffs == base.coeffs
 
 
 def test_gauss_power_jacobi_relation():
@@ -349,7 +330,7 @@ def test_gauss_power_jacobi_relation():
                 tw = build_tower(p, 1, 1)
                 f = build_field(p, 1)
                 for k in range(1, n):
-                    g1 = gauss_sum(tw, 1, MultChar(1, n, k))
+                    g1 = gauss_sum(tw, 1, n, k)
                     jt = jacobi_brute(f, n, k, t)
                     lhs = g1**t
                     rhs = (jt * (-p)).embed(p * n)
@@ -390,9 +371,9 @@ def test_gauss_folded_rejects_an_order_not_dividing_the_group():
     # 7 does not divide 2^4 - 1; the folded sum must refuse as gauss_sum does
     tw = build_tower(2, 4, 2)
     with pytest.raises(ValidationError):
-        gauss_sum(tw, 1, MultChar(1, 7, 1))
+        gauss_sum(tw, 1, 7)
     with pytest.raises(ValidationError):
-        gauss_sum_folded(tw, 1, MultChar(1, 7, 1))
+        gauss_sum_folded(tw, 1, 7)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -405,7 +386,7 @@ def test_histogram_sums_match_per_element_sums(tower, data):
     n = data.draw(st.integers(1, 2 * big_q), label="n")  # need not divide q^t - 1
     assert monomial_sum(tw, t, i, n) == naive_monomial_sum(tw, t, i, n)
     order = data.draw(st.sampled_from(divisors(big_q)), label="order")
-    chi = MultChar(t, order, data.draw(st.integers(0, 2 * order), label="k"))
-    assert gauss_sum(tw, t, chi) == naive_gauss_sum(tw, t, chi)
+    k = data.draw(st.integers(0, 2 * order), label="k")
+    assert gauss_sum(tw, t, order, k) == naive_gauss_sum(tw, t, order, k)
     if tw.p == 2:
-        assert gauss_sum_folded(tw, t, chi) == naive_gauss_sum(tw, t, chi, fold=True)
+        assert gauss_sum_folded(tw, t, order, k) == naive_gauss_sum(tw, t, order, k, fold=True)

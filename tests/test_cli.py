@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from polycount.cli import build_parser, main
+from polycount.fields import build_field
 
 
 def run_cli(*args):
@@ -93,6 +94,22 @@ def test_cap_exit_code():
         "--method", "brute", "--oracle-cap", "100",
     )
     assert code == 3
+
+
+def test_s_1_takes_no_discrete_log():
+    # a log in F_{2^61} would build 1.5e9 baby steps, since 2^61 - 1 is prime
+    code, out, _ = run_cli("count", "--p", "2", "--r", "61", "--m", "2", "--s", "1", "--a", "1")
+    assert code == 0
+    assert int(out.splitlines()[0]) == 2**60  # Carlitz: q/2 quadratics with trace 1 in characteristic 2
+    assert build_field(2, 61)._baby_steps == {}
+
+
+def test_a_discrete_log_past_the_cap_refuses_before_any_baby_step():
+    argv = ["count", "--p", "2", "--r", "61", "--m", "2", "--s", str(2**61 - 1), "--a", "1", "--h", "5"]
+    code, _, err = run_cli(*argv)
+    assert code == 3
+    assert "1518500250" in err  # isqrt(2^61 - 2) + 1 baby steps
+    assert build_field(2, 61)._baby_steps == {}
 
 
 def test_determinism():

@@ -144,7 +144,7 @@ def test_m_t_routes_agree_with_naive():
 
 def lifted_per_character(spec, t):
     """Reference for m_t_lifted: one Davenport-Hasse lift per nontrivial character, none shared."""
-    from polycount.charsums import MultChar, gauss_sum_lifted
+    from polycount.charsums import gauss_sum_lifted
     from polycount.cyclotomic import CycInt
     from polycount.intmath import multiplicative_order
 
@@ -156,7 +156,7 @@ def lifted_per_character(spec, t):
         order, k = l // g, (-j // g) % (l // g)
         r_small = multiplicative_order(2, order)
         sub = build_tower(2, r_small, spec.r // r_small)
-        g_val = gauss_sum_lifted(sub, MultChar(1, order, k), spec.r * t // r_small)
+        g_val = gauss_sum_lifted(sub, spec.r * t // r_small, order, k)
         acc = acc + g_val.embed(l) * CycInt.root(l, j * params.i0)
     return (spec.q - 1) * acc.expect_integer("per-character lift")
 
@@ -185,9 +185,9 @@ def test_m_t_lifted_lifts_once_per_character_order(monkeypatch):
     calls = []
     real = counting.gauss_sum_lifted
 
-    def spy(tower, chi, t_prime, cap=None):
-        calls.append((chi.order, chi.k))
-        return real(tower, chi, t_prime, cap)
+    def spy(tower, t_prime, n, k=1, cap=None):
+        calls.append((n, k))
+        return real(tower, t_prime, n, k, cap)
 
     monkeypatch.setattr(counting, "gauss_sum_lifted", spy)
     # (r, m, t) = (20, 25, 25): l = 25, so 24 characters of orders 5 and 25
