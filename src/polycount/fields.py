@@ -28,6 +28,8 @@ words).  orbit_blocks streams the orbit in blocks of consecutive j, so a
 consumer never holds the whole orbit; it fills every block in place in one
 set of buffers per walk, so a block is valid until the next is asked for.
 Log tables, trace histograms and the oracle all consume it block by block.
+parity_blocks bit-slices the same split for one form over F_2 (the oracle
+at q = 2): 64 babies to a word, one XOR-table read per giant byte.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ def check_cap(size: int, cap: int | None, what: str):
             f"{what} needs {size} elements, beyond enumeration cap {cap}; closed "
             f"forms or the Davenport-Hasse lift remain available where applicable"
         )
+
+
+def _check_int64_sums(n: int, p: int):
+    """Refuse int64 matrices over F_p on length-n vectors unless n (p - 1)^2 < 2^63.
+
+    mul_matrix (so _powers), frob_matrix, _power_sum (so abs_trace_column) and _embedding call it.
+    """
+    if n * (p - 1) ** 2 >= 1 << 63:
+        raise ValidationError(f"a sum of {n} products of residues mod {p} overflows int64: need n (p - 1)^2 < 2^63")
 
 
 # -- dense polynomial helpers over F_p (lists, low degree first) --
@@ -385,6 +396,7 @@ class FieldCtx:
     def mul_matrix(self, x: FieldElement) -> np.ndarray:
         """Matrix M with row i = coordinates of x * X^i; then y @ M = y*x."""
         p, r = self.p, self.r
+        _check_int64_sums(r, p)
         rows, cur = [_digits(x.index, p, r)], x.index
         for _ in range(1, r):
             cur = self._mul(cur, p)  # the index of X is p
@@ -393,6 +405,7 @@ class FieldCtx:
 
     def frob_matrix(self, e: int = 1) -> np.ndarray:
         """Matrix of y -> y^{p^e}; read-only, since it is kept on the field."""
+        _check_int64_sums(self.r, self.p)
         e %= self.r  # Frobenius has order r
         if e in self._frob_pows:
             return self._frob_pows[e]
@@ -428,29 +441,10 @@ class FieldCtx:
             out[start : start + len(indices)] = indices
         return out
 
-    def orbit_blocks(self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int | None = None):
-        """Yield (start, indices): linear_orbit's values for j in [start, start + len(indices)).
-
-        For a one-column map the index is the digit itself.  Baby step,
-        giant step: with B = ceil(sqrt(length)) baby steps (or `block`), j =
-        bB + i, and column c of the map is a linear form, so digit c at j is
-        <V_b, A_c[i]> mod p: V_b holds the coordinates of gamma^(bB), and
-        A_c[i, kk] is the form at gamma^i X^kk.  Odd p takes one exact int64
-        product per digit; p = 2 takes the parity of V_b & A_c[i] on packed
-        words.  Blocks cover consecutive j, about _ORBIT_CHUNK at a time.
-        Every block is filled in place in one set of buffers per walk: a
-        yielded array is a view that the consumer may overwrite, valid until
-        the generator resumes.
-        """
+    def _baby_giant(self, gamma: FieldElement, out_map: np.ndarray, length: int, big_b: int):
+        """giants[b] = coords of gamma^(b big_b) and babies[i, kk] = out_map at gamma^i X^kk, mod p: see orbit_blocks."""
         p, n = self.p, self.r
         k = out_map.shape[1]
-        if p**k > 1 << 63:
-            raise ValueError(f"an index of {k} base-{p} digits does not fit in int64")
-        if n * (p - 1) ** 2 >= 1 << 63:
-            raise ValueError(f"a sum of {n} products of residues mod {p} overflows int64")
-        if length == 0:
-            return
-        big_b = min(block, length) if block else math.isqrt(length - 1) + 1
         giants = self._powers(gamma**big_b, -(-length // big_b))
         # forms[:, kk] = Mul(X)^kk @ out_map reads the map at x X^kk
         forms = np.empty((n, n, k), dtype=np.int64)
@@ -459,6 +453,30 @@ class FieldCtx:
         for kk in range(1, n):
             forms[:, kk] = (times_x @ forms[:, kk - 1]) % p
         babies = (self._powers(gamma, big_b) @ forms.reshape(n, n * k)).reshape(big_b, n, k) % p
+        return giants, babies
+
+    def orbit_blocks(self, gamma: FieldElement, out_map: np.ndarray, length: int, block: int | None = None):
+        """Yield (start, indices): linear_orbit's values for j in [start, start + len(indices)).
+
+        For a one-column map the index is the digit itself.  Baby step,
+        giant step (_baby_giant): with B = ceil(sqrt(length)) baby steps (or
+        `block`), j = bB + i, and column c of the map is a linear form, so
+        digit c at j is <V_b, A_c[i]> mod p: V_b holds the coordinates of
+        gamma^(bB), and A_c[i, kk] is the form at gamma^i X^kk.  Odd p takes
+        one exact int64 product per digit; p = 2 takes the parity of V_b &
+        A_c[i] on packed words.  Blocks cover consecutive j, about
+        _ORBIT_CHUNK at a time.  Every block is filled in place in one set of
+        buffers per walk: a yielded array is a view that the consumer may
+        overwrite, valid until the generator resumes.
+        """
+        p, n = self.p, self.r
+        k = out_map.shape[1]
+        if p**k > 1 << 63:
+            raise ValueError(f"an index of {k} base-{p} digits does not fit in int64")
+        if length == 0:
+            return
+        big_b = min(block, length) if block else math.isqrt(length - 1) + 1
+        giants, babies = self._baby_giant(gamma, out_map, length, big_b)
         if p == 2:
             giants, babies = _pack(giants), _pack(babies.transpose(2, 0, 1))
         # a dot product is at most n (p - 1)^2; small ones are reduced by lookup
@@ -492,6 +510,46 @@ class FieldCtx:
                     out *= p
                     out += digit
             yield b * big_b, out.ravel()[: length - b * big_b]
+
+    def parity_blocks(self, gamma: FieldElement, form: np.ndarray, length: int):
+        """Yield (start, words): bit i % 64 of word i // 64 is a one-column form over F_2 at gamma^(start + i).
+
+        p = 2 only; bits from length on are 0.  orbit_blocks' split, bit-sliced
+        with B a multiple of 64: coordinate kk of the baby forms packs B babies
+        to B/64 words, one 256-entry table per byte of the giant coordinates
+        holds the XOR of every subset of its 8 packed coordinates, and a giant
+        row's words are one table read per byte, xored (the method of Four
+        Russians).  Blocks and buffers are as in orbit_blocks.
+        """
+        n = self.r
+        if self.p != 2 or form.shape[1] != 1:
+            raise ValueError("parity_blocks reads one form over F_2")
+        if length == 0:
+            return
+        big_b = -(-(math.isqrt(length - 1) + 1) // 64) * 64
+        giants, babies = self._baby_giant(gamma, form, length, big_b)
+        cols = _pack(babies[:, :, 0].T)
+        # tables[y, v] is the XOR of the columns 8y + i over the bits i of v
+        tables = np.zeros((-(-n // 8), 256, big_b // 64), dtype=_WORD)
+        for kk in range(n):
+            y, i = divmod(kk, 8)
+            np.bitwise_xor(tables[y, : 1 << i], cols[kk], out=tables[y, 1 << i : 2 << i])
+        giant_bytes = np.packbits(giants.astype(np.uint8), axis=1, bitorder="little")
+        rows = min(max(1, _ORBIT_CHUNK // big_b), len(giants))
+        out_buf, read_buf = np.empty((2, rows, big_b // 64), dtype=_WORD)
+        for b in range(0, len(giants), rows):
+            v = giant_bytes[b : b + rows]
+            out = out_buf[: len(v)]
+            np.take(tables[0], v[:, 0], axis=0, out=out, mode="clip")
+            for y in range(1, len(tables)):
+                np.take(tables[y], v[:, y], axis=0, out=read_buf[: len(v)], mode="clip")
+                out ^= read_buf[: len(v)]
+            # the last giant row runs past length: keep its bits below length
+            valid = min(len(v) * big_b, length - b * big_b)
+            words = out.ravel()[: -(-valid // 64)]
+            if valid % 64:
+                words[-1] &= np.uint64((1 << valid % 64) - 1)
+            yield b * big_b, words
 
     # -- discrete logarithms --
 
@@ -706,6 +764,7 @@ class TowerCtx:
 
     def _power_sum(self, step: np.ndarray, count: int) -> np.ndarray:
         """The sum of step^i over i < count, mod p: a trace as a matrix when step is a Frobenius."""
+        _check_int64_sums(len(step), self.p)
         acc, f = np.zeros_like(step), np.eye(len(step), dtype=np.int64)
         for _ in range(count):
             acc, f = (acc + f) % self.p, (f @ step) % self.p
@@ -774,6 +833,7 @@ class TowerCtx:
         the powers of g (1 when r = 1); the roots are one Frobenius orbit, so the
         choice is canonical given the canonical gamma.
         """
+        _check_int64_sums(self.top.r, self.p)
         beta = self.top.one
         if self.r > 1:
             f = self.base.modulus

@@ -66,6 +66,13 @@ _scan_cache: dict[tuple, BruteResult] = {}
 _SCAN_CACHE_SIZE = 8
 
 
+def _check_oracle_cap(p: int, r: int, t: int, cap: int):
+    """Refuse a scan of F_{q^t}, q = p^r, when q^t or its q(q - 1) buckets exceed the cap; needs no tower."""
+    q = p**r
+    if max(q**t, q * (q - 1)) > cap:
+        raise OracleCapExceeded(f"q^t = {q**t} (or q(q-1) buckets) exceeds the oracle cap {cap}")
+
+
 def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteResult:
     """Exhaustive bucketing pass over F_{q^t}*, walking one element per F_q*-coset.
 
@@ -79,12 +86,13 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     label's window of q - 1 of them; a cell sums every s-th entry of one
     window.  The q(q-1) cells per degree are built only when `counts` is
     read, and the cap still bounds them with q^t, as it did when the walk
-    covered all of F_{q^t}*.
+    covered all of F_{q^t}*.  At q = 2 a coset is one element and there is
+    no norm log, so the walk yields packed trace bits instead
+    (FieldCtx.parity_blocks): a block's trace-1 count is a popcount, and the
+    bits of the few subfield exponents are read out for their exact degree.
     """
     q, m = tower.q, tower.m
-    big_q = q**t - 1
-    if max(big_q + 1, q * (q - 1)) > cap:
-        raise OracleCapExceeded(f"q^t = {big_q + 1} (or q(q-1) buckets) exceeds the oracle cap {cap}")
+    _check_oracle_cap(tower.p, tower.r, t, cap)
     key = (tower.p, tower.r, tower.m, t)
     if key in _scan_cache:
         return _scan_cache[key]
@@ -92,19 +100,44 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     # log_g of the q trace labels (-1 at the label 0, which has none), from F_q's log table
     logs = tower.base.log_table().astype(np.int64)
     log_g = np.where(logs < 0, -1, logs * tower.g_log_inv % n)
-    # shift[a] = -m log_g(a) mod (q - 1); a label's key among a degree's 4(q - 1) keys is
-    # w at trace 0 and 2(q - 1) + shift[a] + w otherwise, folded mod q - 1 only at the end
-    shift = -m * log_g % n
-    width = 4 * n
+    shift = -m * log_g % n  # -m log_g(a) mod (q - 1)
+    divs = divisors(t)
+    if q == 2:
+        zero, unit, elements = _scan_trace_bits(tower, t, divs)
+    else:
+        zero, unit, elements = _scan_cosets(tower, t, divs, log_g, shift)
+    # a trace-0 coset adds km to w: gcd(m, q - 1) times over each class of w mod the gcd;
+    # the row of a = g^l is unit rolled by lm, the window of unit twice at shift[a]
+    c = math.gcd(m, n)
+    zero_row = np.tile(zero.reshape(len(divs), n // c, c).sum(axis=1) * c, n // c)
+    source = np.concatenate([zero_row, unit, unit], axis=1)
+    cols = np.where(log_g < 0, 0, n + shift)
+    source.flags.writeable = False
+    cols.flags.writeable = False
+    result = BruteResult(tower=tower, t=t, divs=divs, source=source, cols=cols, elements=elements)
+    _scan_cache[key] = result
+    while len(_scan_cache) > _SCAN_CACHE_SIZE:
+        del _scan_cache[next(iter(_scan_cache))]
+    return result
+
+
+def _scan_cosets(tower: TowerCtx, t: int, divs: list[int], log_g, shift):
+    """(zero, unit, elements) of brute_scan from the walk's labels, for q > 2.
+
+    A label's key among a degree's 4(q - 1) keys is w at trace 0 and
+    2(q - 1) + shift[a] + w otherwise, folded mod q - 1 only at the end.
+    """
+    q, m = tower.q, tower.m
+    big_q, n = q**t - 1, q - 1
+    ndivs, width = len(divs), 4 * n
     # exact degree over F_q: the smallest t' | t with gamma_t^e in F_{q^t'},
     # i.e. with (q^t - 1)/(q^t' - 1) | e; every element starts at degree t, and
     # each subfield, the smallest last, keeps the key (mod width) and rewrites the degree
-    divs = divisors(t)
-    subfields = [(di, big_q // (q ** divs[di] - 1)) for di in range(len(divs) - 2, -1, -1)]
-    label_keys = np.where(log_g < 0, 0, 2 * n + shift) + (len(divs) - 1) * width
+    subfields = [(di, big_q // (q ** divs[di] - 1)) for di in range(ndivs - 2, -1, -1)]
+    label_keys = np.where(log_g < 0, 0, 2 * n + shift) + (ndivs - 1) * width
     # the norm log dlog_g Norm_m(gamma_t^e) = e * (m/t) mod (q - 1) has period q - 1
     # in e, so each block slices one pattern
-    counts = np.zeros(len(divs) * width, dtype=np.int64)
+    counts = np.zeros(ndivs * width, dtype=np.int64)
     norm_logs = np.empty(0, dtype=np.int64)
     elements = 0
     for start, bucket in tower.top.orbit_blocks(tower.gamma[t], tower.base_trace_form(), big_q // n):
@@ -122,20 +155,34 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
         counts += np.bincount(bucket, minlength=len(counts))
         elements += len(bucket)
     # fold shift + w mod q - 1: zero[d][w] and unit[d][u] count the walked elements
-    zero, unit = counts.reshape(len(divs), 2, 2, n).sum(axis=2).transpose(1, 0, 2)
-    # a trace-0 coset adds km to w: gcd(m, q - 1) times over each class of w mod the gcd;
-    # the row of a = g^l is unit rolled by lm, the window of unit twice at shift[a]
-    c = math.gcd(m, n)
-    zero_row = np.tile(zero.reshape(len(divs), n // c, c).sum(axis=1) * c, n // c)
-    source = np.concatenate([zero_row, unit, unit], axis=1)
-    cols = np.where(log_g < 0, 0, n + shift)
-    source.flags.writeable = False
-    cols.flags.writeable = False
-    result = BruteResult(tower=tower, t=t, divs=divs, source=source, cols=cols, elements=elements)
-    _scan_cache[key] = result
-    while len(_scan_cache) > _SCAN_CACHE_SIZE:
-        del _scan_cache[next(iter(_scan_cache))]
-    return result
+    zero, unit = counts.reshape(ndivs, 2, 2, n).sum(axis=2).transpose(1, 0, 2)
+    return zero, unit, elements
+
+
+def _scan_trace_bits(tower: TowerCtx, t: int, divs: list[int]):
+    """(zero, unit, elements) of brute_scan at q = 2, where a coset is one element and its label one bit.
+
+    The trace-1 elements of F_{2^d}*, the multiples of (2^t - 1)/(2^d - 1), are a
+    popcount at d = t and a few bits read out below; exact degree d keeps
+    those of F_{2^d}* less those of exact degree d' | d, d' < d.
+    """
+    big_q = 2**t - 1
+    ones = np.zeros(len(divs), dtype=np.int64)
+    elements = 0
+    for start, words in tower.top.parity_blocks(tower.gamma[t], tower.base_trace_form(), big_q):
+        for di, d in enumerate(divs[:-1]):
+            stride = big_q // (2**d - 1)
+            at = np.arange(-start % stride, 64 * len(words), stride, dtype=np.uint64)
+            ones[di] += int((words[at >> 6] >> (at & 63) & 1).sum())
+        ones[-1] += int(np.bitwise_count(words, out=words).sum())
+        elements += min(64 * len(words), big_q - start)
+    sizes = np.array([2**d - 1 for d in divs], dtype=np.int64)
+    for di, d in enumerate(divs):
+        for dj in range(di):
+            if d % divs[dj] == 0:
+                ones[di] -= ones[dj]
+                sizes[di] -= sizes[dj]
+    return (sizes - ones)[:, None], ones[:, None], elements
 
 
 def _h_for_tower(spec: CountSpec, tower: TowerCtx) -> int:
@@ -144,6 +191,7 @@ def _h_for_tower(spec: CountSpec, tower: TowerCtx) -> int:
 
 def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """P_m by exhaustion: degree-exactly-m roots with matching (a, coset), / m."""
+    _check_oracle_cap(spec.p, spec.r, spec.m, cap)
     tower = build_tower(spec.p, spec.r, spec.m)
     scan = brute_scan(tower, spec.m, cap)
     h = _h_for_tower(spec, tower)
@@ -155,6 +203,7 @@ def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """|S_t|: all x in F_{q^t} with Tr_m(x) = a and Norm_m(x) in the coset."""
+    _check_oracle_cap(spec.p, spec.r, t, cap)
     tower = build_tower(spec.p, spec.r, spec.m)
     scan = brute_scan(tower, t, cap)
     h = _h_for_tower(spec, tower)

@@ -6,10 +6,12 @@ Run from the repository root:
 
 The tree (`src/`, `tests/`, `perfbench/` and `pyproject.toml`) is copied once
 to a temporary directory.  First every test file that some mutant names runs
-there unmutated; if one fails, a kill would prove nothing, so the script stops
-with exit 1 as a harness error.  Then each mutant replaces one exact source
-fragment, runs its test files, and is restored.  The script prints one row per
-mutant with the number of failing tests and the first of them, and exits
+there unmutated, every file to the end; if one fails, a kill would prove
+nothing, so the script stops with exit 1 as a harness error.  Then each mutant
+replaces one exact source fragment, runs its test files with `pytest -x`, and
+is restored: one failing test is a kill, so the run stops there.  The script
+prints one row per mutant with the number of failing tests, which reads 1 for
+every killed mutant, and the test that killed it, the first to fail; it exits
 nonzero if any mutant survives.  `test_source.py` requires every fragment to
 occur exactly once in its file, so a refactor that moves the code has to move
 its mutant too.
@@ -184,6 +186,13 @@ MUTANTS = [
         ("tests/test_cyclotomic.py",),
     ),
     Mutant(
+        "parity_blocks counts the last giant row in full",
+        "src/polycount/fields.py",
+        "valid = min(len(v) * big_b, length - b * big_b)",
+        "valid = len(v) * big_b",
+        ("tests/test_oracle.py", "tests/test_fields.py"),
+    ),
+    Mutant(
         "check_cap refuses at size == cap",
         "src/polycount/fields.py",
         "    if size > cap:\n",
@@ -193,11 +202,11 @@ MUTANTS = [
 ]
 
 
-def _failing(tree: Path, tests) -> list[str]:
-    """Run the test files in tree; return the failing test ids."""
+def _failing(tree: Path, tests, first: bool = False) -> list[str]:
+    """Run the test files in tree, stopping at the first failure if first; return the failing test ids."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *(["-x"] if first else []), *tests],
         cwd=tree,
         env=env,
         capture_output=True,
@@ -217,7 +226,7 @@ def _run(tree: Path, mutant: Mutant) -> list[str]:
         raise SystemExit(f"{mutant.name}: fragment does not occur exactly once in {mutant.file}")
     path.write_text(source.replace(mutant.fragment, mutant.replacement))
     try:
-        return _failing(tree, mutant.tests)
+        return _failing(tree, mutant.tests, first=True)
     finally:
         path.write_text(source)
 
@@ -242,7 +251,7 @@ def main() -> int:
             failed = _run(tree, mutant)
             seconds = time.perf_counter() - start
             survivors += not failed
-            killed_by = f"{failed[0]} (+{len(failed) - 1} more)" if failed else "SURVIVED"
+            killed_by = failed[0] if failed else "SURVIVED"
             print(f"{mutant.name}\t{len(failed)}\t{seconds:.1f}\t{killed_by}", flush=True)
     return 1 if survivors else 0
 

@@ -17,6 +17,7 @@ from polycount.errors import (
     InvalidPrime,
     InvariantError,
     SubfieldViolation,
+    ValidationError,
     ZeroHasNoLog,
 )
 from polycount.fields import (
@@ -313,7 +314,7 @@ def test_linear_orbit_matches_naive_powers_at_square_boundaries(p, r, data):
 def test_linear_orbit_refuses_int64_overflow():
     # (p - 1)^2 >= 2^63: a single product of residues would wrap in int64
     big = build_field(4294967311, 1)
-    with pytest.raises(ValueError, match="overflows int64"):
+    with pytest.raises(ValidationError, match="overflows int64"):
         big.linear_orbit(big.generator**123456789, np.eye(1, dtype=np.int64), 40)
     # just below the bound every product is exact
     ctx = build_field(2**31 - 1, 1)
@@ -321,6 +322,27 @@ def test_linear_orbit_refuses_int64_overflow():
     want = [(gamma**j).index for j in range(40)]
     for block in (None, 1, 40):
         assert ctx.linear_orbit(gamma, np.eye(1, dtype=np.int64), 40, block=block).tolist() == want
+
+
+def test_f_p_linear_maps_refuse_past_the_int64_bound():
+    # p = 2^32 + 61: one product of residues passes 2^63, so x^(p^2 + 1), which lies in
+    # F_{p^2}, would read as degree 4 through a wrapped Frobenius matrix; the tower's own
+    # subfield checks are the first to refuse
+    p = 4294967357
+    assert build_field(p, 4).order == p**4  # closed tables at this p build no tower
+    with pytest.raises(ValidationError, match="2\\^63"):
+        build_field(p, 4).frob_matrix()
+    with pytest.raises(ValidationError, match="2\\^63"):
+        tower = build_tower(p, 1, 4)
+        min_poly(tower, tower.gamma[4] ** (p**2 + 1))
+    # p = 2^31 - 1, m = 2: 2 (p - 1)^2 is just below the bound, and every product is exact
+    p = 2**31 - 1
+    tower = build_tower(p, 1, 2)
+    for e in (1, 12345, p + 2):
+        coeffs, t = min_poly(tower, tower.gamma[2] ** e)
+        assert t == 2 and len(coeffs) == 3
+        assert poly_is_irreducible([c.index for c in coeffs], tower.base)
+    assert min_poly(tower, tower.gamma[2] ** (p + 1))[1] == 1  # a norm to F_p
 
 
 @pytest.mark.parametrize("r", [1, 7, 13, 33, 70])
@@ -352,6 +374,31 @@ def test_packed_orbit_matches_naive_powers(r):
         with pytest.raises(ValueError):
             ctx.linear_orbit(gamma, np.eye(r, dtype=np.int64)[:, :64], 3)
     assert ctx.linear_orbit(gamma, maps[0], 0).shape == (0,)
+
+
+@pytest.mark.parametrize("r", [1, 7, 13, 33, 70])
+def test_parity_blocks_match_the_packed_orbit(monkeypatch, r):
+    # giant coordinates in one byte (1, 7), two (13), five (33) and nine (70), the last one
+    # partial; lengths below, at and past one word and one 64-baby row, so the last row and
+    # word are partial or full; every block size
+    ctx = build_field(2, r)
+    gamma = ctx.generator**5
+    rng = np.random.default_rng(r)
+    forms = [np.eye(r, dtype=np.int64)[:, [r - 1]], rng.integers(0, 2, (r, 1)), rng.integers(0, 5, (r, 1))]
+    for form in forms:
+        want = ctx.linear_orbit(gamma, form, 4161)
+        for chunk in (1, 7, 4096, polycount.fields._ORBIT_CHUNK):
+            monkeypatch.setattr(polycount.fields, "_ORBIT_CHUNK", chunk)
+            for length in (1, 63, 64, 65, 4095, 4161):
+                covered = 0
+                for start, words in ctx.parity_blocks(gamma, form, length):
+                    assert start == covered
+                    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+                    covered += len(bits)
+                    assert bits[: length - start].tolist() == want[start : min(covered, length)].tolist()
+                    assert not bits[length - start :].any()  # bits from length on are 0
+                assert 0 <= covered - length < 64
+    assert list(ctx.parity_blocks(gamma, forms[0], 0)) == []
 
 
 # (p, r, k): p = 2 with one digit, with many, and on two words (r = 70); odd p with the

@@ -5,6 +5,7 @@ import pytest
 from reference import brute_t_t, whole_orbit_counts, whole_orbit_listing
 
 from polycount import fields
+from polycount.cli import main
 from polycount.counting import CountSpec
 from polycount.errors import ListingCapExceeded, OracleCapExceeded
 from polycount.fields import build_field, build_tower, poly_is_irreducible
@@ -133,6 +134,24 @@ def test_brute_scan_is_independent_of_the_block_size(monkeypatch, p, r, m, t):
         assert np.array_equal(brute_scan(tower, t).counts, want), chunk
 
 
+@pytest.mark.parametrize("m", range(1, 19))
+def test_trace_bit_scan_matches_the_whole_orbit(monkeypatch, m):
+    # q = 2 counts packed trace bits: every (2, 1, m), m <= 18, and every t | m.  The odd
+    # length 2^t - 1 never fills its last giant row (a multiple of 64 babies) or its last
+    # word, and up to t = 6 the whole walk is one partial row
+    tower = build_tower(2, 1, m)
+    for t in divisors(m):
+        want = whole_orbit_counts(tower, t)
+        for chunk in _CHUNKS:
+            monkeypatch.setattr(fields, "_ORBIT_CHUNK", chunk)
+            oracle._scan_cache.pop((2, 1, m, t), None)
+            scan = brute_scan(tower, t)
+            assert np.array_equal(scan.counts, want), (t, chunk)
+            assert scan.elements == 2**t - 1
+            cells = [scan.cell(degree, a, 0, 1) for degree in scan.divs for a in (0, 1)]
+            assert cells == want[:, :, 0].ravel().tolist()
+
+
 @pytest.mark.parametrize("p, r, m, t", _BLOCK_CELLS)
 def test_brute_scan_walks_one_element_per_coset(p, r, m, t):
     q = p**r
@@ -230,6 +249,19 @@ def test_oracle_cap():
     # F_{2^12} is within the cap, but its q(q-1) bucket table is not
     with pytest.raises(OracleCapExceeded):
         brute_n_t(CountSpec.make(2, 12, 2, 1, a=0), 1)
+
+
+def test_oracle_cap_refuses_before_the_tower_is_built(monkeypatch):
+    # the cap needs only p, r and t; building F_{100003^4} alone takes seconds
+    def forbidden(*args):
+        raise AssertionError("build_tower ran before the oracle cap refused")
+
+    monkeypatch.setattr(oracle, "build_tower", forbidden)
+    spec = CountSpec.make(100003, 1, 4, 2, a=1, h=0)
+    for call in (brute_p_m, list_polys, lambda spec: brute_n_t(spec, 2), lambda spec: brute_n_t(spec, 1)):
+        with pytest.raises(OracleCapExceeded):
+            call(spec)
+    assert main(["count", "--p", "100003", "--m", "4", "--s", "2", "--a", "1", "--h", "0", "--method", "brute"]) == 3
 
 
 def test_listing_examples():

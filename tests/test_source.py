@@ -58,8 +58,8 @@ def test_float_check_flags_a_weighted_bincount():
 _CONSTRUCTORS = ("zeros", "empty", "ones", "full", "array")
 
 
-def _block_loop_allocations(tree):
-    """(line, call) for each numpy array constructor called in a `for` loop of FieldCtx.orbit_blocks.
+def _block_loop_allocations(tree, name="orbit_blocks"):
+    """(line, call) for each numpy array constructor called in a `for` loop of the FieldCtx method `name`.
 
     Constructors are np.zeros, np.empty, np.ones, np.full, np.array and every
     np.*_like.  None when the method is missing, so a rename cannot pass unseen.
@@ -69,7 +69,7 @@ def _block_loop_allocations(tree):
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and cls.name == "FieldCtx"
         for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "orbit_blocks"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     ]
     if not methods:
         return None
@@ -89,21 +89,23 @@ def _allocations(tree):
 
 
 def _walk_consumers(tree):
-    """Every `for` loop over the blocks of an orbit walk, orbit_blocks(...) or trace_blocks(...)."""
+    """Every `for` loop over the blocks of an orbit walk: orbit_blocks(...), parity_blocks(...) or trace_blocks(...)."""
     return [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.For)
         and isinstance(node.iter, ast.Call)
         and isinstance(node.iter.func, ast.Attribute)
-        and node.iter.func.attr in ("orbit_blocks", "trace_blocks")
+        and node.iter.func.attr in ("orbit_blocks", "parity_blocks", "trace_blocks")
     ]
 
 
 def test_orbit_block_loop_allocates_nothing():
     # every block is filled in place in buffers made once per walk; a fresh array per
     # block page-faults anew on each one
-    assert _block_loop_allocations(ast.parse((SRC / "fields.py").read_text())) == []
+    tree = ast.parse((SRC / "fields.py").read_text())
+    for name in ("orbit_blocks", "parity_blocks"):
+        assert _block_loop_allocations(tree, name) == [], name
 
 
 def test_block_loop_check_flags_a_planted_allocation():
@@ -127,7 +129,7 @@ def test_walk_consumers_allocate_nothing_per_block():
         for loop in _walk_consumers(ast.parse(path.read_text())):
             loops += 1
             found += [f"{path.name}:{line}: {call}" for line, call in _allocations(loop)]
-    assert loops >= 6 and found == []
+    assert loops >= 7 and found == []
 
 
 def test_walk_consumer_check_flags_a_planted_allocation():
