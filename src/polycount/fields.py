@@ -12,8 +12,12 @@ as base-p digits, coordinate i the coefficient of X^i.  Addition is
 digit-wise mod p.  In characteristic 2 an index is the F_2[x] polynomial
 itself, bit i the coefficient of x^i: addition is xor, multiplication a
 carry-less shift/xor product reduced by the modulus (also an int), and
-squaring spreads the bits.  Odd p decodes the digits once per product, or
-once per power, and multiplies coefficient lists.
+squaring spreads the bits.  Odd p multiplies packed integers (Kronecker
+substitution): digit i goes to bits [iw, (i + 1)w) of one int, with
+w = bitlen((2r - 1)(p - 1)^2), so a product is one integer multiply and no
+slot carries into the next; its r - 1 high slots fold back through a table
+of x^(r + j) mod f, and each slot is reduced mod p once.  A product packs
+and unpacks its operands, a power once per call.
 
 A tower F_q^t <= F_{q^m} is realized inside the single field F_{p^{rm}};
 the subfield test is x^{q^t} == x, and F_q itself embeds by X -> beta, a
@@ -29,7 +33,10 @@ consumer never holds the whole orbit; it fills every block in place in one
 set of buffers per walk, so a block is valid until the next is asked for.
 Log tables, trace histograms and the oracle all consume it block by block.
 parity_blocks bit-slices the same split for one form over F_2 (the oracle
-at q = 2): 64 babies to a word, one XOR-table read per giant byte.
+at q = 2): 64 babies to a word, one XOR-table read per giant byte.  In
+characteristic 2 the baby and giant powers are packed words too, taken by
+doubling: a product by a constant is F_2-linear, so it is one XOR-table read
+per byte of each row, as is the babies' form (the method of Four Russians).
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ _ORBIT_CHUNK = 1 << 16
 # packed F_2 vectors: coordinate i is bit i % 64 of word i // 64
 _WORD = np.dtype("<u8")
 
+# p = 2 powers: this many are taken one product at a time before doubling by tables
+_WORD_HEAD = 32
+
 # fields of at most this order keep a full log table, one int32 per element
 LOG_TABLE_MAX_ORDER = 1 << 16
 
@@ -85,49 +95,11 @@ def _check_int64_sums(n: int, p: int):
         raise ValidationError(f"a sum of {n} products of residues mod {p} overflows int64: need n (p - 1)^2 < 2^63")
 
 
-# -- dense polynomial helpers over F_p (lists, low degree first) --
-# A monic modulus f of degree df is passed as df and its taps, the pairs (j, f_j)
-# with f_j != 0 and j < df.  Products are summed exactly and reduced mod p at the end.
-
-
 def _ptrim(a):
     n = len(a)
     while n > 1 and a[n - 1] == 0:
         n -= 1
     return a[:n]
-
-
-def _taps(f):
-    return [(j, c) for j, c in enumerate(f[:-1]) if c]
-
-
-def _pmod(a, taps, df, p):
-    # reduces the list a in place; the result is shorter than df when a is
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k] % p
-        if c:
-            for j, fj in taps:
-                a[k - df + j] -= c * fj
-    return [c % p for c in a[:df]]
-
-
-def _pmulmod(a, b, taps, df, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pmod(out, taps, df, p)
-
-
-def _ppowmod(a, e, taps, df, p):
-    result = [1] + [0] * (df - 1)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, a, taps, df, p)
-        a = _pmulmod(a, a, taps, df, p)
-        e >>= 1
-    return result
 
 
 # -- F_2[x] as ints, bit i the coefficient of x^i --
@@ -216,6 +188,36 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return padded.view(_WORD)
 
 
+def _words(values, width: int) -> np.ndarray:
+    """Python ints below 2^(64 width) as rows of `width` words, in _pack's bit order."""
+    return np.frombuffer(b"".join(v.to_bytes(8 * width, "little") for v in values), dtype=_WORD).reshape(-1, width)
+
+
+def _byte_tables(images: np.ndarray) -> np.ndarray:
+    """tables[y, v] = the XOR of images[8y + i] over the bits i of v, for images of shape (n, width) words.
+
+    An F_2-linear map given by the images of the unit vectors then takes a row
+    of packed bits in one table read per byte (_xor_images): the method of Four
+    Russians (Arlazarov, Dinic, Kronrod & Faradzhev, 1970).
+    """
+    n, width = images.shape
+    padded = np.zeros((-(-n // 8) * 8, width), dtype=_WORD)
+    padded[:n] = images
+    tables = np.zeros((len(padded) // 8, 256, width), dtype=_WORD)
+    for i in range(8):
+        np.bitwise_xor(tables[:, : 1 << i], padded[i::8, None], out=tables[:, 1 << i : 2 << i])
+    return tables
+
+
+def _xor_images(tables: np.ndarray, row_bytes: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """out[j] = the map of _byte_tables at row j, whose byte y is row_bytes[j, y]; scratch is out's shape."""
+    np.take(tables[0], row_bytes[:, 0], axis=0, out=out, mode="clip")
+    for y in range(1, len(tables)):
+        np.take(tables[y], row_bytes[:, y], axis=0, out=scratch, mode="clip")
+        out ^= scratch
+    return out
+
+
 class FieldElement:
     """An element of a FieldCtx, held as its index: coordinate i over F_p is base-p digit i."""
 
@@ -298,8 +300,18 @@ class FieldCtx:
         self.order = p**r
         self.group_order = self.order - 1
         self.modulus = self._canonical_modulus()
-        self._taps = _taps(self.modulus)
         self._mod_low = _undigits(self.modulus[:-1], p)  # the modulus less x^r, as an index
+        if p > 2 and r > 1:
+            # a slot of _reduced holds at most r (p - 1)^2 from the product and (r - 1) (p - 1)^2 from the fold
+            w = ((2 * r - 1) * (p - 1) ** 2).bit_length()
+            self._w, self._slot = w, (1 << w) - 1
+            self._shifts = range((r - 1) * w, -1, -w)  # the slots of an element, highest first
+            # x_pow[j] = x^(r + j) mod f, j < r: x^(r - 1 + j) shifted up a digit, less its top digit times f
+            x_pow, xk = [], [0] * (r - 1) + [1]
+            for _ in range(r):
+                xk = [(c - xk[-1] * fj) % p for c, fj in zip([0] + xk[:-1], self.modulus)]
+                x_pow.append(xk)
+            self._fold = [self._packed(_undigits(x_pow[j], p)) for j in range(r - 1)]
         self._gen = None
         self._frob1 = None
         self._frob_pows: dict[int, np.ndarray] = {}
@@ -319,7 +331,40 @@ class FieldCtx:
                 return tuple(coeffs)
         raise InvariantError("no irreducible polynomial found")  # pragma: no cover
 
-    # -- arithmetic on indices: carry-less for p = 2, digit lists otherwise --
+    # -- arithmetic on indices: carry-less for p = 2, packed integers otherwise --
+
+    def _packed(self, idx: int) -> int:
+        """Odd p, r > 1: the base-p digits of idx, digit i in bits [iw, (i + 1)w) (Kronecker substitution)."""
+        out, s = 0, 0
+        while idx:
+            idx, d = divmod(idx, self.p)
+            out |= d << s
+            s += self._w
+        return out
+
+    def _unpacked(self, v: int) -> int:
+        """The index of a packed element whose r slots hold digits below p."""
+        p, slot, idx = self.p, self._slot, 0
+        for s in self._shifts:
+            idx = idx * p + (v >> s & slot)
+        return idx
+
+    def _reduced(self, c: int) -> int:
+        """The packed element c mod f, for c the product of two packed elements.
+
+        c has 2r - 1 slots.  Slot r + j, taken mod p, folds back as that
+        multiple of x^(r + j) mod f; w leaves room for the sum, so no slot
+        carries, and each of the r slots left is taken mod p once.
+        """
+        p, w, slot = self.p, self._w, self._slot
+        hi, c = c >> self.r * w, c & ((1 << self.r * w) - 1)
+        for t in self._fold:
+            c += (hi & slot) % p * t
+            hi >>= w
+        out = 0
+        for s in self._shifts:
+            out = out << w | (c >> s & slot) % p
+        return out
 
     def _mul(self, a: int, b: int) -> int:
         p, r = self.p, self.r
@@ -327,15 +372,21 @@ class FieldCtx:
             return _clmod(_clmul(a, b), r, self._mod_low)
         if r == 1:
             return a * b % p
-        return _undigits(_pmulmod(_digits(a, p, r), _digits(b, p, r), self._taps, r, p), p)
+        return self._unpacked(self._reduced(self._packed(a) * self._packed(b)))
 
     def _pow(self, a: int, e: int) -> int:
         p, r = self.p, self.r
         if r == 1:
             return pow(a, e, p)
+        out = 1
         if p != 2:
-            return _undigits(_ppowmod(_digits(a, p, r), e, self._taps, r, p), p)
-        low, out = self._mod_low, 1
+            a = self._packed(a)
+            for bit in format(e, "b"):
+                out = self._reduced(out * out)
+                if bit == "1":
+                    out = self._reduced(out * a)
+            return self._unpacked(out)
+        low = self._mod_low
         for bit in format(e, "b"):
             out = _clmod(_clsquare(out), r, low)
             if bit == "1":
@@ -441,17 +492,59 @@ class FieldCtx:
             out[start : start + len(indices)] = indices
         return out
 
+    def _word_powers(self, x: FieldElement, count: int) -> np.ndarray:
+        """p = 2: x^0 .. x^(count - 1) as rows of packed words, by doubling: rows[f:2f] = rows[:f] x^f.
+
+        A product by c is F_2-linear, so a row's is the XOR of c X^kk mod f over
+        its set bits kk, read from _byte_tables.
+        """
+        r = self.r
+        width = -(-r // 64)
+        rows = np.zeros((count, width), dtype=_WORD)
+        # the first rows one product at a time, where a table would cost more than it saves
+        head = [1]
+        while len(head) < min(count, _WORD_HEAD):
+            head.append(self._mul(head[-1], x.index))
+        rows[: len(head)] = _words(head, width)
+        scratch = np.empty((count // 2, width), dtype=_WORD)
+        f, c, modulus = len(head), self._mul(head[-1], x.index), self._mod_low | 1 << r
+        while f < count:
+            n = min(f, count - f)
+            # images[kk] = c X^kk mod f: shift up, and reduce the bit that reaches X^r
+            images = [c]
+            for _ in range(1, r):
+                images.append(images[-1] << 1)
+                if images[-1] >> r:
+                    images[-1] ^= modulus
+            _xor_images(_byte_tables(_words(images, width)), rows[:n].view(np.uint8), rows[f : f + n], scratch[:n])
+            f += n
+            c = self._mul(c, c)
+        return rows
+
     def _baby_giant(self, gamma: FieldElement, out_map: np.ndarray, length: int, big_b: int):
-        """giants[b] = coords of gamma^(b big_b) and babies[i, kk] = out_map at gamma^i X^kk, mod p: see orbit_blocks."""
+        """orbit_blocks' giants[b] = gamma^(b big_b) and babies, column c of out_map at gamma^i X^kk, mod p.
+
+        Odd p: coordinate rows, and babies[i, kk, c].  p = 2: packed words, a
+        giant one row, and babies[c, i] one row over kk, each the image of the
+        words of gamma^i under a linear map read from _byte_tables.
+        """
         p, n = self.p, self.r
         k = out_map.shape[1]
-        giants = self._powers(gamma**big_b, -(-length // big_b))
         # forms[:, kk] = Mul(X)^kk @ out_map reads the map at x X^kk
         forms = np.empty((n, n, k), dtype=np.int64)
         forms[:, 0] = out_map % p
         times_x = self.mul_matrix(self.from_index(p)) if n > 1 else None
         for kk in range(1, n):
             forms[:, kk] = (times_x @ forms[:, kk - 1]) % p
+        count = -(-length // big_b)
+        if p == 2:
+            images = _pack(forms.transpose(0, 2, 1)).reshape(n, -1)
+            babies = np.empty((big_b, images.shape[1]), dtype=_WORD)
+            baby_words = self._word_powers(gamma, big_b).view(np.uint8)
+            _xor_images(_byte_tables(images), baby_words, babies, np.empty_like(babies))
+            babies = np.ascontiguousarray(babies.reshape(big_b, k, -1).transpose(1, 0, 2))
+            return self._word_powers(gamma**big_b, count), babies
+        giants = self._powers(gamma**big_b, count)
         babies = (self._powers(gamma, big_b) @ forms.reshape(n, n * k)).reshape(big_b, n, k) % p
         return giants, babies
 
@@ -472,13 +565,11 @@ class FieldCtx:
         p, n = self.p, self.r
         k = out_map.shape[1]
         if p**k > 1 << 63:
-            raise ValueError(f"an index of {k} base-{p} digits does not fit in int64")
+            raise ValidationError(f"an index of {k} base-{p} digits does not fit in int64")
         if length == 0:
             return
         big_b = min(block, length) if block else math.isqrt(length - 1) + 1
         giants, babies = self._baby_giant(gamma, out_map, length, big_b)
-        if p == 2:
-            giants, babies = _pack(giants), _pack(babies.transpose(2, 0, 1))
         # a dot product is at most n (p - 1)^2; small ones are reduced by lookup
         residues = np.arange(n * (p - 1) ** 2 + 1) % p if n * (p - 1) ** 2 < _ORBIT_CHUNK else None
         rows = min(max(1, _ORBIT_CHUNK // big_b), len(giants))
@@ -528,22 +619,14 @@ class FieldCtx:
             return
         big_b = -(-(math.isqrt(length - 1) + 1) // 64) * 64
         giants, babies = self._baby_giant(gamma, form, length, big_b)
-        cols = _pack(babies[:, :, 0].T)
-        # tables[y, v] is the XOR of the columns 8y + i over the bits i of v
-        tables = np.zeros((-(-n // 8), 256, big_b // 64), dtype=_WORD)
-        for kk in range(n):
-            y, i = divmod(kk, 8)
-            np.bitwise_xor(tables[y, : 1 << i], cols[kk], out=tables[y, 1 << i : 2 << i])
-        giant_bytes = np.packbits(giants.astype(np.uint8), axis=1, bitorder="little")
+        # column kk of the forms at the B babies, B bits packed to B/64 words
+        tables = _byte_tables(_pack(np.unpackbits(babies[0].view(np.uint8), axis=1, count=n, bitorder="little").T))
+        giant_bytes = giants.view(np.uint8)
         rows = min(max(1, _ORBIT_CHUNK // big_b), len(giants))
         out_buf, read_buf = np.empty((2, rows, big_b // 64), dtype=_WORD)
         for b in range(0, len(giants), rows):
             v = giant_bytes[b : b + rows]
-            out = out_buf[: len(v)]
-            np.take(tables[0], v[:, 0], axis=0, out=out, mode="clip")
-            for y in range(1, len(tables)):
-                np.take(tables[y], v[:, y], axis=0, out=read_buf[: len(v)], mode="clip")
-                out ^= read_buf[: len(v)]
+            out = _xor_images(tables, v, out_buf[: len(v)], read_buf[: len(v)])
             # the last giant row runs past length: keep its bits below length
             valid = min(len(v) * big_b, length - b * big_b)
             words = out.ravel()[: -(-valid // 64)]
@@ -636,18 +719,6 @@ class FieldCtx:
                 return (i * m + j) % n
             cur = cur * giant
         raise InvariantError("BSGS found no logarithm")
-
-    def element_order(self, x: FieldElement) -> int:
-        if x.is_zero():
-            raise ValueError("zero has no multiplicative order")
-        order = self.group_order
-        for q, e in factor_prime_power_order(self.p, self.r):
-            for _ in range(e):
-                if x ** (order // q) == self.one:
-                    order //= q
-                else:
-                    break
-        return order
 
     # -- serialization --
 
@@ -1020,7 +1091,7 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
     def rem(a, g):
         # a mod monic g, in place; a has at least deg g entries
         d = len(g) - 1
-        taps = _taps(g)
+        taps = [(j, gj) for j, gj in enumerate(g[:-1]) if gj]
         for k in range(len(a) - 1, d - 1, -1):
             c = a[k]
             if c:

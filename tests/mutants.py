@@ -193,6 +193,41 @@ MUTANTS = [
         ("tests/test_oracle.py", "tests/test_fields.py"),
     ),
     Mutant(
+        "packed odd-p slot one bit narrower",
+        "src/polycount/fields.py",
+        "w = ((2 * r - 1) * (p - 1) ** 2).bit_length()",
+        "w = ((2 * r - 1) * (p - 1) ** 2).bit_length() - 1",
+        ("tests/test_field_arithmetic.py",),
+    ),
+    Mutant(
+        "packed odd-p fold table read at x^(r + j + 1)",
+        "src/polycount/fields.py",
+        "x_pow[j], p)) for j in range(r - 1)",
+        "x_pow[j + 1], p)) for j in range(r - 1)",
+        ("tests/test_field_arithmetic.py",),
+    ),
+    Mutant(
+        "p = 2 word product's reduction loop skips its top bit",
+        "src/polycount/fields.py",
+        "for _ in range(1, r):\n                images.append",
+        "for _ in range(1, r - 1):\n                images.append",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "orbit_blocks Horner's rule with the lowest digit first",
+        "src/polycount/fields.py",
+        "for c in range(k - 1, -1, -1):",
+        "for c in range(k):",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "orbit_blocks reduces a dot product to (digit + 1) % p",
+        "src/polycount/fields.py",
+        "residues = np.arange(n * (p - 1) ** 2 + 1) % p",
+        "residues = (np.arange(n * (p - 1) ** 2 + 1) + 1) % p",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
         "check_cap refuses at size == cap",
         "src/polycount/fields.py",
         "    if size > cap:\n",

@@ -19,7 +19,7 @@ from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
 from polycount.errors import ValidationError
 from polycount.fields import FieldCtx, FieldElement, TowerCtx, _index_add, build_tower, min_poly
-from polycount.intmath import divisors, factorize, mobius
+from polycount.intmath import divisors, factor_prime_power_order, factorize, mobius
 from polycount.oracle import DEFAULT_ORACLE_CAP, brute_scan
 
 
@@ -32,6 +32,49 @@ def brute_t_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     tower = build_tower(spec.p, spec.r, spec.m)
     scan = brute_scan(tower, t, cap)
     return scan.cell(t, spec.a.index, _h(spec, tower), spec.s)
+
+
+def schoolbook_mulmod(a: list[int], b: list[int], modulus, p: int) -> list[int]:
+    """a b mod the monic modulus over F_p, on coordinate lists low degree first.
+
+    Long multiplication summed exactly, then long division from the top
+    coefficient down, each reduced mod p as it is read.
+    """
+    r = len(modulus) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for k in range(len(out) - 1, r - 1, -1):
+        c = out[k] % p
+        for j in range(r):
+            out[k - r + j] -= c * modulus[j]
+    return [c % p for c in out[:r]]
+
+
+def schoolbook_powmod(a: list[int], e: int, modulus, p: int) -> list[int]:
+    """a^e mod the monic modulus over F_p by right-to-left square and multiply on schoolbook_mulmod."""
+    out = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            out = schoolbook_mulmod(out, a, modulus, p)
+        a = schoolbook_mulmod(a, a, modulus, p)
+        e >>= 1
+    return out
+
+
+def element_order(field: FieldCtx, x: FieldElement) -> int:
+    """The multiplicative order of nonzero x: q - 1 less every prime factor l with x^(order / l) = 1."""
+    if x.is_zero():
+        raise ValueError("zero has no multiplicative order")
+    order = field.group_order
+    for q, e in factor_prime_power_order(field.p, field.r):
+        for _ in range(e):
+            if x ** (order // q) == field.one:
+                order //= q
+            else:
+                break
+    return order
 
 
 def naive_generator_index(field: FieldCtx) -> int:

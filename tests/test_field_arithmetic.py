@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import schoolbook_mulmod, schoolbook_powmod
 
 from polycount.fields import build_field, poly_is_irreducible
 
@@ -73,6 +74,39 @@ def test_arithmetic_matches_schoolbook(p, r, data):
         assert a * a.inverse() == ctx.one
         assert list((a**-k).coords) == ref_pow(ca, -k % (q - 1), mod, p)
         assert (b / a) * a == b
+
+
+# odd p with r > 1 multiplies in w-bit slots of one int (FieldCtx._reduced): small p with large r,
+# p >= 1000 with r >= 12, and p = 2^31 - 1, whose slots are the widest (64 and 65 bits).  At (257, 2)
+# the square of q - 1 fills its middle slot to 2 * 256^2 = 2^17 = 2^(w - 1), the slot's top bit.
+PACKED_FIELDS = [(3, 12), (3, 13), (7, 7), (37, 3), (257, 2), (1009, 12), (1019, 12), (2**31 - 1, 2), (2**31 - 1, 3)]
+
+
+@pytest.mark.parametrize("p, r", PACKED_FIELDS)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_packed_products_match_the_schoolbook(p, r, data):
+    ctx = build_field(p, r)
+    q, mod = ctx.order, list(ctx.modulus)
+    digits = st.lists(st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1)), min_size=r, max_size=r)
+    top = [p - 1] * r  # every digit p - 1: the largest sum in every slot
+    ca, cb = data.draw(st.one_of(st.just(top), digits)), data.draw(st.one_of(st.just(top), digits))
+    a, b = ctx.elem(ca), ctx.elem(cb)
+    assert list((a * b).coords) == schoolbook_mulmod(ca, cb, mod, p)
+    assert list((a * a).coords) == schoolbook_mulmod(ca, ca, mod, p)
+    e = data.draw(st.one_of(st.sampled_from([0, 1, 2, p, q - 2, q - 1]), st.integers(0, 1 << 80)))
+    assert list((a**e).coords) == schoolbook_powmod(ca, e, mod, p), e
+
+
+@pytest.mark.parametrize("p, r", PACKED_FIELDS)
+def test_packed_products_of_the_largest_digits(p, r):
+    # q - 1 times itself and times each X^i, whose products reach every high slot that folds back
+    ctx = build_field(p, r)
+    mod, top = list(ctx.modulus), [p - 1] * r
+    for i in range(r):
+        unit = [0] * i + [p - 1] + [0] * (r - 1 - i)
+        assert list((ctx.elem(top) * ctx.elem(unit)).coords) == schoolbook_mulmod(top, unit, mod, p)
+    assert list((ctx.elem(top) * ctx.elem(top)).coords) == schoolbook_mulmod(top, top, mod, p)
 
 
 def test_dividing_by_zero_raises():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import naive_generator_index, whole_orbit_log_table, whole_orbit_trace_hist
+from reference import element_order, naive_generator_index, whole_orbit_log_table, whole_orbit_trace_hist
 
 import polycount
 from polycount.errors import (
@@ -83,10 +83,10 @@ def test_generator_order_is_exact():
     for p, r in [(2, 4), (3, 2), (5, 1), (7, 1), (2, 6)]:
         ctx = build_field(p, r)
         g = ctx.generator
-        assert ctx.element_order(g) == ctx.group_order
+        assert element_order(ctx, g) == ctx.group_order
         # no earlier element has full order
         for idx in range(1, g.index):
-            assert ctx.element_order(ctx.from_index(idx)) < ctx.group_order
+            assert element_order(ctx, ctx.from_index(idx)) < ctx.group_order
 
 
 def test_generator_matches_the_naive_search():
@@ -103,7 +103,7 @@ def test_tower_examples():
 
     tw = build_tower(2, 2, 3)
     assert tw.dlog_gamma(tw.g, 3) == 21  # (4^3-1)/(4-1)
-    assert tw.top.element_order(tw.g) == 3
+    assert element_order(tw.top, tw.g) == 3
 
     tw = build_tower(3, 1, 2)
     assert tw.to_base(tw.g).index == 2  # the only order-2 element of F_3*
@@ -371,9 +371,36 @@ def test_packed_orbit_matches_naive_powers(r):
         assert np.array_equal(ctx.linear_orbit(gamma, np.eye(r, dtype=np.int64), 4097), want)
     else:
         # a 64-bit index does not fit in int64
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             ctx.linear_orbit(gamma, np.eye(r, dtype=np.int64)[:, :64], 3)
     assert ctx.linear_orbit(gamma, maps[0], 0).shape == (0,)
+
+
+def test_orbit_blocks_refuses_an_index_past_int64():
+    # p^k > 2^63: an index of k base-p digits would wrap in int64, a bad input (exit code 2)
+    for p, r, k in [(2, 1, 64), (3, 2, 40), (257, 2, 8)]:
+        ctx = build_field(p, r)
+        with pytest.raises(ValidationError, match="does not fit in int64") as info:
+            ctx.linear_orbit(ctx.generator, np.ones((r, k), dtype=np.int64), 5)
+        assert info.value.exit_code == 2
+    # 63 binary digits fit: at 1 every digit is 1
+    ctx = build_field(2, 1)
+    assert ctx.linear_orbit(ctx.one, np.ones((1, 63), dtype=np.int64), 2).tolist() == [2**63 - 1] * 2
+
+
+@pytest.mark.parametrize("head", [1, polycount.fields._WORD_HEAD])
+@pytest.mark.parametrize("r", [1, 8, 22, 32, 33, 64, 65, 70])
+def test_word_powers_match_repeated_products(monkeypatch, r, head):
+    # one word up to r = 64 and two above it, with a product of 33-bit elements past 64 bits; counts
+    # within the one-at-a-time head, at and past 64, and a last doubling step that is partial
+    monkeypatch.setattr(polycount.fields, "_WORD_HEAD", head)
+    ctx = build_field(2, r)
+    x = ctx.generator**5 if r > 1 else ctx.one
+    want = [(x**j).index for j in range(100)]
+    for count in (1, 31, 32, 33, 63, 64, 65, 100):
+        rows = ctx._word_powers(x, count)
+        assert rows.shape == (count, -(-r // 64))
+        assert [sum(int(word) << 64 * i for i, word in enumerate(row)) for row in rows] == want[:count]
 
 
 @pytest.mark.parametrize("r", [1, 7, 13, 33, 70])
