@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
+    _ORBIT_CHUNK,
     DEFAULT_ENUM_CAP,
     FieldElement,
     TowerCtx,
@@ -212,20 +213,26 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     check_cap(_general_size(q, p, t), cap, f"the double sum over F_q* x F_{{q^{t}}}*")
     params = derive_params(spec, t, h=tower.dlog_g(spec.b) % s)
     big_g = math.gcd(s // params.d, q**t - 1)
-    # G | s | q - 1, so the histogram by q - 1 classes folds onto G classes
-    flat = tower.trace_hist(t, q - 1, cap).reshape(-1, big_g, p).sum(axis=0).ravel()
+    # G | s | q - 1, so the histogram by q - 1 classes folds onto G classes (read in place at G = q - 1)
+    folded = tower.trace_hist(t, q - 1, cap).reshape(-1, big_g, p)
+    flat = (folded[0] if len(folded) == 1 else folded.sum(axis=0)).ravel()
     w = np.arange(q - 1, dtype=np.int64)
     row = (params.i0 + params.t0 % big_g * w) % big_g * p
     if spec.a.is_zero():
-        rot = 0
+        # rho_w = 0: row r is read once for each w that lands on it
+        hist = np.bincount(row // p, minlength=big_g) @ flat.reshape(big_g, p)
     else:
         mt_inv = pow((spec.m // t) % p, -1, p)
         shift = tower.dlog_g(-(spec.a * mt_inv))  # -(t/m) a
         # at t = 1 class c holds the one element g^c, in the column of its trace
         rot = tower.trace_hist(1, q - 1, cap).argmax(axis=1)[(shift + w) % (q - 1)]
-    # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w
-    hist = [big_g * int(flat[row + (tau - rot) % p].sum()) for tau in range(p)]
-    return CycInt.from_counts(p, hist).expect_integer("M_t general sum")
+        # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w: one
+        # gather per block of w, each within _ORBIT_CHUNK cells
+        taus, hist = np.arange(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+        block = max(1, _ORBIT_CHUNK // p)
+        for b in range(0, q - 1, block):
+            hist += flat[row[b : b + block, None] + (taus - rot[b : b + block, None]) % p].sum(axis=0)
+    return CycInt.from_counts(p, [big_g * int(x) for x in hist]).expect_integer("M_t general sum")
 
 
 def _canonical_char_decompose(j: int, modn: int):

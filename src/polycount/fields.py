@@ -5,7 +5,10 @@ monic irreducible of degree r whose coefficient vector, read as a base-p
 integer with the low-degree coefficient least significant, is smallest;
 the generator is the first element (in the same integer enumeration
 order) of full multiplicative order.  That pins down every discrete-log
-label and every reported coset index across runs.
+label and every reported coset index across runs.  For odd p, candidates
+with a root in F_p are sieved out a block at a time before Ben-Or's test
+decides; each candidate generator's order checks are powers from one chain
+of squares, as are a tower's checks on each gamma_t.
 
 An element is held as one int, its index: its coordinates over F_p read
 as base-p digits, coordinate i the coefficient of X^i.  Addition is
@@ -13,15 +16,17 @@ digit-wise mod p.  In characteristic 2 an index is the F_2[x] polynomial
 itself, bit i the coefficient of x^i: addition is xor, multiplication a
 carry-less shift/xor product reduced by the modulus (also an int), and
 squaring spreads the bits.  Odd p multiplies packed integers (Kronecker
-substitution): digit i goes to bits [iw, (i + 1)w) of one int, with
-w = bitlen((2r - 1)(p - 1)^2), so a product is one integer multiply and no
-slot carries into the next; its r - 1 high slots fold back through a table
-of x^(r + j) mod f, and each slot is reduced mod p once.  A product packs
+substitution): digit i goes to bits [iw, (i + 1)w) of one int, so a product
+is one integer multiply; its r - 1 high slots fold back through a table of
+x^(r + j) mod f, and then every slot is reduced mod p at once by one
+multiply, shift and mask (Barrett reduction).  w is sized from the largest
+value a slot reaches, so no slot carries into the next.  A product packs
 and unpacks its operands, a power once per call.
 
 A tower F_q^t <= F_{q^m} is realized inside the single field F_{p^{rm}};
 the subfield test is x^{q^t} == x, and F_q itself embeds by X -> beta, a
-root of its modulus, held as one matrix and its left inverse.  Bulk
+root of its modulus, held as one matrix and its left inverse; beta, the
+first root along the powers of g, is read from F_q's log table.  Bulk
 enumeration (orbits of a generator mapped through an F_p-linear form) is
 vectorized with numpy, since the Frobenius, traces, and
 multiplication-by-a-constant are all linear maps.
@@ -41,6 +46,7 @@ per byte of each row, as is the babies' form (the method of Four Russians).
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from functools import cached_property, lru_cache
@@ -179,6 +185,40 @@ def _index_add(a, b, p: int, r: int, sign: int = 1):
     return out
 
 
+def _rootless_codes(p: int, r: int):
+    """Yield in index order the codes of the monic degree-r polynomials over F_p, r >= 2, with no root in F_p.
+
+    Code c = c_0 + p h is x^r + sum of c's digit i times x^i, that is
+    c_0 + x R(x) with R the monic polynomial of code h, so it has a root iff
+    c_0 = -x R(x) for some x.  A chunk of rows h takes x R(x) at every x as
+    one int64 product of the digits of h with the powers of x, and each row
+    marks its p rooted codes.  A chunk holds r rows first, since about one
+    code in r is irreducible, then doubles up to _ORBIT_CHUNK // p rows, so
+    no array exceeds _ORBIT_CHUNK cells.  The rest can only be reducible, so
+    Ben-Or still decides.  When p alone exceeds _ORBIT_CHUNK every code is
+    yielded: Ben-Or's first step is the same root test.
+    """
+    max_rows = _ORBIT_CHUNK // p
+    if not max_rows:
+        yield from range(p**r)
+        return
+    xs = np.arange(p, dtype=np.int64)
+    powers = np.ones((r, p), dtype=np.int64)  # x^i mod p
+    for i in range(1, r):
+        powers[i] = powers[i - 1] * xs % p
+    # digit i of h is h // p^i mod p; a place past 2^62 exceeds every code searched, so reads 0
+    places = np.array([min(p**i, 1 << 62) for i in range(r - 1)], dtype=np.int64)
+    start, rows = 0, min(r, max_rows)
+    while start < p ** (r - 1):
+        high = np.arange(start, min(start + rows, p ** (r - 1)), dtype=np.int64)
+        acc = (high[:, None] // places % p @ powers[:-1] + powers[-1]) % p * xs % p
+        rooted = np.zeros(acc.shape, dtype=bool)
+        np.put_along_axis(rooted, -acc % p, True, axis=1)
+        yield from (np.flatnonzero(~rooted) + start * p).tolist()
+        start += len(acc)
+        rows = min(2 * rows, max_rows)
+
+
 def _pack(bits: np.ndarray) -> np.ndarray:
     """0/1 rows along the last axis as uint64 words: bit i in bit i % 64 of word i // 64."""
     words = -(-bits.shape[-1] // 64)
@@ -216,6 +256,81 @@ def _xor_images(tables: np.ndarray, row_bytes: np.ndarray, out: np.ndarray, scra
         np.take(tables[y], row_bytes[:, y], axis=0, out=scratch, mode="clip")
         out ^= scratch
     return out
+
+
+class _PackedRing:
+    """F_p[x]/(f), p odd and f monic of degree r > 1, on packed integers (Kronecker substitution).
+
+    An index's base-p digits go to slots of w bits of one int, digit i in
+    bits [iw, (i + 1)w), so a product is one integer multiply; reduced folds
+    it back below x^r.  f need not be irreducible: Ben-Or's test over F_p
+    takes its powers of x here.
+    """
+
+    __slots__ = ("p", "r", "_w", "_slot", "_shifts", "_fold", "_barrett")
+
+    def __init__(self, p: int, modulus):
+        r = len(modulus) - 1
+        self.p, self.r = p, r
+        # x_pow[j] = x^(r + j) mod f, j < r: x^(r - 1 + j) shifted up a digit, less its top digit times f
+        x_pow, xk = [], [0] * (r - 1) + [1]
+        for _ in range(r):
+            xk = [(c - xk[-1] * fj) % p for c, fj in zip([0] + xk[:-1], modulus)]
+            x_pow.append(xk)
+        # slot i of reduced peaks at (p - 1)^2 times i + 1 products plus, from each high slot j
+        # of r - 1 - j products, that many times digit i of x_pow[j]; two elements whose digits
+        # are all p - 1 reach it
+        top = max(i + 1 + sum((r - 1 - j) * x_pow[j][i] for j in range(r - 1)) for i in range(r)) * (p - 1) ** 2
+        # v // p = v mp >> k for every v <= top (Barrett); a slot of sw bits holds v mp, and the
+        # quotient, its bits from k up, ends where the next slot's bits begin once shifted down
+        k = top.bit_length() + p.bit_length()
+        mp = -(-(1 << k) // p)
+        sw = (top * mp).bit_length()
+        self._w, self._slot = sw, (1 << sw) - 1
+        self._barrett = (mp, k, sum(((1 << sw - k) - 1) << i * sw for i in range(r)))
+        self._shifts = range((r - 1) * sw, -1, -sw)  # the slots of an element, highest first
+        self._fold = [self.packed(_undigits(x_pow[j], p)) for j in range(r - 1)]
+
+    def packed(self, idx: int) -> int:
+        """The base-p digits of idx, digit i in bits [iw, (i + 1)w) (Kronecker substitution)."""
+        out, s = 0, 0
+        while idx:
+            idx, d = divmod(idx, self.p)
+            out |= d << s
+            s += self._w
+        return out
+
+    def unpacked(self, v: int) -> int:
+        """The index of a packed element whose r slots hold digits below p."""
+        p, slot, idx = self.p, self._slot, 0
+        for s in self._shifts:
+            idx = idx * p + (v >> s & slot)
+        return idx
+
+    def reduced(self, c: int) -> int:
+        """The packed element c mod f, for c the product of two packed elements.
+
+        c has 2r - 1 slots.  Slot r + j folds back, unreduced, as that
+        multiple of x^(r + j) mod f; w leaves room for the sum, so no slot
+        carries.  Then every slot is taken mod p at once: v - p (v mp >> k),
+        slot by slot, is one multiply, shift and mask.
+        """
+        p, w, slot = self.p, self._w, self._slot
+        mp, k, quotients = self._barrett
+        hi, c = c >> self.r * w, c & ((1 << self.r * w) - 1)
+        for t in self._fold:
+            c += (hi & slot) * t
+            hi >>= w
+        return c - (c * mp >> k & quotients) * p
+
+    def pow(self, a: int, e: int) -> int:
+        """The index of a^e, for a an index."""
+        reduced, out, a = self.reduced, 1, self.packed(a)
+        for bit in format(e, "b"):
+            out = reduced(out * out)
+            if bit == "1":
+                out = reduced(out * a)
+        return self.unpacked(out)
 
 
 class FieldElement:
@@ -301,17 +416,7 @@ class FieldCtx:
         self.group_order = self.order - 1
         self.modulus = self._canonical_modulus()
         self._mod_low = _undigits(self.modulus[:-1], p)  # the modulus less x^r, as an index
-        if p > 2 and r > 1:
-            # a slot of _reduced holds at most r (p - 1)^2 from the product and (r - 1) (p - 1)^2 from the fold
-            w = ((2 * r - 1) * (p - 1) ** 2).bit_length()
-            self._w, self._slot = w, (1 << w) - 1
-            self._shifts = range((r - 1) * w, -1, -w)  # the slots of an element, highest first
-            # x_pow[j] = x^(r + j) mod f, j < r: x^(r - 1 + j) shifted up a digit, less its top digit times f
-            x_pow, xk = [], [0] * (r - 1) + [1]
-            for _ in range(r):
-                xk = [(c - xk[-1] * fj) % p for c, fj in zip([0] + xk[:-1], self.modulus)]
-                x_pow.append(xk)
-            self._fold = [self._packed(_undigits(x_pow[j], p)) for j in range(r - 1)]
+        self._ring = _PackedRing(p, self.modulus) if p > 2 and r > 1 else None
         self._gen = None
         self._frob1 = None
         self._frob_pows: dict[int, np.ndarray] = {}
@@ -325,7 +430,7 @@ class FieldCtx:
         if r == 1:
             return (0, 1)
         base = build_field(p, 1)
-        for code in range(p**r):
+        for code in range(p**r) if p == 2 else _rootless_codes(p, r):
             coeffs = _digits(code, p, r) + [1]
             if poly_is_irreducible(coeffs, base):
                 return tuple(coeffs)
@@ -333,77 +438,83 @@ class FieldCtx:
 
     # -- arithmetic on indices: carry-less for p = 2, packed integers otherwise --
 
-    def _packed(self, idx: int) -> int:
-        """Odd p, r > 1: the base-p digits of idx, digit i in bits [iw, (i + 1)w) (Kronecker substitution)."""
-        out, s = 0, 0
-        while idx:
-            idx, d = divmod(idx, self.p)
-            out |= d << s
-            s += self._w
-        return out
-
-    def _unpacked(self, v: int) -> int:
-        """The index of a packed element whose r slots hold digits below p."""
-        p, slot, idx = self.p, self._slot, 0
-        for s in self._shifts:
-            idx = idx * p + (v >> s & slot)
-        return idx
-
-    def _reduced(self, c: int) -> int:
-        """The packed element c mod f, for c the product of two packed elements.
-
-        c has 2r - 1 slots.  Slot r + j, taken mod p, folds back as that
-        multiple of x^(r + j) mod f; w leaves room for the sum, so no slot
-        carries, and each of the r slots left is taken mod p once.
-        """
-        p, w, slot = self.p, self._w, self._slot
-        hi, c = c >> self.r * w, c & ((1 << self.r * w) - 1)
-        for t in self._fold:
-            c += (hi & slot) % p * t
-            hi >>= w
-        out = 0
-        for s in self._shifts:
-            out = out << w | (c >> s & slot) % p
-        return out
-
     def _mul(self, a: int, b: int) -> int:
         p, r = self.p, self.r
         if p == 2:
             return _clmod(_clmul(a, b), r, self._mod_low)
         if r == 1:
             return a * b % p
-        return self._unpacked(self._reduced(self._packed(a) * self._packed(b)))
+        ring = self._ring
+        return ring.unpacked(ring.reduced(ring.packed(a) * ring.packed(b)))
 
     def _pow(self, a: int, e: int) -> int:
         p, r = self.p, self.r
         if r == 1:
             return pow(a, e, p)
-        out = 1
         if p != 2:
-            a = self._packed(a)
-            for bit in format(e, "b"):
-                out = self._reduced(out * out)
-                if bit == "1":
-                    out = self._reduced(out * a)
-            return self._unpacked(out)
-        low = self._mod_low
+            return self._ring.pow(a, e)
+        out, low = 1, self._mod_low
         for bit in format(e, "b"):
             out = _clmod(_clsquare(out), r, low)
             if bit == "1":
                 out = _clmod(_clmul(out, a), r, low)
         return out
 
+    def _pows(self, a: int, exps: list[int]):
+        """Yield a^e for each e in exps from one chain of squares a^(2^i): right-to-left powering.
+
+        The powers of one element share the chain's squarings, so each costs
+        only its multiplications, and one that is not asked for costs nothing.
+        """
+        p, r = self.p, self.r
+        if r == 1:
+            yield from (pow(a, e, p) for e in exps)
+            return
+        if p == 2:
+            low = self._mod_low
+            squares = [a]
+            for _ in range(1, max(exps).bit_length()):
+                squares.append(_clmod(_clsquare(squares[-1]), r, low))
+            for e in exps:
+                out = 1
+                for i in range(e.bit_length()):
+                    if e >> i & 1:
+                        out = _clmod(_clmul(out, squares[i]), r, low)
+                yield out
+            return
+        ring = self._ring
+        reduced, squares = ring.reduced, [ring.packed(a)]
+        for _ in range(1, max(exps).bit_length()):
+            squares.append(reduced(squares[-1] * squares[-1]))
+        for e in exps:
+            out = 1
+            for i in range(e.bit_length()):
+                if e >> i & 1:
+                    out = reduced(out * squares[i])
+            yield ring.unpacked(out)
+
+    def _order_chain(self, a: int, n: int, primes, *extra):
+        """Yield whether a^(n / l) != 1 for each prime l | n, whether a^n = 1, then a^e for each e in extra.
+
+        All are powers from a's one chain of squares (_pows), so a consumer
+        that stops at the first failed check takes no further power.
+        """
+        exps = [n // l for l in primes]
+        powers = self._pows(a, exps + [n, *extra])
+        for _ in exps:
+            yield next(powers) != 1
+        yield next(powers) == 1
+        yield from powers
+
     @property
     def generator(self) -> FieldElement:
         """First element, in index order, of multiplicative order p^r - 1."""
         if self._gen is None:
             primes = [q for q, _ in factor_prime_power_order(self.p, self.r)]
-            n = self.group_order
-            # indices below p are F_p, whose orders divide p - 1 < n when r > 1
+            # indices below p are F_p, whose orders divide p - 1 < q - 1 when r > 1
             for idx in range(self.p if self.r > 1 else 1, self.order):
-                x = self.from_index(idx)
-                if all(not (x ** (n // q)) == self.one for q in primes):
-                    self._gen = x
+                if all(self._order_chain(idx, self.group_order, primes)):
+                    self._gen = FieldElement(self, idx)
                     break
             else:  # pragma: no cover
                 raise InvariantError("no generator found")
@@ -799,26 +910,25 @@ class TowerCtx:
         self.base = build_field(p, r)
         self.top = build_field(p, r * m)
         top_group = self.top.group_order
-        self.gamma: dict[int, FieldElement] = {}
-        gm = self.top.generator
-        for t in divisors(m):
-            self.gamma[t] = gm ** (top_group // (self.q**t - 1))
+        ts = divisors(m)
+        powers = self.top._pows(self.top.generator_index, [top_group // (self.q**t - 1) for t in ts])
+        self.gamma: dict[int, FieldElement] = {t: FieldElement(self.top, x) for t, x in zip(ts, powers)}
         self.g = self.gamma[1]
         self._abs_trace_cols: dict[int, np.ndarray] = {}
         self._trace_hists: dict[tuple[int, int], np.ndarray] = {}
         self._verify_tower()
 
     def _verify_tower(self):
-        # gamma_t must have order q^t - 1, and g must be its norm, for all t | m
-        for t in divisors(self.m):
+        # gamma_t must have order q^t - 1, and g must be its norm, for all t | m.  The
+        # checks on one gamma_t are powers from its one chain of squares; gamma_t^(q^t - 1) = 1
+        # is also the subfield test gamma_t^(q^t) = gamma_t, so g, checked at t = 1, lies in F_q
+        for t, gt in self.gamma.items():
             n = self.q**t - 1
-            gt = self.gamma[t]
-            if not gt**n == self.top.one:
-                raise InvariantError(f"gamma_{t}^(q^{t} - 1) != 1")
-            for qq, _ in factor_prime_power_order(self.p, self.r * t):
-                if gt ** (n // qq) == self.top.one:
-                    raise InvariantError(f"gamma_{t} order too small")
-            if not self.norm_rel(gt, t) == self.g:
+            primes = [qq for qq, _ in factor_prime_power_order(self.p, self.r * t)]
+            checks = self.top._order_chain(gt.index, n, primes, n // (self.q - 1))
+            if not all(next(checks) for _ in range(len(primes) + 1)):
+                raise InvariantError(f"gamma_{t} does not have order q^{t} - 1")
+            if next(checks) != self.g.index:
                 raise InvariantError(f"the norm of gamma_{t} is not g")
 
     # -- subfield structure --
@@ -902,20 +1012,26 @@ class TowerCtx:
         x @ E embeds F_q coordinates in the top field and y @ M reads them back
         off the embedded F_q.  beta is the first root of the base modulus along
         the powers of g (1 when r = 1); the roots are one Frobenius orbit, so the
-        choice is canonical given the canonical gamma.
+        choice is canonical given the canonical gamma.  It is read from F_q's
+        logs (_beta_exponent) for q <= LOG_TABLE_MAX_ORDER, as dlog reads its
+        table there; above, the powers of g are scanned.
         """
         _check_int64_sums(self.top.r, self.p)
-        beta = self.top.one
+        top, beta = self.top, self.top.one
         if self.r > 1:
-            f = self.base.modulus
-            for _ in range(self.q - 1):
-                acc = self.top.zero
-                for c in reversed(f):
-                    acc = acc * beta + self.top.from_int(c)
-                if acc.is_zero():
-                    break
-                beta = beta * self.g
-            else:  # pragma: no cover
+
+            def is_root(x):
+                acc = top.zero
+                for c in reversed(self.base.modulus):
+                    acc = acc * x + top.from_int(c)
+                return acc.is_zero()
+
+            if self.q <= LOG_TABLE_MAX_ORDER:
+                candidates = [self.g ** self._beta_exponent()]
+            else:  # g^j for j < q - 1
+                candidates = itertools.accumulate(range(self.q - 2), lambda b, _: b * self.g, initial=top.one)
+            beta = next((b for b in candidates if is_root(b)), None)
+            if beta is None:
                 raise InvariantError("base modulus has no root in the top field")
         rows, b = [], self.top.one
         for _ in range(self.r):
@@ -923,6 +1039,40 @@ class TowerCtx:
             b = b * beta
         e = np.array(rows, dtype=np.int64)
         return e, _left_inverse(e, self.p)
+
+    def _beta_exponent(self) -> int:
+        """j with g^j the first root of the base modulus along the powers of g, from F_q's log table.
+
+        h, the minimal polynomial of g over F_p, is the product of Y - g^(p^i),
+        i < r.  One vector pass takes h at every G^u, G F_q's generator, by
+        Horner's rule with each product a sum of logs, and finds a root G^u0.
+        X -> g^(L / u0), L the log of X, is then a field embedding (it sends
+        G^u0 to g, both roots of h), so g^e0, e0 = L / u0 mod q - 1, is a root
+        of the base modulus; the roots are g^(e0 p^i), and the first is the
+        least e0 p^i mod q - 1.
+        """
+        p, r, n, top = self.p, self.r, self.q - 1, self.top
+        h, conj = [1], self.g.index  # top-field indices, low degree first
+        for _ in range(r):
+            h = [_index_add(lo, top._mul(conj, hi), p, top.r, -1) for lo, hi in zip([0] + h, h + [0])]
+            conj = top._pow(conj, p)
+        if max(h) >= p:
+            raise InvariantError("the minimal polynomial of g is not over F_p")
+        logs = self.base.log_table().astype(np.int64)
+        logs[0] = 2 * n  # a product with 0 reads the zero block
+        powers = np.zeros(3 * n, dtype=np.int64)  # the index of G^(k mod q - 1) at k < 2(q - 1), then 0
+        powers[logs[1:]] = np.arange(1, n + 1)
+        powers[n : 2 * n] = powers[:n]
+        u = np.arange(n, dtype=np.int64)
+        acc = np.ones(n, dtype=np.int64)
+        for c in reversed(h[:-1]):
+            acc = powers[logs[acc] + u]
+            acc += (acc + c) % p - acc % p  # c lies in F_p, so only digit 0 moves
+        roots = np.flatnonzero(acc == 0)
+        if not len(roots) or math.gcd(int(roots[0]), n) != 1:
+            raise InvariantError("g's minimal polynomial has no root of order q - 1 in F_q")
+        e0 = int(logs[p]) * pow(int(roots[0]), -1, n) % n
+        return min(e0 * p**i % n for i in range(r))
 
     def embed(self, x: FieldElement) -> FieldElement:
         """Map a base-field element into the top field."""
@@ -1076,7 +1226,8 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
     product of the monic irreducibles of degree dividing k, and a reducible
     f has an irreducible factor of degree at most t/2, so no x^{q^t} = x
     check is needed.  Works on F_q arithmetic alone; over F_2 it runs
-    carry-less on one int.
+    carry-less on one int, and over odd F_p each x^{p^k} mod f is a packed
+    power (_PackedRing).
     """
     f = list(coeffs)
     t = len(f) - 1
@@ -1088,6 +1239,10 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
     if q == 2:
         return _cl_is_irreducible(_undigits(f, 2))
 
+    def muladd(acc, x, y, sign=1):
+        # acc + sign x y in F_q, on plain residues over F_p
+        return (acc + sign * x * y) % p if r == 1 else _index_add(acc, mul(x, y), p, r, sign)
+
     def rem(a, g):
         # a mod monic g, in place; a has at least deg g entries
         d = len(g) - 1
@@ -1096,7 +1251,7 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
             c = a[k]
             if c:
                 for j, gj in taps:
-                    a[k - d + j] = _index_add(a[k - d + j], mul(c, gj), p, r, -1)
+                    a[k - d + j] = muladd(a[k - d + j], c, gj, -1)
         return a[:d]
 
     def mulmod(a, b):
@@ -1105,7 +1260,7 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
-                        out[i + j] = _index_add(out[i + j], mul(ai, bj), p, r)
+                        out[i + j] = muladd(out[i + j], ai, bj)
         return rem(out, f)
 
     def powq(a):
@@ -1124,9 +1279,10 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
             a, b = b, _ptrim(rem(list(a), b))
         return len(a) == 1
 
+    ring = _PackedRing(p, f) if r == 1 else None  # over F_p, x^(p^k) mod f is a packed power
     xq = [0, 1] + [0] * (t - 2)  # x
     for k in range(1, t // 2 + 1):
-        xq = powq(xq)  # x^{q^k} mod f
+        xq = _digits(ring.pow(_undigits(xq, p), p), p, t) if ring else powq(xq)  # x^{q^k} mod f
         diff = list(xq)
         diff[1] = _index_add(diff[1], 1, p, r, -1)
         if not coprime_to_f(diff):

@@ -76,8 +76,8 @@ MUTANTS = [
     Mutant(
         "sign of rho_w in m_t_general",
         "src/polycount/counting.py",
-        "flat[row + (tau - rot) % p]",
-        "flat[row + (tau + rot) % p]",
+        "(taus - rot[b : b + block, None]) % p",
+        "(taus + rot[b : b + block, None]) % p",
         ("tests/test_counting.py",),
     ),
     Mutant(
@@ -195,8 +195,8 @@ MUTANTS = [
     Mutant(
         "packed odd-p slot one bit narrower",
         "src/polycount/fields.py",
-        "w = ((2 * r - 1) * (p - 1) ** 2).bit_length()",
-        "w = ((2 * r - 1) * (p - 1) ** 2).bit_length() - 1",
+        "sw = (top * mp).bit_length()",
+        "sw = (top * mp).bit_length() - 1",
         ("tests/test_field_arithmetic.py",),
     ),
     Mutant(
@@ -225,6 +225,34 @@ MUTANTS = [
         "src/polycount/fields.py",
         "residues = np.arange(n * (p - 1) ** 2 + 1) % p",
         "residues = (np.arange(n * (p - 1) ** 2 + 1) + 1) % p",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "the root sieve skips the first survivor of a chunk",
+        "src/polycount/fields.py",
+        "(np.flatnonzero(~rooted) + start * p).tolist()",
+        "(np.flatnonzero(~rooted) + start * p).tolist()[1:]",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "beta read as g^e0, not its first conjugate along the powers of g",
+        "src/polycount/fields.py",
+        "return min(e0 * p**i % n for i in range(r))",
+        "return e0",
+        ("tests/test_embedding.py",),
+    ),
+    Mutant(
+        "the order-check chain drops the smallest prime",
+        "src/polycount/fields.py",
+        "exps = [n // l for l in primes]",
+        "exps = [n // l for l in primes[1:]]",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "the generator search starts at p + 1",
+        "src/polycount/fields.py",
+        "range(self.p if self.r > 1 else 1, self.order)",
+        "range(self.p + 1 if self.r > 1 else 1, self.order)",
         ("tests/test_fields.py",),
     ),
     Mutant(

@@ -18,7 +18,17 @@ from polycount.charsums import gauss_sum, gauss_sum_folded, gauss_sum_lifted, mo
 from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
 from polycount.errors import ValidationError
-from polycount.fields import FieldCtx, FieldElement, TowerCtx, _index_add, build_tower, min_poly
+from polycount.fields import (
+    FieldCtx,
+    FieldElement,
+    TowerCtx,
+    _digits,
+    _index_add,
+    build_field,
+    build_tower,
+    min_poly,
+    poly_is_irreducible,
+)
 from polycount.intmath import divisors, factor_prime_power_order, factorize, mobius
 from polycount.oracle import DEFAULT_ORACLE_CAP, brute_scan
 
@@ -87,6 +97,34 @@ def naive_generator_index(field: FieldCtx) -> int:
         if order == field.group_order:
             return idx
     raise ValidationError("no element of full order")
+
+
+def index_order_modulus(p: int, r: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree r over F_p in index order, by Ben-Or on every code in turn."""
+    for code in range(p**r):
+        coeffs = _digits(code, p, r) + [1]
+        if poly_is_irreducible(coeffs, build_field(p, 1)):
+            return tuple(coeffs)
+    raise ValidationError(f"no irreducible polynomial of degree {r} over F_{p}")
+
+
+def first_root_exponent(tower: TowerCtx) -> int:
+    """The least j with g^j a root of the base modulus, scanning every g^j, j < q - 1, at once.
+
+    The powers come from one walk of g's orbit; f(g^j) is then the sum of
+    c_k times the digits of g^(jk mod q - 1), taken mod p.
+    """
+    p, n, rm = tower.p, tower.q - 1, tower.top.r
+    powers = tower.top.linear_orbit(tower.g, np.eye(rm, dtype=np.int64), n)
+    digits = powers[:, None] // p ** np.arange(rm, dtype=np.int64) % p
+    j = np.arange(n, dtype=np.int64)
+    acc = np.zeros((n, rm), dtype=np.int64)
+    for k, c in enumerate(tower.base.modulus):
+        acc += c * digits[j * k % n]
+    roots = np.flatnonzero(~(acc % p).any(axis=1))
+    if not len(roots):
+        raise ValidationError("the base modulus has no root among the powers of g")
+    return int(roots[0])
 
 
 def whole_orbit_counts(tower: TowerCtx, t: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,24 @@ def test_m_t_general_matches_naive(case, data):
     spec = CountSpec.make(p, r, m, s, a=a, h=h)
     tower = build_tower(p, r, m)
     assert m_t_general(tower, spec, t) == naive_m_t(tower, spec, t)
+
+
+def test_general_sum_holds_no_more_than_one_block_beyond_its_tables():
+    # F_2039^2 at G = q - 1: the (q - 1) x p histogram of 33 MB is read in place, and the
+    # gather over (w, tau) runs in blocks of _ORBIT_CHUNK cells; a = 1 takes rho_w by an
+    # argmax over the t = 1 table, which numpy copies once
+    tower = build_tower(2039, 1, 2)
+    table = tower.trace_hist(1, 2038)
+    for a, bound in [(0, 4 << 20), (1, table.nbytes + (4 << 20))]:
+        spec = CountSpec.make(2039, 1, 2, 2038, a=a, h=0)
+        want = m_t_general(tower, spec, 2)
+        tracemalloc.start()
+        try:
+            assert [m_t_general(tower, spec, 2) for _ in range(2)] == [want, want]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (a, peak)
 
 
 def test_m_t_closed_paths_surface():

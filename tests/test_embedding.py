@@ -7,12 +7,19 @@ the index of to_base(g).  The embedding sends X to beta, the first root of
 F_q's modulus along the powers of g, so this file pins that choice and every
 label that rests on it.  The properties that make embed a field embedding
 with to_base its inverse are checked on every element and on random pairs.
+beta, which the package reads from F_q's logs, is checked against a scan of
+every power of g on every tower with q <= 2^16, r > 1 and q^m <= 2^22, and
+the scan that the package keeps past the log-table bound against the logs.
 """
 
 import random
 from pathlib import Path
 
-from polycount.fields import build_tower
+import numpy as np
+from reference import first_root_exponent
+
+from polycount import fields
+from polycount.fields import FieldElement, TowerCtx, build_tower
 from polycount.intmath import is_prime
 
 GOLDEN = Path(__file__).parent / "golden" / "embedding.tsv"
@@ -57,3 +64,24 @@ def embedding_rows(check=False):
 
 def test_embedding_matches_the_golden_file_and_is_a_field_embedding():
     assert embedding_rows(check=True) == GOLDEN.read_text().splitlines()
+
+
+def _beta(tower):
+    """beta = embed(X), read off row 1 of the embedding matrix E."""
+    return FieldElement(tower.top, int(tower._embedding[0][1] @ tower.p ** np.arange(tower.top.r)))
+
+
+def test_beta_is_the_first_root_along_the_powers_of_g():
+    primes = [p for p in range(2, 1 << 8) if is_prime(p)]
+    towers = [(p, r, m) for p in primes for r in range(2, 17) for m in range(1, 23) if p**r <= 1 << 16 and p ** (r * m) <= 1 << 22]
+    assert len(towers) == 157
+    for p, r, m in towers:
+        tower = build_tower(p, r, m)
+        assert _beta(tower) == tower.g ** first_root_exponent(tower), (p, r, m)
+
+
+def test_the_scan_past_the_log_table_bound_finds_the_same_beta(monkeypatch):
+    towers = [(2, 8, 2), (5, 3, 2), (2, 6, 3), (3, 2, 4), (11, 2, 2)]
+    want = [_beta(build_tower(*t)) for t in towers]
+    monkeypatch.setattr(fields, "LOG_TABLE_MAX_ORDER", 1)
+    assert [_beta(TowerCtx(*t)) for t in towers] == want

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import element_order, naive_generator_index, whole_orbit_log_table, whole_orbit_trace_hist
+from reference import (
+    element_order,
+    index_order_modulus,
+    naive_generator_index,
+    whole_orbit_log_table,
+    whole_orbit_trace_hist,
+)
 
 import polycount
 from polycount.errors import (
@@ -20,9 +26,11 @@ from polycount.errors import (
     ValidationError,
     ZeroHasNoLog,
 )
+from polycount import fields
 from polycount.fields import (
     FieldCtx,
     TowerCtx,
+    _rootless_codes,
     build_field,
     build_tower,
     min_poly,
@@ -66,6 +74,38 @@ def test_modulus_is_smallest_irreducible():
                 v //= p
             coeffs.append(1)
             assert not poly_is_irreducible(coeffs, build_field(p, 1))
+
+
+def test_modulus_matches_the_index_order_search():
+    # the root sieve drops only candidates with a root in F_p; 65537 is past its bound
+    cases = [(p, r) for p in range(3, 1 << 10) if is_prime(p) for r in range(2, 21) if p**r <= 1 << 20]
+    assert {(13, 5), (7, 7), (3, 12)} <= set(cases)
+    for p, r in cases + [(65537, 2)]:
+        assert FieldCtx(p, r).modulus == index_order_modulus(p, r), (p, r)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+def test_modulus_search_across_sieve_chunks(monkeypatch, rows):
+    # chunks of at most `rows` rows of p codes each (0: no sieve), so the moduli sit past many chunk starts
+    for p, r in [(3, 2), (3, 5), (5, 4), (7, 3), (13, 5), (31, 2)]:
+        monkeypatch.setattr(fields, "_ORBIT_CHUNK", rows * p + p - 1)
+        assert FieldCtx(p, r).modulus == index_order_modulus(p, r), (p, r, rows)
+
+
+def test_the_root_sieve_builds_at_most_orbit_chunk_cells():
+    # F_257: 255 rows of 257 codes fill a chunk; F_65521: one row; 65537 alone is past the bound
+    for p, r, codes in [(257, 4, 60_000), (65521, 2, 40_000)]:
+        sieve = _rootless_codes(p, r)
+        tracemalloc.start()
+        try:
+            last = max(next(sieve) for _ in range(codes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a chunk of _ORBIT_CHUNK int64 cells is 0.5 MB; its survivors are a list of Python ints
+        assert last > fields._ORBIT_CHUNK and peak < 8 * 8 * fields._ORBIT_CHUNK, (p, peak)
+    sieve = _rootless_codes(65537, 2)
+    assert [next(sieve) for _ in range(3)] == [0, 1, 2]  # x^2 has the root 0, but no sieve runs
 
 
 def test_element_arithmetic():
@@ -240,6 +280,17 @@ def test_forged_generator_fails_the_table_check():
     ctx._gen = ctx.generator**3  # order 5, not 15
     with pytest.raises(InvariantError):
         ctx.dlog(ctx.one)
+
+
+def test_tower_checks_catch_a_generator_of_each_smaller_order(monkeypatch):
+    # in F_16, gm^k has order 15 / gcd(15, k); every prime of 15 has its own check
+    for k, order in [(3, 5), (5, 3), (15, 1)]:
+        top = build_field(2, 4)
+        monkeypatch.setattr(top, "_gen", top.generator**k)
+        with pytest.raises(InvariantError):
+            TowerCtx(2, 1, 4)
+        monkeypatch.undo()
+        assert element_order(top, top.generator**k) == order
 
 
 def test_broken_tower_invariant_raises_under_optimize():
