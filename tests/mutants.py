@@ -194,14 +194,14 @@ MUTANTS = [
     ),
     Mutant(
         "packed odd-p slot one bit narrower",
-        "src/polycount/fields.py",
+        "src/polycount/polyfp.py",
         "sw = (top * mp).bit_length()",
         "sw = (top * mp).bit_length() - 1",
         ("tests/test_field_arithmetic.py",),
     ),
     Mutant(
         "packed odd-p fold table read at x^(r + j + 1)",
-        "src/polycount/fields.py",
+        "src/polycount/polyfp.py",
         "x_pow[j], p)) for j in range(r - 1)",
         "x_pow[j + 1], p)) for j in range(r - 1)",
         ("tests/test_field_arithmetic.py",),
@@ -229,7 +229,7 @@ MUTANTS = [
     ),
     Mutant(
         "the root sieve skips the first survivor of a chunk",
-        "src/polycount/fields.py",
+        "src/polycount/polyfp.py",
         "(np.flatnonzero(~rooted) + start * p).tolist()",
         "(np.flatnonzero(~rooted) + start * p).tolist()[1:]",
         ("tests/test_fields.py",),

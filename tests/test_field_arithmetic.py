@@ -76,9 +76,9 @@ def test_arithmetic_matches_schoolbook(p, r, data):
         assert (b / a) * a == b
 
 
-# odd p with r > 1 multiplies in w-bit slots of one int (FieldCtx._reduced): small p with large r,
-# p >= 1000 with r >= 12, and p = 2^31 - 1, whose slots are the widest (64 and 65 bits).  At (257, 2)
-# the square of q - 1 fills its middle slot to 2 * 256^2 = 2^17 = 2^(w - 1), the slot's top bit.
+# odd p with r > 1 multiplies in w-bit slots of one int (polyfp._PackedRing): small p with large r,
+# p >= 1000 with r >= 12, and p = 2^31 - 1, whose slots are the widest.  w is sized from the largest
+# value a slot reaches, which the product of two elements whose digits are all p - 1 reaches.
 PACKED_FIELDS = [(3, 12), (3, 13), (7, 7), (37, 3), (257, 2), (1009, 12), (1019, 12), (2**31 - 1, 2), (2**31 - 1, 3)]
 
 

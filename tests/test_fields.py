@@ -30,13 +30,13 @@ from polycount import fields
 from polycount.fields import (
     FieldCtx,
     TowerCtx,
-    _rootless_codes,
     build_field,
     build_tower,
     min_poly,
     poly_is_irreducible,
 )
 from polycount.intmath import divisors, is_prime
+from polycount.polyfp import _rootless_codes
 
 
 def test_build_field_prime_fields():
@@ -95,7 +95,7 @@ def test_modulus_search_across_sieve_chunks(monkeypatch, rows):
 def test_the_root_sieve_builds_at_most_orbit_chunk_cells():
     # F_257: 255 rows of 257 codes fill a chunk; F_65521: one row; 65537 alone is past the bound
     for p, r, codes in [(257, 4, 60_000), (65521, 2, 40_000)]:
-        sieve = _rootless_codes(p, r)
+        sieve = _rootless_codes(p, r, fields._ORBIT_CHUNK)
         tracemalloc.start()
         try:
             last = max(next(sieve) for _ in range(codes))
@@ -104,7 +104,7 @@ def test_the_root_sieve_builds_at_most_orbit_chunk_cells():
             tracemalloc.stop()
         # a chunk of _ORBIT_CHUNK int64 cells is 0.5 MB; its survivors are a list of Python ints
         assert last > fields._ORBIT_CHUNK and peak < 8 * 8 * fields._ORBIT_CHUNK, (p, peak)
-    sieve = _rootless_codes(65537, 2)
+    sieve = _rootless_codes(65537, 2, fields._ORBIT_CHUNK)
     assert [next(sieve) for _ in range(3)] == [0, 1, 2]  # x^2 has the root 0, but no sieve runs
 
 
