@@ -224,8 +224,9 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     else:
         mt_inv = pow((spec.m // t) % p, -1, p)
         shift = tower.dlog_g(-(spec.a * mt_inv))  # -(t/m) a
-        # at t = 1 class c holds the one element g^c, in the column of its trace
-        rot = tower.trace_hist(1, q - 1, cap).argmax(axis=1)[(shift + w) % (q - 1)]
+        # at t = 1 class c holds the one element g^c, a single 1 in the column of its trace;
+        # a product with the column labels reads it without copying the table, as argmax would
+        rot = (tower.trace_hist(1, q - 1, cap) @ np.arange(p))[(shift + w) % (q - 1)]
         # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w: one
         # gather per block of w, each within _ORBIT_CHUNK cells
         taus, hist = np.arange(p, dtype=np.int64), np.zeros(p, dtype=np.int64)

@@ -31,14 +31,19 @@ enumeration (orbits of a generator mapped through an F_p-linear form) is
 vectorized with numpy, since the Frobenius, traces, and
 multiplication-by-a-constant are all linear maps.
 An orbit is split baby step, giant step, j = bB + i, and each output digit
-is one exact integer product of the giant-step coordinates with the form
-read at the baby steps (in characteristic 2, the parity of the AND of packed
-words).  orbit_blocks streams the orbit in blocks of consecutive j, so a
-consumer never holds the whole orbit; it fills every block in place in one
-set of buffers per walk, so a block is valid until the next is asked for.
-Log tables, trace histograms and the oracle all consume it block by block.
-parity_blocks bit-slices the same split for one form over F_2 (the oracle
-at q = 2): 64 babies to a word, one XOR-table read per giant byte.  In
+is one exact dot product of the giant-step coordinates with the form read
+at the baby steps.  For odd p it is at most r (p - 1)^2: below 2^16 it is r
+broadcast multiply-adds in uint8 or uint16, whichever holds that bound
+(numpy has no BLAS for integers, so an int64 matrix product is a plain
+loop), reduced mod p by one table lookup; past 2^16, and in blocks too small
+to repay the r calls, one int64 matrix product.  In characteristic 2 it is
+the parity of the AND of packed words.  orbit_blocks streams the orbit in
+blocks of consecutive j, so a consumer never holds the whole orbit; it fills
+every block in place in one set of buffers per walk, so a block is valid
+until the next is asked for.  Log tables, trace histograms and the oracle
+all consume it block by block.  parity_blocks bit-slices the same split for
+one form over F_2 (the oracle at q = 2): 64 babies to a word, one XOR-table
+read per giant byte, _ORBIT_CHUNK bytes of bits to a block.  In
 characteristic 2 the baby and giant powers are packed words too, taken by
 doubling: a product by a constant is F_2-linear, so it is one XOR-table read
 per byte of each row, as is the babies' form (the method of Four Russians).
@@ -79,6 +84,10 @@ DEFAULT_ENUM_CAP = 1 << 24
 
 # orbit output is filled this many elements at a time
 _ORBIT_CHUNK = 1 << 16
+
+# odd p: a block of at least this many elements repays the narrow kernel's 2n - 1 calls per
+# digit; below it, one int64 matrix product costs less
+_NARROW_CELLS = 1 << 12
 
 # packed F_2 vectors: coordinate i is bit i % 64 of word i // 64
 _WORD = np.dtype("<u8")
@@ -484,12 +493,16 @@ class FieldCtx:
         giant step (_baby_giant): with B = ceil(sqrt(length)) baby steps (or
         `block`), j = bB + i, and column c of the map is a linear form, so
         digit c at j is <V_b, A_c[i]> mod p: V_b holds the coordinates of
-        gamma^(bB), and A_c[i, kk] is the form at gamma^i X^kk.  Odd p takes
-        one exact int64 product per digit; p = 2 takes the parity of V_b &
-        A_c[i] on packed words.  Blocks cover consecutive j, about
-        _ORBIT_CHUNK at a time.  Every block is filled in place in one set of
-        buffers per walk: a yielded array is a view that the consumer may
-        overwrite, valid until the generator resumes.
+        gamma^(bB), and A_c[i, kk] is the form at gamma^i X^kk.  For odd p
+        the dot product is at most n (p - 1)^2.  Below 2^16 it is reduced mod
+        p by lookup, and in a block of _NARROW_CELLS or more it is taken as n
+        broadcast multiply-adds, V_b[kk] times A_c[:, kk], in uint8 (bound
+        below 2^8) or uint16, the giants and baby forms converted once per
+        walk; otherwise it is one exact int64 product per digit.  p = 2 takes
+        the parity of V_b & A_c[i] on packed words.  Blocks cover consecutive
+        j, about _ORBIT_CHUNK at a time.  Every block is filled in place in
+        one set of buffers per walk: a yielded array is a view that the
+        consumer may overwrite, valid until the generator resumes.
         """
         p, n = self.p, self.r
         k = out_map.shape[1]
@@ -499,12 +512,22 @@ class FieldCtx:
             return
         big_b = min(block, length) if block else math.isqrt(length - 1) + 1
         giants, babies = self._baby_giant(gamma, out_map, length, big_b)
-        # a dot product is at most n (p - 1)^2; small ones are reduced by lookup
-        residues = np.arange(n * (p - 1) ** 2 + 1) % p if n * (p - 1) ** 2 < _ORBIT_CHUNK else None
         rows = min(max(1, _ORBIT_CHUNK // big_b), len(giants))
         out_buf = np.empty((rows, big_b), dtype=np.int64)
         digit_buf = np.empty((rows, big_b), dtype=np.int64) if k > 1 else None
         and_buf = np.empty((rows, big_b), dtype=_WORD) if p == 2 else None
+        # odd p: a dot product is at most n (p - 1)^2; the narrow kernel takes it in the
+        # smallest unsigned dtype that holds that bound
+        bound = n * (p - 1) ** 2
+        residues = np.arange(n * (p - 1) ** 2 + 1) % p if p > 2 and bound < 1 << 16 else None
+        narrow = residues is not None and rows * big_b >= _NARROW_CELLS
+        if narrow:
+            dtype = np.min_scalar_type(bound)
+            if np.iinfo(dtype).max < bound:
+                raise InvariantError(f"{dtype} does not hold a dot product of up to {bound}")
+            giants = giants.astype(dtype)
+            babies = np.ascontiguousarray(babies.transpose(2, 1, 0), dtype=dtype)  # babies[c, kk, i]
+            sum_buf, prod_buf = np.empty((2, rows, big_b), dtype=dtype)
         for b in range(0, len(giants), rows):
             v = giants[b : b + rows]
             out = out_buf[: len(v)]
@@ -520,6 +543,15 @@ class FieldCtx:
                         ands ^= digit.view(_WORD)
                     np.bitwise_count(ands, out=digit)
                     digit &= 1
+                elif narrow:
+                    sums, prods = sum_buf[: len(v)], prod_buf[: len(v)]
+                    np.multiply(v[:, :1], babies[c, 0], out=sums)
+                    for kk in range(1, n):
+                        np.multiply(v[:, kk : kk + 1], babies[c, kk], out=prods)
+                        sums += prods
+                    # widened first: a take with narrow indices would allocate their intp copy
+                    np.copyto(digit, sums)
+                    np.take(residues, digit, out=digit, mode="clip")
                 else:
                     np.matmul(v, babies[:, :, c].T, out=digit)
                     if residues is None:
@@ -539,7 +571,8 @@ class FieldCtx:
         to B/64 words, one 256-entry table per byte of the giant coordinates
         holds the XOR of every subset of its 8 packed coordinates, and a giant
         row's words are one table read per byte, xored (the method of Four
-        Russians).  Blocks and buffers are as in orbit_blocks.
+        Russians).  A block holds _ORBIT_CHUNK bytes of bits, 8 _ORBIT_CHUNK
+        powers (at least one giant row); buffers are as in orbit_blocks.
         """
         n = self.r
         if self.p != 2 or form.shape[1] != 1:
@@ -551,7 +584,7 @@ class FieldCtx:
         # column kk of the forms at the B babies, B bits packed to B/64 words
         tables = _byte_tables(_pack(np.unpackbits(babies[0].view(np.uint8), axis=1, count=n, bitorder="little").T))
         giant_bytes = giants.view(np.uint8)
-        rows = min(max(1, _ORBIT_CHUNK // big_b), len(giants))
+        rows = min(max(1, 8 * _ORBIT_CHUNK // big_b), len(giants))
         out_buf, read_buf = np.empty((2, rows, big_b // 64), dtype=_WORD)
         for b in range(0, len(giants), rows):
             v = giant_bytes[b : b + rows]
@@ -832,8 +865,12 @@ class TowerCtx:
         the powers of g (1 when r = 1); the roots are one Frobenius orbit, so the
         choice is canonical given the canonical gamma.  It is read from F_q's
         logs (_beta_exponent) for q <= LOG_TABLE_MAX_ORDER, as dlog reads its
-        table there; above, the powers of g are scanned.
+        table there; above, the powers of g are scanned.  At m = 1 top and base
+        are one field and embed is the identity, so E = M = I.
         """
+        if self.m == 1:
+            eye = np.eye(self.r, dtype=np.int64)
+            return eye, eye
         _check_int64_sums(self.top.r, self.p)
         top, beta = self.top, self.top.one
         if self.r > 1:

@@ -81,10 +81,10 @@ MUTANTS = [
         ("tests/test_counting.py",),
     ),
     Mutant(
-        "argmin for argmax in m_t_general",
+        "m_t_general reads rho_w one column too high",
         "src/polycount/counting.py",
-        ".argmax(axis=1)[(shift + w) % (q - 1)]",
-        ".argmin(axis=1)[(shift + w) % (q - 1)]",
+        "@ np.arange(p))[(shift + w) % (q - 1)]",
+        "@ np.arange(1, p + 1))[(shift + w) % (q - 1)]",
         ("tests/test_counting.py",),
     ),
     Mutant(
@@ -254,6 +254,34 @@ MUTANTS = [
         "range(self.p if self.r > 1 else 1, self.order)",
         "range(self.p + 1 if self.r > 1 else 1, self.order)",
         ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "orbit_blocks' narrow dtype one bit too small",
+        "src/polycount/fields.py",
+        "dtype = np.min_scalar_type(bound)",
+        "dtype = np.min_scalar_type(bound >> 1)",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "brute_scan drops the gcd(m, q - 1) factor of the trace-0 cosets",
+        "src/polycount/oracle.py",
+        ".sum(axis=1) * c, n // c)",
+        ".sum(axis=1), n // c)",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "brute_scan writes subfield degrees from offset 0 in every block",
+        "src/polycount/oracle.py",
+        "sub = bucket[-start % stride :: stride]",
+        "sub = bucket[::stride]",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "brute_scan walks R - 1 coset representatives",
+        "src/polycount/oracle.py",
+        "tower.base_trace_form(), big_q // n)",
+        "tower.base_trace_form(), big_q // n - 1)",
+        ("tests/test_oracle.py",),
     ),
     Mutant(
         "check_cap refuses at size == cap",

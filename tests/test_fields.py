@@ -344,22 +344,47 @@ def _naive_coords(ctx, count):
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("p, r", [(2, 1), (2, 9), (2, 70), (3, 1), (3, 5), (5, 3), (257, 2)])
+@pytest.mark.parametrize(
+    "p, r", [(2, 1), (2, 9), (2, 70), (3, 1), (3, 5), (5, 3), (257, 2), (7, 8), (181, 2), (131, 4)]
+)
 def test_linear_orbit_matches_naive_powers_at_square_boundaries(p, r, data):
     # lengths on either side of a square B^2 change the baby/giant split; block 1 is
     # one baby step, block >= length one giant step; odd p with k > 1 digits and p = 2
-    # on two words (r = 70) are both drawn
+    # on two words (r = 70) are both drawn.  A dot product is at most r (p - 1)^2: 288 at
+    # F_7^8 (the first uint16 field), 64800 at F_181^2 (the last), 67600 at F_131^4 and
+    # 2^17 at F_257^2 (int64); long walks fill blocks of _NARROW_CELLS and more, so both
+    # odd-p kernels are drawn
     ctx = build_field(p, r)
-    root = data.draw(st.integers(1, 12), label="B")
+    root = data.draw(st.integers(1, 12), label="B") + data.draw(st.sampled_from([0, 64]), label="long")
     length = data.draw(st.sampled_from(sorted({1, max(1, root * root - 1), root * root, root * root + 1})))
     k = data.draw(st.integers(1, min(r, 63)), label="k")  # p^k <= 2^63 for every case
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     out_map = np.random.default_rng(seed).integers(0, 3 * p, (r, k))  # reduced mod p inside
     block = data.draw(st.sampled_from([None, 1, length, length + 7, root]), label="block")
-    coords = _naive_coords(ctx, length)
-    want = [sum(int(d) * p**c for c, d in enumerate(np.array(x) @ out_map % p)) for x in coords]
+    digits = np.array(_naive_coords(ctx, length), dtype=np.int64) @ out_map % p
+    want = [sum(int(d) * p**c for c, d in enumerate(row)) for row in digits.tolist()]
     got = ctx.linear_orbit(ctx.generator**5, out_map, length, block=block)
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p, r", [(7, 7), (17, 1), (7, 8), (181, 2), (257, 1), (131, 4)])
+def test_orbit_digits_reach_the_dot_product_bound(p, r):
+    # gamma and every column of the form have all coordinates p - 1, so at odd j (j = 1 at
+    # r > 1) a digit's dot product is r (p - 1)^2, the most its dtype must hold: 252 in
+    # uint8 at F_7^7, 256 and 288 in uint16 at F_17 and F_7^8, 64800 in uint16 at F_181^2,
+    # 65536 and 67600 in int64 at F_257 and F_131^4.  Block 1 makes every gamma^j a giant
+    # row, and the walk is long enough for the narrow kernel
+    ctx = build_field(p, r)
+    gamma = ctx.elem([p - 1] * r)
+    length = fields._NARROW_CELLS + 1
+    k = min(r, 2)
+    out_map = np.full((r, k), p - 1, dtype=np.int64)
+    cur, want = ctx.one, []
+    for _ in range(length):
+        want.append(sum(int(d) * p**c for c, d in enumerate(np.array(cur.coords) @ out_map % p)))
+        cur = cur * gamma
+    for block in (1, None):
+        assert ctx.linear_orbit(gamma, out_map, length, block=block).tolist() == want
 
 
 def test_linear_orbit_refuses_int64_overflow():

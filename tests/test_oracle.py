@@ -54,8 +54,11 @@ def test_degree_count_divisibility():
                 assert brute_t_t(spec, m) % m == 0
 
 
-@pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 9, 1), (3, 3, 1)])
 def test_base_trace_form_gives_the_base_index_of_the_trace(p, r, m):
+    # at m = 1 the trace is the identity, and the form must read y's own coordinates, not a
+    # Frobenius conjugate's: on (2, 9, 1) the first root of the modulus along the powers of g
+    # is not X
     tower = build_tower(p, r, m)
     form = tower.base_trace_form()
     for x in tower.top.elements():
