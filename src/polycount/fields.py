@@ -32,18 +32,15 @@ vectorized with numpy, since the Frobenius, traces, and
 multiplication-by-a-constant are all linear maps.
 An orbit is split baby step, giant step, j = bB + i, and each output digit
 is one exact dot product of the giant-step coordinates with the form read
-at the baby steps.  For odd p it is at most r (p - 1)^2: below 2^16 it is r
-broadcast multiply-adds in uint8 or uint16, whichever holds that bound
-(numpy has no BLAS for integers, so an int64 matrix product is a plain
-loop), reduced mod p by one table lookup; past 2^16, and in blocks too small
-to repay the r calls, one int64 matrix product.  In characteristic 2 it is
-the parity of the AND of packed words.  orbit_blocks streams the orbit in
-blocks of consecutive j, so a consumer never holds the whole orbit; it fills
-every block in place in one set of buffers per walk, so a block is valid
-until the next is asked for.  Log tables, trace histograms and the oracle
-all consume it block by block.  parity_blocks bit-slices the same split for
-one form over F_2 (the oracle at q = 2): 64 babies to a word, one XOR-table
-read per giant byte, _ORBIT_CHUNK bytes of bits to a block.  In
+at the baby steps: for odd p, r multiply-adds in uint8 or uint16 while
+r (p - 1)^2 < 2^16 (numpy's int64 matmul is a plain loop), and in
+characteristic 2 the parity of the AND of packed words.  orbit_blocks
+streams the orbit in blocks of consecutive j, so a consumer never holds the
+whole orbit; it fills every block in place in one set of buffers per walk,
+so a block is valid until the next is asked for.  Log tables, trace
+histograms and the oracle all consume it block by block.  parity_blocks
+bit-slices the same split for one form over F_2 (the oracle at q = 2): 64
+babies to a word, one XOR-table read per giant byte.  In
 characteristic 2 the baby and giant powers are packed words too, taken by
 doubling: a product by a constant is F_2-linear, so it is one XOR-table read
 per byte of each row, as is the babies' form (the method of Four Russians).
@@ -85,8 +82,7 @@ DEFAULT_ENUM_CAP = 1 << 24
 # orbit output is filled this many elements at a time
 _ORBIT_CHUNK = 1 << 16
 
-# odd p: a block of at least this many elements repays the narrow kernel's 2n - 1 calls per
-# digit; below it, one int64 matrix product costs less
+# odd p: smaller blocks do not repay the narrow kernel's 2n - 1 calls per digit
 _NARROW_CELLS = 1 << 12
 
 # packed F_2 vectors: coordinate i is bit i % 64 of word i // 64
@@ -493,16 +489,15 @@ class FieldCtx:
         giant step (_baby_giant): with B = ceil(sqrt(length)) baby steps (or
         `block`), j = bB + i, and column c of the map is a linear form, so
         digit c at j is <V_b, A_c[i]> mod p: V_b holds the coordinates of
-        gamma^(bB), and A_c[i, kk] is the form at gamma^i X^kk.  For odd p
-        the dot product is at most n (p - 1)^2.  Below 2^16 it is reduced mod
-        p by lookup, and in a block of _NARROW_CELLS or more it is taken as n
-        broadcast multiply-adds, V_b[kk] times A_c[:, kk], in uint8 (bound
-        below 2^8) or uint16, the giants and baby forms converted once per
-        walk; otherwise it is one exact int64 product per digit.  p = 2 takes
-        the parity of V_b & A_c[i] on packed words.  Blocks cover consecutive
-        j, about _ORBIT_CHUNK at a time.  Every block is filled in place in
-        one set of buffers per walk: a yielded array is a view that the
-        consumer may overwrite, valid until the generator resumes.
+        gamma^(bB), and A_c[i, kk] is the form at gamma^i X^kk.  Odd p: while
+        that product's bound n (p - 1)^2 is below 2^16 it is reduced by
+        lookup and, in blocks of _NARROW_CELLS or more, taken as n
+        multiply-adds in uint8 or uint16, whichever holds the bound; otherwise
+        it is one int64 matmul.  p = 2 takes the parity of V_b & A_c[i] on
+        packed words.  Blocks cover consecutive j, about _ORBIT_CHUNK at a time.
+        Every block is filled in place in one set of buffers per walk: a
+        yielded array is a view that the consumer may overwrite, valid until
+        the generator resumes.
         """
         p, n = self.p, self.r
         k = out_map.shape[1]
@@ -516,8 +511,6 @@ class FieldCtx:
         out_buf = np.empty((rows, big_b), dtype=np.int64)
         digit_buf = np.empty((rows, big_b), dtype=np.int64) if k > 1 else None
         and_buf = np.empty((rows, big_b), dtype=_WORD) if p == 2 else None
-        # odd p: a dot product is at most n (p - 1)^2; the narrow kernel takes it in the
-        # smallest unsigned dtype that holds that bound
         bound = n * (p - 1) ** 2
         residues = np.arange(n * (p - 1) ** 2 + 1) % p if p > 2 and bound < 1 << 16 else None
         narrow = residues is not None and rows * big_b >= _NARROW_CELLS
@@ -549,8 +542,7 @@ class FieldCtx:
                     for kk in range(1, n):
                         np.multiply(v[:, kk : kk + 1], babies[c, kk], out=prods)
                         sums += prods
-                    # widened first: a take with narrow indices would allocate their intp copy
-                    np.copyto(digit, sums)
+                    np.copyto(digit, sums)  # a take with narrow indices would copy them to intp
                     np.take(residues, digit, out=digit, mode="clip")
                 else:
                     np.matmul(v, babies[:, :, c].T, out=digit)
