@@ -14,11 +14,12 @@ character sum M_t by one of several routes:
   * (p = 2, a = 0) Gauss sums lifted from small subfields by the
     Davenport-Hasse identity, and
   * the double character sum over F_q* x F_{q^t}*, read from the trace
-    histogram of F_{q^t} (TowerCtx.trace_hist): q^t + p q elements.
+    histogram of F_{q^t} (TowerCtx.trace_hist): q^t + p q elements, whose
+    p counts c_tau of zeta_p^tau give M_t = c_0 - c_1.
 
 `plan` picks the route of every N_t up front, from the spec alone, and
-refuses a method or cap it cannot serve before any work; `n_t` and `p_m`
-run what it picks.
+refuses a method or cap it cannot serve before any work; `n_t` and
+`run_plan` (which `p_m` calls) run what it picks.
 
 All routes return the same integer; disagreement is a test failure, never
 something to smooth over.  Internally every route keys the coset by an
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charsums import gauss_sum_lifted, jacobi_class_counts
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, integer_from_counts
 from .errors import (
     EnumerationCapExceeded,
     InvariantError,
@@ -205,7 +206,9 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     Requires restpd.  With G = gcd(s/d, q^t - 1), the inner sum at c = g^w
     is G times row (i0 + t0 w) mod G of the trace histogram by G classes,
     shifted by the trace rho_w of the outer term (0 when a = 0); so the work
-    is q^t + p q elements, where the literal sum has (q - 1)(q^t - 1).
+    is q^t + p q elements, where the literal sum has (q - 1)(q^t - 1); the G p
+    pairs (row, rho_w) are counted first when there are fewer than the q - 1 w.
+    M_t is read off the p counts c_tau of zeta_p^tau as c_0 - c_1 (integer_from_counts).
     """
     if not _restpd(spec, t):
         raise ValidationError("the double sum requires p not dividing m/t and d | h")
@@ -213,27 +216,31 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     check_cap(_general_size(q, p, t), cap, f"the double sum over F_q* x F_{{q^{t}}}*")
     params = derive_params(spec, t, h=tower.dlog_g(spec.b) % s)
     big_g = math.gcd(s // params.d, q**t - 1)
-    # G | s | q - 1, so the histogram by q - 1 classes folds onto G classes (read in place at G = q - 1)
-    folded = tower.trace_hist(t, q - 1, cap).reshape(-1, big_g, p)
-    flat = (folded[0] if len(folded) == 1 else folded.sum(axis=0)).ravel()
-    w = np.arange(q - 1, dtype=np.int64)
-    row = (params.i0 + params.t0 % big_g * w) % big_g * p
+    hist = tower.trace_hist(t, q - 1, cap)
     if spec.a.is_zero():
-        # rho_w = 0: row r is read once for each w that lands on it
-        hist = np.bincount(row // p, minlength=big_g) @ flat.reshape(big_g, p)
+        # rho_w = 0, and as w runs over F_q* the rows (i0 + t0 w) mod G are the residues of i0
+        # mod e = gcd(t0, G), each (q - 1) e / G times; e | G | q - 1, so they are rows of hist
+        e = math.gcd(params.t0, big_g)
+        return (q - 1) * e * integer_from_counts(hist[params.i0 % e :: e].sum(axis=0).tolist(), "M_t general sum")
+    # G | s | q - 1, so the histogram by q - 1 classes folds onto G classes (read in place at G = q - 1)
+    folded = hist if big_g == q - 1 else hist.reshape(-1, big_g, p).sum(axis=0)
+    rows = np.arange(params.i0, params.i0 + (q - 1) * params.t0, params.t0) % big_g
+    shift = tower.dlog_g(spec.a * -pow((spec.m // t) % p, -1, p))  # -(t/m) a
+    rot = tower.base_traces[shift : shift + q - 1]  # rho_w, the trace of -(t/m) a g^w
+    # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w; a negative
+    # column counts from the end, so tau - rho_w needs no mod p
+    taus = np.arange(p)
+    if big_g * p <= q - 1:
+        # fewer (row, rho_w) pairs than w: count the pairs, add up the rows of each rho_w in one
+        # product, and read column tau - rho_w of row rho_w
+        pairs = np.bincount(rows * p + rot, minlength=big_g * p).reshape(big_g, p)
+        counts = (pairs.T @ folded)[taus[:, None], taus - taus[:, None]].sum(axis=0)
     else:
-        mt_inv = pow((spec.m // t) % p, -1, p)
-        shift = tower.dlog_g(-(spec.a * mt_inv))  # -(t/m) a
-        # at t = 1 class c holds the one element g^c, a single 1 in the column of its trace;
-        # a product with the column labels reads it without copying the table, as argmax would
-        rot = (tower.trace_hist(1, q - 1, cap) @ np.arange(p))[(shift + w) % (q - 1)]
-        # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w: one
-        # gather per block of w, each within _ORBIT_CHUNK cells
-        taus, hist = np.arange(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
-        block = max(1, _ORBIT_CHUNK // p)
+        # one gather per block of w, each within _ORBIT_CHUNK cells
+        counts, block = np.zeros(p, dtype=np.int64), max(1, _ORBIT_CHUNK // p)
         for b in range(0, q - 1, block):
-            hist += flat[row[b : b + block, None] + (taus - rot[b : b + block, None]) % p].sum(axis=0)
-    return CycInt.from_counts(p, [big_g * int(x) for x in hist]).expect_integer("M_t general sum")
+            counts += folded[rows[b : b + block, None], taus - rot[b : b + block, None]].sum(axis=0)
+    return big_g * integer_from_counts(counts.tolist(), "M_t general sum")
 
 
 def _canonical_char_decompose(j: int, modn: int):
@@ -707,7 +714,11 @@ def n_t(spec: CountSpec, t: int, method: str = "auto", cap: int = DEFAULT_ENUM_C
 
 def p_m(spec: CountSpec, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> int:
     """P_m(a, s, h) via Moebius inversion over the N_t, along plan(spec, method, cap)."""
-    steps = plan(spec, method, cap)
+    return run_plan(spec, plan(spec, method, cap), cap)
+
+
+def run_plan(spec: CountSpec, steps: list[tuple[int, int, str]], cap: int = DEFAULT_ENUM_CAP) -> int:
+    """P_m from the (t, mu, route) steps that plan made for spec: the Moebius sum of their N_t over m."""
     total = sum(mu * _run_route(spec, t, route, cap) for t, mu, route in steps)
     if total % spec.m != 0:
         raise InvariantError("Moebius sum must be divisible by m")

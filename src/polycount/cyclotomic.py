@@ -188,6 +188,17 @@ class CycInt:
         return f"CycInt({self.order}, {list(self.coeffs)})"
 
 
+def integer_from_counts(counts: list[int], what: str = "value") -> int:
+    """sum_tau counts[tau] zeta_p^tau, p = len(counts) prime, as an integer; InvariantError if it is none.
+
+    The p powers summing to 0 is their one relation, so it is one exactly when
+    counts[1] = ... = counts[p - 1], and then it is counts[0] - counts[1]."""
+    c0, c1, *rest = counts
+    if rest.count(c1) != len(rest):
+        raise InvariantError(f"{what} did not reduce to a rational integer")
+    return c0 - c1
+
+
 @lru_cache(maxsize=64)
 def quadratic_gauss_sum(ell: int) -> CycInt:
     """sum_k (k|ell) zeta_ell^k: sqrt(ell) if ell = 1 mod 4, sqrt(-ell) if 3 mod 4."""

@@ -512,7 +512,7 @@ class FieldCtx:
         digit_buf = np.empty((rows, big_b), dtype=np.int64) if k > 1 else None
         and_buf = np.empty((rows, big_b), dtype=_WORD) if p == 2 else None
         bound = n * (p - 1) ** 2
-        residues = np.arange(n * (p - 1) ** 2 + 1) % p if p > 2 and bound < 1 << 16 else None
+        residues = np.tile(np.arange(p), bound // p + 1)[: bound + 1] if p > 2 and bound < 1 << 16 else None
         narrow = residues is not None and rows * big_b >= _NARROW_CELLS
         if narrow:
             dtype = np.min_scalar_type(bound)
@@ -984,6 +984,12 @@ class TowerCtx:
         """trace_blocks joined into one array, in the smallest unsigned dtype holding p - 1; not cached."""
         dtype = np.min_scalar_type(self.p - 1)
         return np.concatenate([traces.astype(dtype) for _, traces in self.trace_blocks(t, cap)])
+
+    @cached_property
+    def base_traces(self) -> np.ndarray:
+        """abs_trace(g^c, 1) at c < 2(q - 1), int64: the traces of g^(k + w), w < q - 1, are one slice."""
+        labels = np.concatenate([traces.copy() for _, traces in self.trace_blocks(1)])
+        return np.concatenate([labels, labels])
 
     def trace_hist(self, t: int, g: int, cap: int | None = None) -> np.ndarray:
         """H[c, tau] = #{j < q^t - 1 : j = c mod g, abs_trace(gamma_t^j, t) = tau}.

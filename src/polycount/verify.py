@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import CountSpec, p_m, p_m_prime_closed, plan
+from .counting import CountSpec, p_m_prime_closed, plan, run_plan
 from .errors import CapExceeded, NotApplicable
 from .fields import DEFAULT_ENUM_CAP, build_field
 from .intmath import divisors, is_prime
@@ -35,10 +35,10 @@ def verify_cell(spec: CountSpec, cap: int = DEFAULT_ENUM_CAP) -> VerifyRow:
     row.values["brute"] = brute_p_m(spec)
     for method in ("general", "table", "closed"):
         try:
-            plan(spec, method, cap)
+            steps = plan(spec, method, cap)
         except (NotApplicable, CapExceeded):
             continue
-        row.values[method] = p_m(spec, method, cap=cap)
+        row.values[method] = run_plan(spec, steps, cap)
     if is_prime(spec.m):
         try:
             row.values["prime_closed"] = p_m_prime_closed(spec)

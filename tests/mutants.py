@@ -74,18 +74,32 @@ MUTANTS = [
         ("tests/test_golden.py", "tests/test_identities.py"),
     ),
     Mutant(
-        "sign of rho_w in m_t_general",
+        "sign of rho_w in m_t_general's gather",
         "src/polycount/counting.py",
-        "(taus - rot[b : b + block, None]) % p",
+        "taus - rot[b : b + block, None]",
         "(taus + rot[b : b + block, None]) % p",
+        ("tests/test_counting.py",),
+    ),
+    Mutant(
+        "sign of rho_w in m_t_general's pair read",
+        "src/polycount/counting.py",
+        "taus - taus[:, None]",
+        "(taus + taus[:, None]) % p",
         ("tests/test_counting.py",),
     ),
     Mutant(
         "m_t_general reads rho_w one column too high",
         "src/polycount/counting.py",
-        "@ np.arange(p))[(shift + w) % (q - 1)]",
-        "@ np.arange(1, p + 1))[(shift + w) % (q - 1)]",
+        "rot = tower.base_traces[shift : shift + q - 1]",
+        "rot = (tower.base_traces[shift : shift + q - 1] + 1) % p",
         ("tests/test_counting.py",),
+    ),
+    Mutant(
+        "the integer read skips the equal-coefficients check",
+        "src/polycount/cyclotomic.py",
+        "if rest.count(c1) != len(rest):",
+        "if False:",
+        ("tests/test_counting.py", "tests/test_cyclotomic.py"),
     ),
     Mutant(
         "twist sign in _character_sum",
@@ -223,8 +237,8 @@ MUTANTS = [
     Mutant(
         "orbit_blocks reduces a dot product to (digit + 1) % p",
         "src/polycount/fields.py",
-        "residues = np.arange(n * (p - 1) ** 2 + 1) % p",
-        "residues = (np.arange(n * (p - 1) ** 2 + 1) + 1) % p",
+        "np.tile(np.arange(p), bound // p + 1)",
+        "np.tile(np.arange(1, p + 1) % p, bound // p + 1)",
         ("tests/test_fields.py",),
     ),
     Mutant(

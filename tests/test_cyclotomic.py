@@ -12,6 +12,7 @@ from polycount.cyclotomic import (
     OMEGA_23,
     CycInt,
     QuadPow,
+    integer_from_counts,
     quadratic_gauss_sum,
     sqrt_minus,
 )
@@ -206,3 +207,30 @@ def test_galois_refuses_a_non_unit(order):
                 a.galois(k)
         else:
             assert a.galois(k).coeffs == CycInt.root(order, k).coeffs
+
+
+_PRIMES_TO_37 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@st.composite
+def _count_vectors(draw):
+    """(p, counts) for a prime p <= 37; about half the vectors have counts[1] = ... = counts[p - 1]."""
+    p = draw(st.sampled_from(_PRIMES_TO_37), label="p")
+    entries = st.integers(-(10**12), 10**12)
+    if draw(st.booleans(), label="integer"):
+        c0, c1 = draw(entries, label="c0"), draw(entries, label="c1")
+        return p, [c0] + [c1] * (p - 1)
+    return p, draw(st.lists(entries, min_size=p, max_size=p), label="counts")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_count_vectors())
+def test_integer_read_matches_the_cyclotomic_reduction(case):
+    # the direct read c_0 - c_1 against the reduction modulo the p-th cyclotomic polynomial
+    p, counts = case
+    want = CycInt.from_counts(p, counts).as_integer()
+    if want is None:
+        with pytest.raises(InvariantError):
+            integer_from_counts(counts)
+    else:
+        assert integer_from_counts(counts) == want

@@ -7,6 +7,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "polycount"
 
+# the most lines src/polycount/*.py may hold; a change that deletes code lowers it, and one
+# that has to raise it says why in CHANGES.md
+SRC_LINE_BUDGET = 4551
+
 
 def test_no_assert_statements_in_the_package():
     # `python -O` strips asserts, so invariants must raise InvariantError instead
@@ -17,6 +21,11 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, f"src/polycount holds {lines} lines, over the budget of {SRC_LINE_BUDGET}"
 
 
 def _float_uses(tree):
