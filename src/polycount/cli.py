@@ -101,7 +101,10 @@ def cmd_count(args) -> int:
         value = brute_p_m(spec, cap=args.oracle_cap)
     else:
         value = p_m(spec, method=args.method, cap=args.enum_cap)
-    prov = {"method": args.method, "spec": spec.describe()}
+    prov = {
+        "method": args.method,
+        "spec": spec.describe(),
+    }
     if args.format == "json":
         print(json.dumps({"count": value, **prov}, sort_keys=True))
     else:
@@ -117,7 +120,15 @@ def cmd_list(args) -> int:
     spec = _spec_from_args(args)
     polys = list_polys(spec, cap=args.oracle_cap, listing_cap=args.listing_cap)
     if args.format == "json":
-        print(json.dumps({"count": len(polys), "polynomials": [list(p) for p in polys], "field": spec.base.to_json()}))
+        print(
+            json.dumps(
+                {
+                    "count": len(polys),
+                    "polynomials": [list(p) for p in polys],
+                    "field": spec.base.to_json(),
+                }
+            )
+        )
     else:
         for coeffs in polys:
             print("\t".join(str(c) for c in coeffs))
@@ -138,8 +149,18 @@ def cmd_table5(args) -> int:
             got_catalog = p2_closed_detail(r, m, b).value
             ok = got_oracle == got_formula == got_catalog == want
             diffs += 0 if ok else 1
-            rows.append({"q": q, "b": tag, "m": m, "expected": want, "oracle": got_oracle,
-                         "formula": got_formula, "catalog": got_catalog, "status": "ok" if ok else "DIFF"})
+            rows.append(
+                {
+                    "q": q,
+                    "b": tag,
+                    "m": m,
+                    "expected": want,
+                    "oracle": got_oracle,
+                    "formula": got_formula,
+                    "catalog": got_catalog,
+                    "status": "ok" if ok else "DIFF",
+                }
+            )
     _emit(rows, args, header=["q", "b", "m", "expected", "oracle", "formula", "catalog", "status"])
     if args.format != "json":
         print(f"# diffs={diffs}")
@@ -159,11 +180,26 @@ def cmd_catalog(args) -> int:
             detail = p2_closed_detail(args.r, m, b)
             seen.setdefault((detail.branch, detail.value), []).append(ind)
             if args.all_cosets:
-                rows.append({"m": m, "ind_b": ind, "value": detail.value, "branch": detail.branch,
-                             "signs": json.dumps(detail.signs, sort_keys=True)})
+                rows.append(
+                    {
+                        "m": m,
+                        "ind_b": ind,
+                        "value": detail.value,
+                        "branch": detail.branch,
+                        "signs": json.dumps(detail.signs, sort_keys=True),
+                    }
+                )
         if not args.all_cosets:
             for (branch, value), inds in sorted(seen.items(), key=lambda kv: kv[1][0]):
-                rows.append({"m": m, "ind_b": ",".join(map(str, inds)), "value": value, "branch": branch, "signs": ""})
+                rows.append(
+                    {
+                        "m": m,
+                        "ind_b": ",".join(map(str, inds)),
+                        "value": value,
+                        "branch": branch,
+                        "signs": "",
+                    }
+                )
     if args.format == "json":
         print(json.dumps({"field": field.to_json(), "rows": rows}, sort_keys=True))
     else:
@@ -181,8 +217,13 @@ def cmd_verify(args) -> int:
         total += 1
         if not row.ok:
             failures += 1
-        rows.append({"cell": row.label(), "values": json.dumps(row.values, sort_keys=True),
-                     "status": "PASS" if row.ok else "FAIL"})
+        rows.append(
+            {
+                "cell": row.label(),
+                "values": json.dumps(row.values, sort_keys=True),
+                "status": "PASS" if row.ok else "FAIL",
+            }
+        )
     _emit(rows, args, header=["cell", "values", "status"])
     if args.format != "json":
         print(f"# cells={total} failures={failures}")
@@ -205,9 +246,23 @@ def cmd_sum(args) -> int:
     as_int = val.as_integer()
     extracted = str(as_int) if as_int is not None else "non-rational"
     if args.format == "json":
-        print(json.dumps({"kind": args.kind, "p": args.p, "r": args.r, "t": args.t, "i": args.i, "n": args.n,
-                          "k": args.k, "order": val.order, "coefficients": val.serialize(), "value": extracted,
-                          "field": build_field(args.p, args.r).to_json()}))
+        print(
+            json.dumps(
+                {
+                    "kind": args.kind,
+                    "p": args.p,
+                    "r": args.r,
+                    "t": args.t,
+                    "i": args.i,
+                    "n": args.n,
+                    "k": args.k,
+                    "order": val.order,
+                    "coefficients": val.serialize(),
+                    "value": extracted,
+                    "field": build_field(args.p, args.r).to_json(),
+                }
+            )
+        )
     else:
         coeffs = ",".join(map(str, val.serialize()))
         print(f"{args.kind}\tp={args.p} r={args.r} t={args.t} i={args.i} n={args.n} k={args.k}\t{coeffs}\t{extracted}")
@@ -248,7 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--r", type=int, default=1)
         sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--s", type=int, default=None, help="subgroup index (default: 1, or q-1 when --b/--h is given)")
+        sp.add_argument(
+            "--s",
+            type=int,
+            default=None,
+            help="subgroup index (default: 1, or q-1 when --b/--h is given)",
+        )
         sp.add_argument("--a", default="0", help="trace coefficient: int, 'c0,c1,..', or 'g^k'")
         group = sp.add_mutually_exclusive_group()
         group.add_argument("--b", default=None, help="norm coset representative (same syntax as --a)")

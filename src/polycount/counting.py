@@ -206,9 +206,8 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     Requires restpd.  With G = gcd(s/d, q^t - 1), the inner sum at c = g^w
     is G times row (i0 + t0 w) mod G of the trace histogram by G classes,
     shifted by the trace rho_w of the outer term (0 when a = 0); so the work
-    is q^t + p q elements, where the literal sum has (q - 1)(q^t - 1); the G p
-    pairs (row, rho_w) are counted first when there are fewer than the q - 1 w.
-    M_t is read off the p counts c_tau of zeta_p^tau as c_0 - c_1 (integer_from_counts).
+    is q^t + p q elements, where the literal sum has (q - 1)(q^t - 1).  M_t
+    is read off the p counts c_tau of zeta_p^tau as c_0 - c_1 (integer_from_counts).
     """
     if not _restpd(spec, t):
         raise ValidationError("the double sum requires p not dividing m/t and d | h")
@@ -227,19 +226,13 @@ def m_t_general(tower: TowerCtx, spec: CountSpec, t: int, cap: int | None = None
     rows = np.arange(params.i0, params.i0 + (q - 1) * params.t0, params.t0) % big_g
     shift = tower.dlog_g(spec.a * -pow((spec.m // t) % p, -1, p))  # -(t/m) a
     rot = tower.base_traces[shift : shift + q - 1]  # rho_w, the trace of -(t/m) a g^w
-    # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w; a negative
-    # column counts from the end, so tau - rho_w needs no mod p
-    taus = np.arange(p)
-    if big_g * p <= q - 1:
-        # fewer (row, rho_w) pairs than w: count the pairs, add up the rows of each rho_w in one
-        # product, and read column tau - rho_w of row rho_w
-        pairs = np.bincount(rows * p + rot, minlength=big_g * p).reshape(big_g, p)
-        counts = (pairs.T @ folded)[taus[:, None], taus - taus[:, None]].sum(axis=0)
-    else:
-        # one gather per block of w, each within _ORBIT_CHUNK cells
-        counts, block = np.zeros(p, dtype=np.int64), max(1, _ORBIT_CHUNK // p)
-        for b in range(0, q - 1, block):
-            counts += folded[rows[b : b + block, None], taus - rot[b : b + block, None]].sum(axis=0)
+    # the summand at c = g^w lands on zeta_p^tau when its inner trace is tau - rho_w, and a negative
+    # column counts from the end, so tau - rho_w needs no mod p; one gather per block of w, each
+    # within _ORBIT_CHUNK cells
+    taus, block = np.arange(p), max(1, _ORBIT_CHUNK // p)
+    counts = sum(
+        folded[rows[b : b + block, None], taus - rot[b : b + block, None]].sum(axis=0) for b in range(0, q - 1, block)
+    )
     return big_g * integer_from_counts(counts.tolist(), "M_t general sum")
 
 

@@ -988,6 +988,7 @@ class TowerCtx:
     @cached_property
     def base_traces(self) -> np.ndarray:
         """abs_trace(g^c, 1) at c < 2(q - 1), int64: the traces of g^(k + w), w < q - 1, are one slice."""
+        # not orbit_abs_traces(1): perfbench's probe on it reads _orbit_traces, gone from TowerCtx (CHANGES.md, FOUND)
         labels = np.concatenate([traces.copy() for _, traces in self.trace_blocks(1)])
         return np.concatenate([labels, labels])
 

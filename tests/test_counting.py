@@ -244,17 +244,6 @@ def test_m_t_general_matches_naive(case, data):
     assert m_t_general(tower, spec, t) == naive_m_t(tower, spec, t)
 
 
-def test_general_sum_by_pair_counts_matches_jacobi_at_odd_m():
-    # q = 27, s = 2: G p = 6 <= q - 1, so the (row, rho_w) pairs are counted.  x -> -x trades a
-    # for -a and b for (-1)^m b, so with m odd and -1 = g^13 outside the squares a wrong sign
-    # of rho_w shows
-    base, tower = build_field(3, 3), build_tower(3, 3, 3)
-    for a in range(1, 27):
-        for h in (0, 1):
-            spec = CountSpec.make(3, 3, 3, 2, a=base.from_index(a), h=h)
-            assert m_t_general(tower, spec, 3) == m_t_jacobi(spec, 3, allow_brute=True), (a, h)
-
-
 def test_general_sum_holds_no_more_than_one_block_beyond_its_tables():
     # F_2039^2 at G = q - 1: the (q - 1) x p histogram of 33 MB is read in place, and the
     # gather over (w, tau) runs in blocks of _ORBIT_CHUNK cells; a = 1 reads rho_w off the
@@ -272,18 +261,16 @@ def test_general_sum_holds_no_more_than_one_block_beyond_its_tables():
         assert peak < 4 << 20, (a, peak)
 
 
-# (p, r, m, s, a, h): a = 0; a != 0 read by the gather; a != 0 read by the pair counts (G p <= q - 1)
-@pytest.mark.parametrize("case", [(7, 1, 3, 3, 0, 1), (7, 1, 3, 3, 3, 1), (3, 2, 2, 2, 1, 0)])
-def test_general_sum_refuses_counts_that_are_not_an_integer(monkeypatch, case):
+@pytest.mark.parametrize("a", [0, 3])
+def test_general_sum_refuses_counts_that_are_not_an_integer(monkeypatch, a):
     # one more element on trace 1 in every class leaves c_1, ..., c_{p-1} unequal, so the
     # counts are no rational integer: the read must refuse, not return c_0 - c_1
     from polycount import fields
 
-    p, r, m, s, a, h = case
-    tower = build_tower(p, r, m)
-    spec = CountSpec.make(p, r, m, s, a=build_field(p, r).from_index(a), h=h)
+    tower = build_tower(7, 1, 3)
+    spec = CountSpec.make(7, 1, 3, 3, a=a, h=1)
     real = fields.TowerCtx.trace_hist
-    assert m_t_general(tower, spec, m) == naive_m_t(tower, spec, m)
+    assert m_t_general(tower, spec, 3) == naive_m_t(tower, spec, 3)
 
     def perturbed(self, t, g, cap=None):
         hist = real(self, t, g, cap).copy()
@@ -292,7 +279,7 @@ def test_general_sum_refuses_counts_that_are_not_an_integer(monkeypatch, case):
 
     monkeypatch.setattr(fields.TowerCtx, "trace_hist", perturbed)
     with pytest.raises(InvariantError):
-        m_t_general(tower, spec, m)
+        m_t_general(tower, spec, 3)
 
 
 def test_m_t_closed_paths_surface():
