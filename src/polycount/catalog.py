@@ -9,8 +9,10 @@ here by computing those Gauss sums directly, with the character tied to
 delta = Norm(g) for the canonical generator g of F_q, and never assumed.
 
 All branch arithmetic is exact: rationals as Fractions and the index-2
-constants as QuadPow values whose sqrt(2)-gradings must cancel (asserted)
-before a branch value is accepted.
+constants as QuadPow values whose sqrt(2)-gradings must cancel before a
+branch value is accepted: `QuadPow.trace_sqrt2` raises ValueError on an odd
+grading, and a branch total that is not a nonnegative integer raises
+InvariantError.
 
 The general route (`p2_general_pm`) evaluates the same counts through
 Gauss sums lifted by the Davenport-Hasse identity, with no closed-form
@@ -182,12 +184,12 @@ class CatalogValue:
 
 
 def _tr(w: QuadPow, e: int, sqrt2_extra: int) -> Fraction:
-    """(w^e + conj(w^e)) * sqrt(2)^sqrt2_extra, asserted rational."""
+    """(w^e + conj(w^e)) * sqrt(2)^sqrt2_extra; ValueError if it is not rational."""
     return (w**e).trace_sqrt2(sqrt2_extra)
 
 
 def _re(w: QuadPow, e: int, mult: QuadPow, sqrt2_extra: int) -> Fraction:
-    """Re(w^e * mult) * sqrt(2)^sqrt2_extra, asserted rational."""
+    """Re(w^e * mult) * sqrt(2)^sqrt2_extra; ValueError if it is not rational."""
     return (w**e * mult).trace_sqrt2(sqrt2_extra) / 2
 
 

@@ -155,43 +155,3 @@ def jacobi_brute(field: FieldCtx, n: int, k: int, t: int, cap: int | None = None
         coeffs[0] += q ** (t - 1) - int(counts.sum())
     return CycInt(n, coeffs.tolist())
 
-
-def monomial_closed_semiprimitive(p: int, e: int, n: int, t: int, s: int, i: int) -> int:
-    """Closed value of sum_{x != 0} e_t(gamma_t^i x^s) when s | p^e + 1, r = 2en.
-
-    Two values only, split by i mod s against the shift k_s, which is s/2
-    exactly when p > 2, nt is odd and (p^e + 1)/s is odd, and 0 otherwise.
-    """
-    if (p**e + 1) % s != 0:
-        raise ValidationError("semiprimitive closed form needs s | p^e + 1")
-    odd_nt = (n * t) % 2
-    k_s = s // 2 if p > 2 and odd_nt and s % 2 == 0 and (p**e + 1) // s % 2 else 0
-    root = p ** (e * n * t)  # sqrt(q^t) for q = p^{2en}
-    sign = -1 if odd_nt else 1
-    if i % s == k_s:
-        return -sign * (s - 1) * root - 1
-    return sign * root - 1
-
-
-def monomial_closed_char2(r: int, t: int, big_n: int, i: int) -> int:
-    """Closed value of sum over ALL x in F_{2^{rt}} of e_t(gamma_t^i x^N).
-
-    Needs -1 to be a power of 2 mod N (semiprimitive N); the sum is
-    (-1)^{N'} sqrt(q^t) off the zero class and (-1)^{N'-1}(N-1) sqrt(q^t)
-    on it, with N' = rt / ord_N(2).
-    """
-    from .intmath import multiplicative_order
-
-    if big_n <= 1:
-        raise ValidationError("N must exceed 1")
-    ord2 = multiplicative_order(2, big_n)
-    if not (ord2 % 2 == 0 and pow(2, ord2 // 2, big_n) == big_n - 1):
-        raise ValidationError(f"-1 is not a power of 2 modulo {big_n}")
-    if (r * t) % ord2 != 0:
-        raise ValidationError("ord_N(2) must divide rt")
-    n_prime = (r * t) // ord2
-    root = 2 ** ((r * t) // 2)
-    sign = -1 if n_prime % 2 else 1
-    if i % big_n == 0:
-        return -sign * (big_n - 1) * root
-    return sign * root

@@ -4,7 +4,10 @@
 Z[x]/(x^L - 1); equality and integer extraction reduce modulo the L-th
 cyclotomic polynomial.  Working modulo x^L - 1 keeps the hot path (adding
 histograms of character values) to plain vector addition; the reduction
-only happens at comparison time.
+only happens at comparison time.  A power packs the vector once into one
+integer modulo 2^{BL} - 1 with B = n * bitlen(sum |c_i|) + 2 bits a coefficient,
+enough for every coefficient of the power (at most (sum |c_i|)^n <= 2^{B-2}),
+squares and multiplies there, and unpacks once.
 
 Every character value is a `CycInt`: Z[i] is `CycInt(4)` and Z[zeta_3] is
 `CycInt(3)`, which is where the quartic and cubic Jacobi-sum parameters and
@@ -106,14 +109,36 @@ class CycInt:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative cyclotomic powers are not defined here")
-        result = CycInt.integer(self.order, 1)
-        base = self
+        # One packed integer: x -> 2^B maps Z[x]/(x^L - 1) onto Z/(2^{BL} - 1).
+        # With S = sum |c_i|, every coefficient of self^n is at most S^n <= 2^{B-2}
+        # in magnitude, so the packed value lies within M/2 of 0 and its balanced
+        # base-2^B digits are exactly repeated __mul__'s coefficients.
+        L = self.order
+        B = n * sum(map(abs, self.coeffs)).bit_length() + 2
+        BL = B * L
+        M = (1 << BL) - 1
+        base = 0
+        for c in reversed(self.coeffs):
+            base = (base << B) + c
+        base %= M
+        acc = 1
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                acc = _fold(acc * base, BL, M)
             n >>= 1
-        return result
+            if n:
+                base = _fold(base * base, BL, M)
+        if acc > M >> 1:
+            acc -= M
+        mask, coeffs = (1 << B) - 1, []
+        for _ in range(L):
+            d = acc & mask
+            acc >>= B
+            if d >> (B - 1):  # a negative digit borrows one from the digit above
+                d -= 1 << B
+                acc += 1
+            coeffs.append(d)
+        return CycInt(L, coeffs)
 
     def galois(self, k: int) -> "CycInt":
         """sigma_k: zeta -> zeta^k, moving coefficient e to e k mod L.
@@ -186,6 +211,12 @@ class CycInt:
 
     def __repr__(self):
         return f"CycInt({self.order}, {list(self.coeffs)})"
+
+
+def _fold(v: int, bl: int, m: int) -> int:
+    """v mod m for m = 2^bl - 1 and 0 <= v <= m^2, by 2^bl = 1 mod m: no division."""
+    v = (v & m) + (v >> bl)
+    return v - m if v >= m else v
 
 
 def integer_from_counts(counts: list[int], what: str = "value") -> int:
@@ -298,7 +329,7 @@ class QuadPow:
     def trace_sqrt2(self, extra: int = 0) -> Fraction:
         """(z + conj(z)) * sqrt(2)^extra, which must be rational.
 
-        Equals 2u * sqrt(2)^(extra - k); the exponent parity is asserted.
+        Equals 2u * sqrt(2)^(extra - k); an odd exponent raises ValueError.
         """
         if self.u == 0:
             return Fraction(0)

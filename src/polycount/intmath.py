@@ -143,14 +143,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if v == 1 else -1
 
 
-def necklace_count(q: int, m: int) -> int:
-    """Number of monic irreducible polynomials of degree m over F_q."""
-    total = sum(mobius(m // t) * q**t for t in divisors(m))
-    if total % m != 0:
-        raise InvariantError("the necklace sum must be divisible by m")
-    return total // m
-
-
 def sqrt_q_power(p: int, r: int, num: int) -> Fraction:
     """q^{num/2} for q = p^r as an exact Fraction; r * num must be even."""
     e = r * num

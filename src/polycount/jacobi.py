@@ -4,7 +4,7 @@ The quartic and cubic cases need the classical diophantine parameters
 (a4, b4) with a4^2 + b4^2 = p and (a3, b3) with a3^2 + 3 b3^2 = p, pinned
 by congruences that depend on the primitive root g fixing the character
 normalization chi(g) = i (resp. zeta_3).  The parameter searches are
-exhaustive and assert uniqueness.
+exhaustive and raise BadResidue unless exactly one pair is found.
 
 Order 2 works over any odd prime power q with rho the quadratic
 character; orders 3 and 4 are restricted to q = p, where the values lie in

@@ -201,15 +201,6 @@ def brute_p_m(spec: CountSpec, cap: int = DEFAULT_ORACLE_CAP) -> int:
     return total // spec.m
 
 
-def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """|S_t|: all x in F_{q^t} with Tr_m(x) = a and Norm_m(x) in the coset."""
-    _check_oracle_cap(spec.p, spec.r, t, cap)
-    tower = build_tower(spec.p, spec.r, spec.m)
-    scan = brute_scan(tower, t, cap)
-    h = _h_for_tower(spec, tower)
-    return sum(scan.cell(tt, spec.a.index, h, spec.s) for tt in divisors(t))
-
-
 def list_polys(
     spec: CountSpec,
     cap: int = DEFAULT_ORACLE_CAP,

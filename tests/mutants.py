@@ -21,7 +21,9 @@ not listed: dropping the `np.add.at` branch of `fields.trace_hist` only
 changes speed, because the bincount branch adds the same counts.  The
 semiprimitive table needs no shift: l | t makes k_l = 0, and k_{s/d} and k_u
 are both 0 or both nonzero and cancel in the j0 test.  So the shift mutant
-below sits in the monomial lemma, whose tests kill it.
+below sits in the monomial lemma, which is test code in `tests/reference.py`
+since no count route reads it; the tests that check the lemma against the
+package's monomial sums kill it.
 """
 
 from __future__ import annotations
@@ -88,6 +90,20 @@ MUTANTS = [
         ("tests/test_counting.py",),
     ),
     Mutant(
+        "packed CycInt power: B without the + 2",
+        "src/polycount/cyclotomic.py",
+        "bit_length() + 2",
+        "bit_length()",
+        ("tests/test_cyclotomic.py",),
+    ),
+    Mutant(
+        "packed CycInt power: decode skips the negative-digit correction",
+        "src/polycount/cyclotomic.py",
+        "if d >> (B - 1):",
+        "if False:",
+        ("tests/test_cyclotomic.py",),
+    ),
+    Mutant(
         "the integer read skips the equal-coefficients check",
         "src/polycount/cyclotomic.py",
         "if rest.count(c1) != len(rest):",
@@ -138,7 +154,7 @@ MUTANTS = [
     ),
     Mutant(
         "semiprimitive monomial shift always 0",
-        "src/polycount/charsums.py",
+        "tests/reference.py",
         "k_s = s // 2 if",
         "k_s = 0 if",
         ("tests/test_charsums.py",),

@@ -6,7 +6,10 @@ way, over whole-orbit arrays, so the streamed code in polycount.oracle and
 polycount.fields can be compared with it.  The character sum checks
 compare two independent routes to the same sum.  The Jacobi tuple walk
 visits every one of the q^{t-1} tuples with sum 1 that the package counts
-by classes instead.
+by classes instead.  The schoolbook products and powers are what the
+package's packed-integer arithmetic must reproduce digit for digit.  The
+paper's closed monomial-sum lemmas live here too, checked against the
+package's monomial sums; no count route reads them.
 """
 
 import itertools
@@ -17,7 +20,7 @@ import numpy as np
 from polycount.charsums import gauss_sum, gauss_sum_folded, gauss_sum_lifted, monomial_sum
 from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
-from polycount.errors import ValidationError
+from polycount.errors import InvariantError, ValidationError
 from polycount.fields import (
     FieldCtx,
     FieldElement,
@@ -29,8 +32,8 @@ from polycount.fields import (
     min_poly,
     poly_is_irreducible,
 )
-from polycount.intmath import divisors, factor_prime_power_order, factorize, mobius
-from polycount.oracle import DEFAULT_ORACLE_CAP, brute_scan
+from polycount.intmath import divisors, factor_prime_power_order, factorize, mobius, multiplicative_order
+from polycount.oracle import DEFAULT_ORACLE_CAP, _check_oracle_cap, brute_scan
 
 
 def _h(spec: CountSpec, tower: TowerCtx) -> int:
@@ -42,6 +45,23 @@ def brute_t_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     tower = build_tower(spec.p, spec.r, spec.m)
     scan = brute_scan(tower, t, cap)
     return scan.cell(t, spec.a.index, _h(spec, tower), spec.s)
+
+
+def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """|S_t|: all x in F_{q^t} with Tr_m(x) = a and Norm_m(x) in the coset."""
+    _check_oracle_cap(spec.p, spec.r, t, cap)
+    tower = build_tower(spec.p, spec.r, spec.m)
+    scan = brute_scan(tower, t, cap)
+    h = _h(spec, tower)
+    return sum(scan.cell(tt, spec.a.index, h, spec.s) for tt in divisors(t))
+
+
+def necklace_count(q: int, m: int) -> int:
+    """Number of monic irreducible polynomials of degree m over F_q."""
+    total = sum(mobius(m // t) * q**t for t in divisors(m))
+    if total % m != 0:
+        raise InvariantError("the necklace sum must be divisible by m")
+    return total // m
 
 
 def schoolbook_mulmod(a: list[int], b: list[int], modulus, p: int) -> list[int]:
@@ -71,6 +91,17 @@ def schoolbook_powmod(a: list[int], e: int, modulus, p: int) -> list[int]:
         a = schoolbook_mulmod(a, a, modulus, p)
         e >>= 1
     return out
+
+
+def schoolbook_cyc_pow(x: CycInt, n: int) -> CycInt:
+    """x^n by right-to-left square and multiply on CycInt's schoolbook product mod x^L - 1."""
+    result = CycInt.integer(x.order, 1)
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 def element_order(field: FieldCtx, x: FieldElement) -> int:
@@ -306,3 +337,42 @@ def dh_consistency_check(r_small: int, t_prime: int, n: int, k: int) -> bool:
     lifted = gauss_sum_lifted(tower, t_prime, n, k)
     direct = gauss_sum_folded(tower, t_prime, n, k)
     return lifted == direct
+
+
+def monomial_closed_semiprimitive(p: int, e: int, n: int, t: int, s: int, i: int) -> int:
+    """Closed value of sum_{x != 0} e_t(gamma_t^i x^s) when s | p^e + 1, r = 2en.
+
+    Two values only, split by i mod s against the shift k_s, which is s/2
+    exactly when p > 2, nt is odd and (p^e + 1)/s is odd, and 0 otherwise.
+    """
+    if (p**e + 1) % s != 0:
+        raise ValidationError("semiprimitive closed form needs s | p^e + 1")
+    odd_nt = (n * t) % 2
+    k_s = s // 2 if p > 2 and odd_nt and s % 2 == 0 and (p**e + 1) // s % 2 else 0
+    root = p ** (e * n * t)  # sqrt(q^t) for q = p^{2en}
+    sign = -1 if odd_nt else 1
+    if i % s == k_s:
+        return -sign * (s - 1) * root - 1
+    return sign * root - 1
+
+
+def monomial_closed_char2(r: int, t: int, big_n: int, i: int) -> int:
+    """Closed value of sum over ALL x in F_{2^{rt}} of e_t(gamma_t^i x^N).
+
+    Needs -1 to be a power of 2 mod N (semiprimitive N); the sum is
+    (-1)^{N'} sqrt(q^t) off the zero class and (-1)^{N'-1}(N-1) sqrt(q^t)
+    on it, with N' = rt / ord_N(2).
+    """
+    if big_n <= 1:
+        raise ValidationError("N must exceed 1")
+    ord2 = multiplicative_order(2, big_n)
+    if not (ord2 % 2 == 0 and pow(2, ord2 // 2, big_n) == big_n - 1):
+        raise ValidationError(f"-1 is not a power of 2 modulo {big_n}")
+    if (r * t) % ord2 != 0:
+        raise ValidationError("ord_N(2) must divide rt")
+    n_prime = (r * t) // ord2
+    root = 2 ** ((r * t) // 2)
+    sign = -1 if n_prime % 2 else 1
+    if i % big_n == 0:
+        return -sign * (big_n - 1) * root
+    return sign * root

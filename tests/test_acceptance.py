@@ -8,15 +8,13 @@ states.
 
 import random
 
-from reference import jacobi_tuple_walk
+from reference import jacobi_tuple_walk, monomial_closed_char2, monomial_closed_semiprimitive, necklace_count
 
 from polycount.catalog import p2_closed_pm, p2_context, p2_general_pm
 from polycount.charsums import (
     gauss_sum,
     gauss_sum_folded,
     jacobi_brute,
-    monomial_closed_char2,
-    monomial_closed_semiprimitive,
     monomial_sum,
 )
 from polycount.counting import (
@@ -28,7 +26,7 @@ from polycount.counting import (
 )
 from polycount.cyclotomic import CycInt, sqrt_minus
 from polycount.fields import build_field, build_tower
-from polycount.intmath import divisors, multiplicative_order, necklace_count
+from polycount.intmath import divisors, multiplicative_order
 from polycount.jacobi import cubic_params, jacobi_closed, quartic_params
 from polycount.oracle import brute_p_m
 from polycount.verify import run_grid

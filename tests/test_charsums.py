@@ -3,7 +3,14 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import char_connect_check, dh_consistency_check, jacobi_tuple_walk, jacobi_tuples
+from reference import (
+    char_connect_check,
+    dh_consistency_check,
+    jacobi_tuple_walk,
+    jacobi_tuples,
+    monomial_closed_char2,
+    monomial_closed_semiprimitive,
+)
 
 from polycount import fields
 from polycount.charsums import (
@@ -12,8 +19,6 @@ from polycount.charsums import (
     gauss_sum_lifted,
     jacobi_brute,
     jacobi_class_counts,
-    monomial_closed_char2,
-    monomial_closed_semiprimitive,
     monomial_sum,
 )
 from polycount.cyclotomic import CycInt, sqrt_minus

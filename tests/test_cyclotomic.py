@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import schoolbook_cyc_pow
 
 from polycount.cyclotomic import (
     OMEGA_7,
@@ -234,3 +235,34 @@ def test_integer_read_matches_the_cyclotomic_reduction(case):
             integer_from_counts(counts)
     else:
         assert integer_from_counts(counts) == want
+
+
+@st.composite
+def _power_cases(draw):
+    """(L, coefficients, n): L <= 64, a sparse or dense vector with entries up to 2^80, n <= 130."""
+    order = draw(st.integers(1, 64), label="L")
+    bits = draw(st.integers(0, 80), label="bits")
+    entry = st.integers(-(1 << bits), 1 << bits)
+    if draw(st.booleans(), label="sparse"):
+        terms = draw(st.dictionaries(st.integers(0, order - 1), entry, max_size=3), label="terms")
+        coeffs = [terms.get(e, 0) for e in range(order)]
+    else:
+        coeffs = draw(st.lists(entry, min_size=order, max_size=order), label="coeffs")
+    return order, coeffs, draw(st.integers(0, 130), label="n")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_power_cases())
+@example(case=(6, [0] * 6, 9))  # zero
+@example(case=(6, [0] * 6, 0))  # 0^0 = 1
+@example(case=(3, [4, -2, 7], 0))
+@example(case=(1, [-3], 11))
+@example(case=(1, [-(2**13 - 1)], 5))
+# one coefficient -(2^k - 1): |coefficient of x^n| = (sum |c_i|)^n, where the packing bound is tight
+@example(case=(4, [0, -(2**13 - 1), 0, 0], 5))
+@example(case=(7, [0, 0, 0, 0, 0, 0, -(2**40 - 1)], 3))
+def test_power_matches_the_schoolbook_power(case):
+    order, coeffs, n = case
+    x = CycInt(order, coeffs)
+    # coefficient vectors, not only their reductions mod Phi_L
+    assert (x**n).coeffs == schoolbook_cyc_pow(x, n).coeffs

@@ -14,12 +14,12 @@ skipped, and each test prints how many were.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import carlitz_count, norm_class_count
+from reference import carlitz_count, necklace_count, norm_class_count
 
 from polycount.counting import CountSpec, p_m
 from polycount.errors import CapExceeded
 from polycount.fields import build_field
-from polycount.intmath import divisors, necklace_count
+from polycount.intmath import divisors
 
 # (p, r, m) with q^m > 2^22.  (101, 1, 4) sends N_4 to the class counts when s/d > 4;
 # (3, 4, 5) refuses some cells; q = p = 1 mod 4 with 4 | m reaches the s = 4 table's (1, 4) row

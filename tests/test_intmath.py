@@ -1,3 +1,5 @@
+from reference import necklace_count
+
 from polycount.fields import build_field
 from polycount.intmath import (
     cyclotomic_poly,
@@ -8,7 +10,6 @@ from polycount.intmath import (
     legendre,
     mobius,
     multiplicative_order,
-    necklace_count,
 )
 
 

@@ -2,16 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import brute_t_t, whole_orbit_counts, whole_orbit_listing
+from reference import brute_n_t, brute_t_t, necklace_count, whole_orbit_counts, whole_orbit_listing
 
 from polycount import fields
 from polycount.cli import main
 from polycount.counting import CountSpec
 from polycount.errors import ListingCapExceeded, OracleCapExceeded
 from polycount.fields import build_field, build_tower, poly_is_irreducible
-from polycount.intmath import divisors, necklace_count
+from polycount.intmath import divisors
 from polycount import oracle
-from polycount.oracle import brute_n_t, brute_p_m, brute_scan, list_polys
+from polycount.oracle import brute_p_m, brute_scan, list_polys
 
 
 def test_brute_p_m_reference_values():
