@@ -257,8 +257,8 @@ def _power_cases(draw):
 @example(case=(6, [0] * 6, 0))  # 0^0 = 1
 @example(case=(3, [4, -2, 7], 0))
 @example(case=(1, [-3], 11))
-@example(case=(1, [-(2**13 - 1)], 5))
 # one coefficient -(2^k - 1): |coefficient of x^n| = (sum |c_i|)^n, where the packing bound is tight
+@example(case=(1, [-(2**13 - 1)], 5))
 @example(case=(4, [0, -(2**13 - 1), 0, 0], 5))
 @example(case=(7, [0, 0, 0, 0, 0, 0, -(2**40 - 1)], 3))
 def test_power_matches_the_schoolbook_power(case):
