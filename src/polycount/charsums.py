@@ -117,12 +117,14 @@ def jacobi_class_counts(field: FieldCtx, n: int, t: int) -> np.ndarray:
         raise ValidationError("a Jacobi sum needs t >= 1 variables")
     if q ** (t - 1) >= 1 << 62:
         raise CapExceeded(f"class counts of {t} variables over F_{q} overflow int64")
+    a, b = (np.arange(n) == 0).astype(np.int64), 0  # A_1, B_1
+    if t == 1:
+        return a  # no recurrence, so no table
     logs = field.log_table().astype(np.int64)
     one_minus = logs[_index_add(field.one.index, np.arange(q), field.p, field.r, sign=-1)]
     live = (logs >= 0) & (one_minus >= 0)  # y not in {0, 1}
     log_y, log_1my = logs[live], one_minus[live]
     log_m1 = (q - 1) // 2 if q % 2 else 0
-    a, b = (np.arange(n) == 0).astype(np.int64), 0  # A_1, B_1
     for k in range(1, t):
         g = math.gcd(k + 1, n)
         h = np.bincount((log_y + k * log_1my) % n, minlength=n)

@@ -48,7 +48,6 @@ per byte of each row, as is the babies' form (the method of Four Russians).
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from functools import cached_property, lru_cache
@@ -856,8 +855,7 @@ class TowerCtx:
         off the embedded F_q.  beta is the first root of the base modulus along
         the powers of g (1 when r = 1); the roots are one Frobenius orbit, so the
         choice is canonical given the canonical gamma.  It is read from F_q's
-        logs (_beta_exponent) for q <= LOG_TABLE_MAX_ORDER, as dlog reads its
-        table there; above, the powers of g are scanned.  At m = 1 top and base
+        logs (_beta_exponent) and checked to be a root.  At m = 1 top and base
         are one field and embed is the identity, so E = M = I.
         """
         if self.m == 1:
@@ -866,19 +864,10 @@ class TowerCtx:
         _check_int64_sums(self.top.r, self.p)
         top, beta = self.top, self.top.one
         if self.r > 1:
-
-            def is_root(x):
-                acc = top.zero
-                for c in reversed(self.base.modulus):
-                    acc = acc * x + top.from_int(c)
-                return acc.is_zero()
-
-            if self.q <= LOG_TABLE_MAX_ORDER:
-                candidates = [self.g ** self._beta_exponent()]
-            else:  # g^j for j < q - 1
-                candidates = itertools.accumulate(range(self.q - 2), lambda b, _: b * self.g, initial=top.one)
-            beta = next((b for b in candidates if is_root(b)), None)
-            if beta is None:
+            beta, acc = self.g ** self._beta_exponent(), top.zero
+            for c in reversed(self.base.modulus):  # the base modulus at beta, by Horner's rule
+                acc = acc * beta + top.from_int(c)
+            if not acc.is_zero():
                 raise InvariantError("base modulus has no root in the top field")
         rows, b = [], self.top.one
         for _ in range(self.r):
@@ -896,8 +885,11 @@ class TowerCtx:
         X -> g^(L / u0), L the log of X, is then a field embedding (it sends
         G^u0 to g, both roots of h), so g^e0, e0 = L / u0 mod q - 1, is a root
         of the base modulus; the roots are g^(e0 p^i), and the first is the
-        least e0 p^i mod q - 1.
+        least e0 p^i mod q - 1.  Above LOG_TABLE_MAX_ORDER the log table is
+        built afresh, so q meets the default enumeration cap before any work;
+        under the cap every index, all below 3(q - 1), fits int32.
         """
+        check_cap(self.q, None, f"the log table of F_{self.q} for its embedding")
         p, r, n, top = self.p, self.r, self.q - 1, self.top
         h, conj = [1], self.g.index  # top-field indices, low degree first
         for _ in range(r):
@@ -905,13 +897,13 @@ class TowerCtx:
             conj = top._pow(conj, p)
         if max(h) >= p:
             raise InvariantError("the minimal polynomial of g is not over F_p")
-        logs = self.base.log_table().astype(np.int64)
+        logs = self.base.log_table().copy()
         logs[0] = 2 * n  # a product with 0 reads the zero block
-        powers = np.zeros(3 * n, dtype=np.int64)  # the index of G^(k mod q - 1) at k < 2(q - 1), then 0
-        powers[logs[1:]] = np.arange(1, n + 1)
+        powers = np.zeros(3 * n, dtype=np.int32)  # the index of G^(k mod q - 1) at k < 2(q - 1), then 0
+        powers[logs[1:]] = np.arange(1, n + 1, dtype=np.int32)
         powers[n : 2 * n] = powers[:n]
-        u = np.arange(n, dtype=np.int64)
-        acc = np.ones(n, dtype=np.int64)
+        u = np.arange(n, dtype=np.int32)
+        acc = np.ones(n, dtype=np.int32)
         for c in reversed(h[:-1]):
             acc = powers[logs[acc] + u]
             acc += (acc + c) % p - acc % p  # c lies in F_p, so only digit 0 moves

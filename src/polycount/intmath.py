@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import InvariantError
 
@@ -60,8 +61,9 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
+@lru_cache(maxsize=128)
+def factorize(n: int) -> MappingProxyType[int, int]:
+    """Prime factorization as a read-only {prime: exponent}."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out: dict[int, int] = {}
@@ -70,7 +72,7 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n == 1:
-        return dict(sorted(out.items()))
+        return MappingProxyType(dict(sorted(out.items())))
     # trial division up to 2^16 keeps rho off easy composites
     f = 49
     while f * f <= n and f < 1 << 16:
@@ -90,7 +92,7 @@ def factorize(n: int) -> dict[int, int]:
         d = _pollard_rho(v)
         stack.append(d)
         stack.append(v // d)
-    return dict(sorted(out.items()))
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 def divisors(n: int) -> list[int]:

@@ -96,10 +96,10 @@ def brute_scan(tower: TowerCtx, t: int, cap: int = DEFAULT_ORACLE_CAP) -> BruteR
     key = (tower.p, tower.r, tower.m, t)
     if key in _scan_cache:
         return _scan_cache[key]
-    n = q - 1
+    n, g_log_inv = q - 1, tower.g_log_inv  # past the enumeration cap, refused before F_q's log table
     # log_g of the q trace labels (-1 at the label 0, which has none), from F_q's log table
     logs = tower.base.log_table().astype(np.int64)
-    log_g = np.where(logs < 0, -1, logs * tower.g_log_inv % n)
+    log_g = np.where(logs < 0, -1, logs * g_log_inv % n)
     shift = -m * log_g % n  # -m log_g(a) mod (q - 1)
     divs = divisors(t)
     if q == 2:

@@ -148,7 +148,7 @@ MUTANTS = [
     Mutant(
         "brute_scan labels with canonical logs",
         "src/polycount/oracle.py",
-        "logs * tower.g_log_inv % n",
+        "logs * g_log_inv % n",
         "logs % n",
         ("tests/test_oracle.py",),
     ),
@@ -262,6 +262,20 @@ MUTANTS = [
         "src/polycount/fields.py",
         "return min(e0 * p**i % n for i in range(r))",
         "return e0",
+        ("tests/test_embedding.py",),
+    ),
+    Mutant(
+        "beta's e0 taken as log(X) * u0, not log(X) / u0",
+        "src/polycount/fields.py",
+        "e0 = int(logs[p]) * pow(int(roots[0]), -1, n) % n",
+        "e0 = int(logs[p]) * int(roots[0]) % n",
+        ("tests/test_embedding.py",),
+    ),
+    Mutant(
+        "the beta search skips its enumeration cap",
+        "src/polycount/fields.py",
+        'check_cap(self.q, None, f"the log table of F_{self.q} for its embedding")',
+        "pass",
         ("tests/test_embedding.py",),
     ),
     Mutant(

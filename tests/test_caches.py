@@ -136,12 +136,19 @@ def test_every_lru_cache_is_bounded():
 
 def test_intmath_caches_are_bounded_and_outlive_clear_caches():
     # pure integer functions: clear_caches leaves them, and each keeps at most 128 entries
-    calls = [(intmath.mobius, (30,)), (intmath.cyclotomic_poly, (30,)), (intmath.factor_prime_power_order, (2, 30))]
+    calls = [
+        (intmath.mobius, (30,)),
+        (intmath.cyclotomic_poly, (30,)),
+        (intmath.factor_prime_power_order, (2, 30)),
+        (intmath.factorize, (30,)),
+    ]
     for cache, key in calls:
         assert cache.cache_info().maxsize == 128
         cache(*key)
     polycount.clear_caches()
     assert all(cache.cache_info().currsize for cache, _ in calls)
+    with pytest.raises(TypeError):  # no caller can alter a cached factorization
+        intmath.factorize(30)[2] = 2
 
 
 @pytest.mark.parametrize("cache, key, value, others", BOUNDED, ids=[c.__name__ for c, *_ in BOUNDED])

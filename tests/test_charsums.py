@@ -303,6 +303,18 @@ def test_class_counts_refuse_bad_orders_and_int64_overflow():
         jacobi_class_counts(build_field(5, 1), 3, 2)
 
 
+def test_class_counts_of_one_variable_build_no_table(monkeypatch):
+    # A_1 = delta_0 needs no log table, however large q; the cap's q^0 = 1 bounds nothing
+    field = build_field(2, 40)
+
+    def no_table(self):
+        raise AssertionError("a log table was built for t = 1")
+
+    monkeypatch.setattr(fields.FieldCtx, "log_table", no_table)
+    assert jacobi_class_counts(field, 3, 1).tolist() == [1, 0, 0]
+    assert jacobi_brute(field, 3, 1, 1) == CycInt(3, [1, 0, 0])
+
+
 @pytest.mark.parametrize("p,r", [(2, 4), (2, 6), (3, 2), (7, 1), (13, 1)])
 def test_sums_at_chi_k_are_galois_conjugates(p, r):
     # the sum at chi^k is sigma_k of the sum at chi, coefficient for coefficient

@@ -8,19 +8,23 @@ F_q's modulus along the powers of g, so this file pins that choice and every
 label that rests on it.  The properties that make embed a field embedding
 with to_base its inverse are checked on every element and on random pairs.
 beta, which the package reads from F_q's logs, is checked against a scan of
-every power of g on every tower with q <= 2^16, r > 1 and q^m <= 2^22, and
-the scan that the package keeps past the log-table bound against the logs.
+every power of g on every tower with q <= 2^16, r > 1 and q^m <= 2^22, and on
+two towers past the log-table bound, where F_q's log table is built afresh.
+Past the enumeration cap the search refuses before it builds any table.
 """
 
 import random
 from pathlib import Path
 
 import numpy as np
+import pytest
 from reference import first_root_exponent
 
 from polycount import fields
+from polycount.errors import EnumerationCapExceeded
 from polycount.fields import FieldElement, TowerCtx, build_tower
 from polycount.intmath import is_prime
+from polycount.oracle import brute_scan
 
 GOLDEN = Path(__file__).parent / "golden" / "embedding.tsv"
 
@@ -87,3 +91,25 @@ def test_the_scan_past_the_log_table_bound_finds_the_same_beta(monkeypatch):
     want = [_beta(build_tower(*t)) for t in towers]
     monkeypatch.setattr(fields, "LOG_TABLE_MAX_ORDER", 1)
     assert [_beta(TowerCtx(*t)) for t in towers] == want
+
+
+def test_beta_past_the_log_table_bound_is_the_first_root():
+    for p, r, m in [(2, 17, 2), (3, 11, 2)]:
+        tower = build_tower(p, r, m)
+        assert _beta(tower) == tower.g ** first_root_exponent(tower), (p, r, m)
+
+
+def test_beta_past_the_enumeration_cap_is_refused_before_any_work(monkeypatch):
+    # q = 257^3 is just past 2^24, and 65537^2 far past it
+    towers = [build_tower(257, 3, 2), build_tower(65537, 2, 2)]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the beta search started past the enumeration cap")
+
+    monkeypatch.setattr(fields.FieldCtx, "log_table", no_work)
+    monkeypatch.setattr(fields.FieldCtx, "orbit_blocks", no_work)
+    for tower in towers:
+        with pytest.raises(EnumerationCapExceeded):
+            tower.g_log_inv
+        with pytest.raises(EnumerationCapExceeded):  # the oracle, its own cap raised, relabels F_q's logs by g
+            brute_scan(tower, 1, cap=1 << 70)
