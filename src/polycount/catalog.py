@@ -8,11 +8,13 @@ F_{2^{ord_N 2}} that are pinned only up to a sign c; the sign is resolved
 here by computing those Gauss sums directly, with the character tied to
 delta = Norm(g) for the canonical generator g of F_q, and never assumed.
 
-All branch arithmetic is exact: rationals as Fractions and the index-2
-constants as QuadPow values whose sqrt(2)-gradings must cancel before a
-branch value is accepted: `QuadPow.trace_sqrt2` raises ValueError on an odd
-grading, and a branch total that is not a nonnegative integer raises
-InvariantError.
+All branch arithmetic is exact: rationals as Fractions, and each index-2
+constant (u + v sqrt(-D)) / sqrt(2)^k as the integers (D, u, v, k).  A
+branch reads a constant only as Re(omega^e mu) sqrt(2)^j (`_re`, `_tr`),
+from the integer pair (u + v sqrt(-D))^e mu and the sqrt(2) exponent
+j - k e, which must be even unless the real part is 0: `_re` raises
+ValueError on an odd one, and a branch total that is not a nonnegative
+integer raises InvariantError.
 
 The general route (`p2_general_pm`) evaluates the same counts through
 Gauss sums lifted by the Davenport-Hasse identity, with no closed-form
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 from .charsums import gauss_sum_folded
 from .counting import CountSpec, p_m
-from .cyclotomic import OMEGA_7, OMEGA_15, OMEGA_21, OMEGA_23, QuadPow
+from .cyclotomic import CycInt, sqrt_minus
 from .errors import (
     InvalidInput,
     InvariantError,
@@ -101,13 +103,19 @@ def coset2(n: int, i: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-# candidate shapes of the small-field Gauss sums, per modulus
+# candidate shapes (D, u, v) of the small-field Gauss sums u + v sqrt(-D), per modulus
 _GAUSS_CANDIDATES = {
-    7: lambda c: QuadPow(7, -1, c, 0),  # -1 + c sqrt(-7)
-    15: lambda c: QuadPow(15, 1, c, 0),  # 1 + c sqrt(-15)
-    21: lambda c: QuadPow(7, -6, -2 * c, 0),  # -2(3 + c sqrt(-7))
-    23: lambda c: QuadPow(23, -24, 8 * c, 0),  # 8(-3 + c sqrt(-23))
+    7: lambda c: (7, -1, c),  # -1 + c sqrt(-7)
+    15: lambda c: (15, 1, c),  # 1 + c sqrt(-15)
+    21: lambda c: (7, -6, -2 * c),  # -2(3 + c sqrt(-7))
+    23: lambda c: (23, -24, 8 * c),  # 8(-3 + c sqrt(-23))
 }
+
+# The four index-2 constants (u + v sqrt(-D)) / sqrt(2)^k used by the p=2 closed forms, as (D, u, v, k).
+OMEGA_7 = (7, 1, 1, 3)  # (1 + sqrt(-7)) / sqrt(8)
+OMEGA_15 = (15, -1, -1, 4)  # -(1 + sqrt(-15)) / 4
+OMEGA_21 = (7, 3, 1, 0)  # 3 + sqrt(-7)
+OMEGA_23 = (23, 3, -1, 0)  # 3 - sqrt(-23)
 
 
 class P2Context:
@@ -116,7 +124,7 @@ class P2Context:
     def __init__(self, r: int):
         self.r = r
         self.q = 2**r
-        self._signs: dict[int, tuple[QuadPow, int]] = {}
+        self._signs: dict[int, tuple[tuple[int, int, int], int]] = {}
 
     @property
     def field(self):
@@ -134,8 +142,8 @@ class P2Context:
             raise ValidationError("b must be nonzero")
         return field.dlog(b)
 
-    def resolve_gauss(self, n: int) -> tuple[QuadPow, int]:
-        """The small-field Gauss sum for modulus n and its resolved sign c.
+    def resolve_gauss(self, n: int) -> tuple[tuple[int, int, int], int]:
+        """The small-field Gauss sum (D, u, v), u + v sqrt(-D), for modulus n and its resolved sign c.
 
         The character chi has order n over F_{2^{r'}}, r' = ord_n 2, and is
         pinned by chi(delta) = zeta_n with delta the norm of the canonical
@@ -152,9 +160,9 @@ class P2Context:
         sub = build_tower(2, r_small, self.r // r_small)
         val = gauss_sum_folded(sub, 1, n)
         for c in (1, -1):
-            cand = _GAUSS_CANDIDATES[n](c)
-            if val == cand.to_cyc(n):
-                norm = cand.norm()
+            d, u, v = cand = _GAUSS_CANDIDATES[n](c)
+            if val == CycInt.integer(n, u) + sqrt_minus(d, n) * v:
+                norm = u * u + d * v * v
                 if norm != 2**r_small:
                     raise InvariantError(f"Gauss sum candidate for N = {n} has norm {norm}")
                 if n == 21:
@@ -183,14 +191,29 @@ class CatalogValue:
     signs: dict[int, int]
 
 
-def _tr(w: QuadPow, e: int, sqrt2_extra: int) -> Fraction:
+def _tr(w: tuple[int, int, int, int], e: int, sqrt2_extra: int) -> Fraction:
     """(w^e + conj(w^e)) * sqrt(2)^sqrt2_extra; ValueError if it is not rational."""
-    return (w**e).trace_sqrt2(sqrt2_extra)
+    return 2 * _re(w, e, (1, 0), sqrt2_extra)
 
 
-def _re(w: QuadPow, e: int, mult: QuadPow, sqrt2_extra: int) -> Fraction:
-    """Re(w^e * mult) * sqrt(2)^sqrt2_extra; ValueError if it is not rational."""
-    return (w**e * mult).trace_sqrt2(sqrt2_extra) / 2
+def _re(w: tuple[int, int, int, int], e: int, mult: tuple[int, int], sqrt2_extra: int) -> Fraction:
+    """Re(w^e * mult) * sqrt(2)^sqrt2_extra for w = (D, u, v, k) and mult = (x, y), x + y sqrt(-D).
+
+    With w^e * mult = (x' + y' sqrt(-D)) / sqrt(2)^(k e), that is x' sqrt(2)^(sqrt2_extra - k e);
+    ValueError if x' != 0 and that exponent is odd."""
+    d, u, v, k = w
+    x, y = mult
+    j = sqrt2_extra - k * e
+    while e:
+        if e & 1:
+            x, y = x * u - d * y * v, x * v + y * u
+        u, v = u * u - d * v * v, 2 * u * v
+        e >>= 1
+    if x == 0:
+        return Fraction(0)
+    if j % 2:
+        raise ValueError("real part with odd residual sqrt(2) grading")
+    return Fraction(x << j // 2) if j >= 0 else Fraction(x, 1 << -j // 2)
 
 
 def p2_closed_detail(r: int, m: int, b) -> CatalogValue:
@@ -406,8 +429,7 @@ def _family23(ctx: P2Context, ind: int, signs, done) -> CatalogValue:
     big = Fraction(2 ** (58 * r // 11))
     if ind % 23 == 0:
         return done(base, -Fraction(11, 23) * _tr(OMEGA_23, e, 0) * big, "23:23|ind")
-    plus = QuadPow(23, 1, 1, 0)  # 1 + sqrt(-23)
-    minus = QuadPow(23, 1, -1, 0)
+    plus, minus = (1, 1), (1, -1)  # 1 +- sqrt(-23)
     if ind % 23 in coset2(23, c):
         return done(base, big / 23 * _re(OMEGA_23, e, plus, 0), "23:ind in C_c")
     return done(base, big / 23 * _re(OMEGA_23, e, minus, 0), "23:ind in C_-c")
@@ -562,8 +584,7 @@ def _family21(ctx: P2Context, ind: int, signs, done) -> CatalogValue:
     e21 = 7 * r // 2
     e7 = 7 * r // 3
     root5 = sqrt_q_power(2, r, 5)
-    plus = QuadPow(7, 1, 1, 0)  # 1 + sqrt(-7)
-    minus = QuadPow(7, 1, -1, 0)
+    plus, minus = (1, 1), (1, -1)  # 1 +- sqrt(-7)
     res = ind % 21
     if res == 0:
         delta = -(

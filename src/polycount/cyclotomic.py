@@ -1,4 +1,4 @@
-"""Exact arithmetic in rings of roots of unity and small quadratic rings.
+"""Exact arithmetic in rings of roots of unity.
 
 `CycInt` holds an element of Z[zeta_L] as a length-L integer vector in
 Z[x]/(x^L - 1); equality and integer extraction reduce modulo the L-th
@@ -11,9 +11,8 @@ squares and multiplies there, and unpacks once.
 
 Every character value is a `CycInt`: Z[i] is `CycInt(4)` and Z[zeta_3] is
 `CycInt(3)`, which is where the quartic and cubic Jacobi-sum parameters and
-the closed Jacobi sums live.  `QuadPow` holds numbers
-(u + v*sqrt(-D)) / sqrt(2)^k exactly, which is where the index-2 Gauss-sum
-constants and their powers live; their sqrt(2) gradings are in no Z[zeta_L].
+the closed Jacobi sums live.  `sqrt_minus` places sqrt(-D) in Z[zeta_L]
+for the catalog's index-2 Gauss sums u + v sqrt(-D).
 
 No floating point anywhere; magnitude checks compare squared moduli.
 """
@@ -21,7 +20,6 @@ No floating point anywhere; magnitude checks compare squared moduli.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantError, OrderMismatch
@@ -249,123 +247,3 @@ def sqrt_minus(d: int, order: int) -> CycInt:
         s5 = quadratic_gauss_sum(5).embed(15)
         return (s3 * s5).embed(order)
     raise ValueError(f"no construction for sqrt(-{d})")
-
-
-class QuadPow:
-    """(u + v*sqrt(-D)) / sqrt(2)^k, exactly.
-
-    Normalized so that k is minimal: while k >= 2 and both u and v are
-    even, a factor 2 = sqrt(2)^2 is cancelled.
-    """
-
-    __slots__ = ("d", "u", "v", "k")
-
-    def __init__(self, d: int, u: int, v: int, k: int = 0):
-        if k < 0:
-            # push sqrt(2) powers into the numerator pairwise
-            lift = (-k + 1) // 2
-            u, v, k = u * (1 << lift), v * (1 << lift), k + 2 * lift
-        self.d = d
-        while k >= 2 and u % 2 == 0 and v % 2 == 0:
-            u //= 2
-            v //= 2
-            k -= 2
-        if u == 0 and v == 0:
-            k = 0
-        self.u, self.v, self.k = u, v, k
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadPow(self.d, self.u * other, self.v * other, self.k)
-        if self.d != other.d:
-            raise ValueError("mixed radicands")
-        return QuadPow(
-            self.d,
-            self.u * other.u - self.d * self.v * other.v,
-            self.u * other.v + self.v * other.u,
-            self.k + other.k,
-        )
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if self.d != other.d:
-            raise ValueError("mixed radicands")
-        ka, kb = self.k, other.k
-        if (ka - kb) % 2 != 0:
-            raise ValueError("incompatible sqrt(2) gradings in addition")
-        k = max(ka, kb)
-        sa = 1 << ((k - ka) // 2)
-        sb = 1 << ((k - kb) // 2)
-        return QuadPow(self.d, self.u * sa + other.u * sb, self.v * sa + other.v * sb, k)
-
-    def __neg__(self):
-        return QuadPow(self.d, -self.u, -self.v, self.k)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __pow__(self, n: int):
-        result = QuadPow(self.d, 1, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self):
-        return QuadPow(self.d, self.u, -self.v, self.k)
-
-    def trace(self) -> "QuadPow":
-        """z + conj(z) = 2u / sqrt(2)^k, still sqrt(2)-graded."""
-        return self + self.conjugate()
-
-    def norm(self) -> Fraction:
-        """z * conj(z) = (u^2 + D v^2) / 2^k."""
-        return Fraction(self.u * self.u + self.d * self.v * self.v, 1 << self.k)
-
-    def trace_sqrt2(self, extra: int = 0) -> Fraction:
-        """(z + conj(z)) * sqrt(2)^extra, which must be rational.
-
-        Equals 2u * sqrt(2)^(extra - k); an odd exponent raises ValueError.
-        """
-        if self.u == 0:
-            return Fraction(0)
-        e = extra - self.k
-        if e % 2 != 0:
-            raise ValueError("trace with odd residual sqrt(2) grading")
-        if e >= 0:
-            return Fraction(2 * self.u * (1 << (e // 2)))
-        return Fraction(2 * self.u, 1 << (-e // 2))
-
-    def to_cyc(self, order: int) -> CycInt:
-        """Embed into Z[zeta_order]; only supported for k = 0."""
-        if self.k != 0:
-            raise ValueError("sqrt(2) denominators do not embed here")
-        return CycInt.integer(order, self.u) + sqrt_minus(self.d, order) * self.v
-
-    def as_tuple(self):
-        return (self.d, self.u, self.v, self.k)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadPow):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def serialize(self) -> dict:
-        return {"u": self.u, "v": self.v, "D": self.d, "k": self.k}
-
-    def __repr__(self):
-        return f"QuadPow(D={self.d}, u={self.u}, v={self.v}, k={self.k})"
-
-
-# The four index-2 constants used by the p=2 closed forms.
-OMEGA_7 = QuadPow(7, 1, 1, 3)      # (1 + sqrt(-7)) / sqrt(8)
-OMEGA_15 = QuadPow(15, -1, -1, 4)  # -(1 + sqrt(-15)) / 4
-OMEGA_21 = QuadPow(7, 3, 1, 0)     # 3 + sqrt(-7)
-OMEGA_23 = QuadPow(23, 3, -1, 0)   # 3 - sqrt(-23)

@@ -886,8 +886,9 @@ class TowerCtx:
         G^u0 to g, both roots of h), so g^e0, e0 = L / u0 mod q - 1, is a root
         of the base modulus; the roots are g^(e0 p^i), and the first is the
         least e0 p^i mod q - 1.  Above LOG_TABLE_MAX_ORDER the log table is
-        built afresh, so q meets the default enumeration cap before any work;
-        under the cap every index, all below 3(q - 1), fits int32.
+        built afresh for this call, which writes it in place, so q meets the
+        default enumeration cap before any work; under the cap every index,
+        all below 3(q - 1), fits int32.
         """
         check_cap(self.q, None, f"the log table of F_{self.q} for its embedding")
         p, r, n, top = self.p, self.r, self.q - 1, self.top
@@ -897,7 +898,9 @@ class TowerCtx:
             conj = top._pow(conj, p)
         if max(h) >= p:
             raise InvariantError("the minimal polynomial of g is not over F_p")
-        logs = self.base.log_table().copy()
+        logs = self.base.log_table()
+        logs = logs.copy() if logs is self.base._log_table else logs  # else built for this call alone
+        logs.flags.writeable = True
         logs[0] = 2 * n  # a product with 0 reads the zero block
         powers = np.zeros(3 * n, dtype=np.int32)  # the index of G^(k mod q - 1) at k < 2(q - 1), then 0
         powers[logs[1:]] = np.arange(1, n + 1, dtype=np.int32)
@@ -980,8 +983,11 @@ class TowerCtx:
     @cached_property
     def base_traces(self) -> np.ndarray:
         """abs_trace(g^c, 1) at c < 2(q - 1), int64: the traces of g^(k + w), w < q - 1, are one slice."""
-        # not orbit_abs_traces(1): perfbench's probe on it reads _orbit_traces, gone from TowerCtx (CHANGES.md, FOUND)
-        labels = np.concatenate([traces.copy() for _, traces in self.trace_blocks(1)])
+        hist = self._trace_hists.get((1, self.q - 1))
+        if hist is not None:  # a cached trace_hist(1, q - 1): row c is one-hot at the trace of g^c
+            labels = hist.argmax(axis=1)
+        else:  # not orbit_abs_traces(1): perfbench's probe on it reads _orbit_traces, gone from TowerCtx (CHANGES.md, FOUND)
+            labels = np.concatenate([traces.copy() for _, traces in self.trace_blocks(1)])
         return np.concatenate([labels, labels])
 
     def trace_hist(self, t: int, g: int, cap: int | None = None) -> np.ndarray:

@@ -111,6 +111,20 @@ MUTANTS = [
         ("tests/test_counting.py", "tests/test_cyclotomic.py"),
     ),
     Mutant(
+        "the index-2 real part skips the odd sqrt(2) grading refusal",
+        "src/polycount/catalog.py",
+        "if j % 2:",
+        "if False:",
+        ("tests/test_catalog.py", "tests/test_cyclotomic.py"),
+    ),
+    Mutant(
+        "the index-2 power's sqrt(2) exponent read as k, not k e",
+        "src/polycount/catalog.py",
+        "j = sqrt2_extra - k * e",
+        "j = sqrt2_extra - k",
+        ("tests/test_catalog.py", "tests/test_cyclotomic.py"),
+    ),
+    Mutant(
         "twist sign in _character_sum",
         "src/polycount/counting.py",
         "step, shift = k * (n // d), -c * x",
@@ -314,6 +328,20 @@ MUTANTS = [
         ("tests/test_oracle.py",),
     ),
     Mutant(
+        "cell takes its window start mod q - 1",
+        "src/polycount/oracle.py",
+        "start = int(self.cols[a_index])",
+        "start = int(self.cols[a_index]) % (len(self.cols) - 1)",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "cell reads its row from the full counts table",
+        "src/polycount/oracle.py",
+        "row = self.source[self.divs.index(exact_degree), start : start + len(self.cols) - 1]",
+        "row = self.counts[self.divs.index(exact_degree), a_index]",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
         "brute_scan walks R - 1 coset representatives",
         "src/polycount/oracle.py",
         "tower.base_trace_form(), big_q // n)",
@@ -326,6 +354,13 @@ MUTANTS = [
         "    if size > cap:\n",
         "    if size >= cap:\n",
         ("tests/test_charsums.py",),
+    ),
+    Mutant(
+        "the oracle-cap default read from the environment when the parser is built",
+        "src/polycount/cli.py",
+        'oracle_cap.add_argument("--oracle-cap", type=int, default=None,',
+        'oracle_cap.add_argument("--oracle-cap", type=int, default=_env_cap("POLYCOUNT_ORACLE_CAP", DEFAULT_ORACLE_CAP),',
+        ("tests/test_cli.py",),
     ),
 ]
 

@@ -1,6 +1,13 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycount.catalog import (
+    OMEGA_7,
+    _re,
+    _tr,
     classify,
     coset2,
     p2_closed_detail,
@@ -9,6 +16,7 @@ from polycount.catalog import (
     p2_general_pm,
 )
 from polycount.counting import CountSpec, p_m
+from polycount.cyclotomic import CycInt, sqrt_minus
 from polycount.errors import InvalidInput, OutOfCatalog, ValidationError
 from polycount.fields import build_field, build_tower
 from polycount.oracle import brute_p_m
@@ -51,9 +59,33 @@ def test_resolve_gauss_candidates():
     # each family matches one of its two sign candidates, |F|^2 = 2^{r'}
     for r, n, norm in [(3, 7, 8), (4, 15, 16), (6, 21, 64), (11, 23, 2**11)]:
         ctx = p2_context(r)
-        val, c = ctx.resolve_gauss(n)
+        (d, u, v), c = ctx.resolve_gauss(n)
         assert c in (1, -1)
-        assert val.norm() == norm
+        assert u * u + d * v * v == norm
+
+
+_SMALL = st.integers(-6, 6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(d=st.sampled_from([3, 7, 15, 23]), u=_SMALL, v=_SMALL, x=_SMALL, y=_SMALL, e=st.integers(0, 8), k=st.integers(0, 4), s=st.integers(-3, 3))
+def test_pair_powers_match_the_cyclotomic_ring(d, u, v, x, y, e, k, s):
+    # (u + v sqrt(-D))^e (x + y sqrt(-D)) on integer pairs against the same product in Z[zeta_D]
+    z = CycInt.integer(d, u) + sqrt_minus(d, d) * v
+    mu = CycInt.integer(d, x) + sqrt_minus(d, d) * y
+    assert _tr((d, u, v, 0), e, 0) == (z**e).twice_real()
+    assert 2 * _re((d, u, v, 0), e, (x, y), 0) == (z**e * mu).twice_real()
+    # a 1/sqrt(2)^k in the constant is a 1/sqrt(2)^(k e) in its power, which sqrt(2)^(k e + 2 s) leaves as 2^s
+    assert 2 * _re((d, u, v, k), e, (x, y), k * e + 2 * s) == (z**e * mu).twice_real() * Fraction(2) ** s
+
+
+def test_an_odd_sqrt2_grading_is_refused_unless_the_real_part_is_0():
+    # omega_7^2 = (-6 + 2 sqrt(-7)) / sqrt(2)^6: its trace times sqrt(2) is -12 / sqrt(2)^5
+    with pytest.raises(ValueError):
+        _tr(OMEGA_7, 2, 1)
+    assert _tr(OMEGA_7, 2, 6) == -12
+    # (sqrt(-7) / sqrt(2)) * 1 has real part 0, rational at every grading
+    assert _re((7, 0, 1, 1), 1, (1, 0), 0) == 0
 
 
 def test_resolve_gauss_is_cached_and_deterministic():

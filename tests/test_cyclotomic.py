@@ -6,13 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import schoolbook_cyc_pow
 
+from polycount.catalog import _GAUSS_CANDIDATES, OMEGA_7, OMEGA_15, OMEGA_21, OMEGA_23, _re, _tr
 from polycount.cyclotomic import (
-    OMEGA_7,
-    OMEGA_15,
-    OMEGA_21,
-    OMEGA_23,
     CycInt,
-    QuadPow,
     integer_from_counts,
     quadratic_gauss_sum,
     sqrt_minus,
@@ -70,36 +66,32 @@ def test_quadratic_gauss_sum_squares():
     assert (quadratic_gauss_sum(7) * quadratic_gauss_sum(7)).as_integer() == -7
 
 
+# the catalog's index-2 constants (u + v sqrt(-D)) / sqrt(2)^k are integer tuples (D, u, v, k),
+# read through catalog._re and _tr
+
+
 def test_quadpow_norms():
-    assert OMEGA_7.norm() == 1
-    assert OMEGA_15.norm() == 1
-    assert OMEGA_21.norm() == 16
-    assert OMEGA_23.norm() == 32
-    assert (OMEGA_7 * OMEGA_7.conjugate()) == QuadPow(7, 1, 0, 0)
-
-
-def test_quadpow_trace_normalization():
-    # omega_7 + conj = 2/sqrt(8) = 1/sqrt(2): (2,0,3) normalizes to (1,0,1)
-    tr = OMEGA_7 + OMEGA_7.conjugate()
-    assert QuadPow(7, 2, 0, 3) == tr == QuadPow(7, 1, 0, 1)
-    assert tr.trace_sqrt2(1) / 2 + tr.conjugate().trace_sqrt2(1) / 2 == tr.trace_sqrt2(1)
-    assert tr.trace_sqrt2(1) == Fraction(2)  # (1/sqrt2 + 1/sqrt2) * sqrt2
+    for (d, u, v, k), norm in zip((OMEGA_7, OMEGA_15, OMEGA_21, OMEGA_23), (1, 1, 16, 32)):
+        assert Fraction(u * u + d * v * v, 2**k) == norm
+        # w times conj(w) = (u - v sqrt(-D)) / sqrt(2)^k, so the sqrt(2) exponent is -2k
+        assert _re((d, u, v, k), 1, (u, -v), -k) == norm
 
 
 def test_quadpow_pow_and_grading():
-    w = OMEGA_7**3
-    # (1+sqrt(-7))^3 = -20 - 4 sqrt(-7); /sqrt(2)^9 -> (-5,-1,5) after normalization
-    assert w == QuadPow(7, -5, -1, 5)
-    assert (OMEGA_7**7).norm() == 1
+    # omega_7^3 = (1 + sqrt(-7))^3 / sqrt(2)^9 = (-20 - 4 sqrt(-7)) / sqrt(2)^9
+    assert _tr(OMEGA_7, 3, 9) == -40
+    assert _tr(OMEGA_7, 3, 5) == -10
+    assert _tr(OMEGA_7, 1, 1) == 1  # 2 Re((1 + sqrt(-7)) / sqrt(8)) = 1 / sqrt(2)
+    assert _tr(OMEGA_21, 2, 0) == 4  # (3 + sqrt(-7))^2 = 2 + 6 sqrt(-7)
     # trace * sqrt2^odd parity mismatch raises
     with pytest.raises(ValueError):
-        (OMEGA_7**2).trace_sqrt2(1)
+        _tr(OMEGA_7, 2, 1)
 
 
 def test_quadpow_to_cyc_round_trip():
-    w = QuadPow(7, -1, 1, 0)
-    c = w.to_cyc(7)
-    conj = QuadPow(7, -1, -1, 0).to_cyc(7)
+    d, u, v = _GAUSS_CANDIDATES[7](1)  # -1 + sqrt(-7)
+    c = CycInt.integer(7, u) + sqrt_minus(d, 7) * v
+    conj = CycInt.integer(7, u) - sqrt_minus(d, 7) * v
     assert (c * conj).as_integer() == 8  # norm 1 + 7
 
 
@@ -133,7 +125,6 @@ def test_twice_real_refuses_a_non_real_trace():
 def test_serialization():
     v = CycInt.root(6, 2) * 3
     assert v.serialize() == [0, 0, 3, 0, 0, 0]
-    assert QuadPow(7, 1, 1, 3).serialize() == {"u": 1, "v": 1, "D": 7, "k": 3}
 
 
 def test_cycint_ring_axioms_random():
@@ -154,19 +145,6 @@ def test_cycint_ring_axioms_random():
         assert a**3 == a * a * a
         assert a.conjugate().conjugate() == a
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-
-def test_quadpow_negative_grading_constructor():
-    # a negative k lifts into the numerator: value is preserved
-    z = QuadPow(7, 1, 1, -2)  # (1 + sqrt(-7)) * 2
-    assert z == QuadPow(7, 2, 2, 0)
-    assert z.norm() == 32
-
-
-def test_quadpow_trace_method():
-    z = OMEGA_21**2  # (3 + sqrt(-7))^2 = 2 + 6 sqrt(-7)
-    assert z.trace() == QuadPow(7, 4, 0, 0)
-    assert z.trace().trace_sqrt2(0) == 8
 
 
 @st.composite

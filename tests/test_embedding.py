@@ -93,10 +93,17 @@ def test_the_scan_past_the_log_table_bound_finds_the_same_beta(monkeypatch):
     assert [_beta(TowerCtx(*t)) for t in towers] == want
 
 
-def test_beta_past_the_log_table_bound_is_the_first_root():
+def test_beta_past_the_log_table_bound_is_the_first_root(monkeypatch):
+    # the log table is built for this search alone, so the search writes its zero block into it, not into a copy
+    tables = []
+    log_table = fields.FieldCtx.log_table
+    monkeypatch.setattr(fields.FieldCtx, "log_table", lambda field: tables.append(log_table(field)) or tables[-1])
     for p, r, m in [(2, 17, 2), (3, 11, 2)]:
-        tower = build_tower(p, r, m)
-        assert _beta(tower) == tower.g ** first_root_exponent(tower), (p, r, m)
+        tower, tables[:] = build_tower(p, r, m), []
+        j = tower._beta_exponent()
+        assert len(tables) == 1 and int(tables[0][0]) == 2 * (tower.q - 1), (p, r, m)
+        assert j == first_root_exponent(tower), (p, r, m)
+        assert _beta(tower) == tower.g**j, (p, r, m)
 
 
 def test_beta_past_the_enumeration_cap_is_refused_before_any_work(monkeypatch):

@@ -695,3 +695,18 @@ def test_trace_hist_validates_and_caps():
     hist = tw.trace_hist(1, 4, cap=2000)
     assert hist.shape == (4, 257) and hist.sum() == 256 and not hist.flags.writeable
     assert all(hist[tw.dlog_g(tw.base.from_int(x)) % 4, x] == 1 for x in range(1, 257))
+
+
+def test_base_traces_read_a_cached_histogram_without_a_walk(monkeypatch):
+    # trace_hist(1, q - 1) has one element per row, so its argmax is the trace the walk would give
+    def no_walk(*args, **kwargs):
+        raise AssertionError("base_traces walked F_q* again")
+
+    for p, r, m in [(2, 1, 4), (2, 8, 2), (3, 2, 3), (5, 3, 2), (257, 1, 2)]:
+        want = TowerCtx(p, r, m).base_traces
+        tower = TowerCtx(p, r, m)
+        tower.trace_hist(1, tower.q - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(FieldCtx, "orbit_blocks", no_walk)
+            got = tower.base_traces
+        assert _same_array(got, want), (p, r, m)

@@ -9,7 +9,7 @@ SRC = ROOT / "src" / "polycount"
 
 # the most lines src/polycount/*.py may hold; a change that deletes code lowers it, and one
 # that has to raise it says why in CHANGES.md
-SRC_LINE_BUDGET = 4577
+SRC_LINE_BUDGET = 4482
 
 
 def test_no_assert_statements_in_the_package():
