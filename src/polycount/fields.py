@@ -7,8 +7,9 @@ the generator is the first element (in the same integer enumeration
 order) of full multiplicative order.  That pins down every discrete-log
 label and every reported coset index across runs.  For odd p, candidates
 with a root in F_p are sieved out a block at a time before Ben-Or's test
-decides; each candidate generator's order checks are powers from one chain
-of squares, as are a tower's checks on each gamma_t.
+over F_p (polyfp.poly_is_irreducible) decides; each candidate generator's
+order checks are powers from one chain of squares, as are a tower's checks
+on each gamma_t.
 
 An element is held as one int, its index: its coordinates over F_p read
 as base-p digits, coordinate i the coefficient of X^i.  Addition is
@@ -251,10 +252,9 @@ class FieldCtx:
         p, r = self.p, self.r
         if r == 1:
             return (0, 1)
-        base = build_field(p, 1)
         for code in range(p**r) if p == 2 else _rootless_codes(p, r, _ORBIT_CHUNK):
             coeffs = _digits(code, p, r) + [1]
-            if poly_is_irreducible(coeffs, base):
+            if poly_is_irreducible(coeffs, p):
                 return tuple(coeffs)
         raise InvariantError("no irreducible polynomial found")  # pragma: no cover
 
@@ -923,6 +923,14 @@ class TowerCtx:
         if x.ctx is not self.base:
             raise ValueError("embed expects a base-field element")
         return self.top.elem((np.array(x.coords, dtype=np.int64) @ self._embedding[0] % self.p).tolist())
+
+    def poly_at(self, coeffs, x: FieldElement) -> FieldElement:
+        """f(x) by Horner's rule, for f over F_q given by F_q indices low degree first, all embedded in one product with E."""
+        digits = np.array([_digits(c, self.p, self.r) for c in coeffs], dtype=np.int64).reshape(-1, self.r)
+        acc = self.top.zero
+        for row in (digits @ self._embedding[0] % self.p)[::-1].tolist():
+            acc = acc * x + self.top.elem(row)
+        return acc
 
     def to_base(self, y: FieldElement) -> FieldElement:
         """Inverse of embed; raises SubfieldViolation off the F_q subset."""

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .counting import CountSpec
 from .errors import InvariantError, ListingCapExceeded, OracleCapExceeded
-from .fields import TowerCtx, build_tower, min_poly, poly_is_irreducible
+from .fields import TowerCtx, build_tower, min_poly
 from .intmath import divisors, factorize
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -209,8 +209,9 @@ def list_polys(
     """All matching degree-m irreducibles, as base-coefficient tuples low->high.
 
     Sorted lexicographically on the coefficient index vectors.  Every
-    polynomial is re-verified: irreducible, monic, trace coefficient a,
-    norm coefficient in the coset (Vieta against an actual root).
+    polynomial is re-verified against the root it came from: monic of degree
+    m, vanishing at a root of exact degree m (so irreducible, no Rabin test),
+    trace coefficient a, norm coefficient in the coset (Vieta).
     """
     count = brute_p_m(spec, cap)
     if count > listing_cap:
@@ -233,10 +234,7 @@ def list_polys(
             if min((e * q**i) % big_q for i in range(m)) != e:
                 continue
             x = gamma**e
-            coeffs, t = min_poly(tower, x)
-            if t != m:
-                raise InvariantError("orbit element does not have exact degree m")
-            coeffs = tuple(c.index for c in coeffs)
+            coeffs = tuple(c.index for c in min_poly(tower, x)[0])
             _verify_listed(spec, tower, x, coeffs, h)
             polys.append(coeffs)
     if len(polys) != count:
@@ -246,10 +244,15 @@ def list_polys(
 
 
 def _verify_listed(spec: CountSpec, tower: TowerCtx, root, coeffs, h: int):
-    """coeffs: the F_q indices of root's minimal polynomial; h: the coset label of b."""
+    """Refuse coeffs, F_q indices, unless they are root's minimal polynomial in the spec's cell; h: the coset label of b."""
     m = spec.m
-    if not poly_is_irreducible(coeffs, spec.base):
-        raise InvariantError("listed polynomial is not irreducible")
+    # a monic degree-m f with a zero of exact degree m over F_q is that zero's minimal polynomial, so irreducible
+    if len(coeffs) != m + 1 or coeffs[m] != 1:
+        raise InvariantError("listed polynomial is not monic of degree m")
+    if not tower.poly_at(coeffs, root).is_zero():
+        raise InvariantError("listed polynomial does not vanish at its root")
+    if any(tower.subfield_contains(root, m // ell) for ell in factorize(m)):
+        raise InvariantError("root of a listed polynomial lies in a proper subfield")
     # f = x^m - a x^{m-1} + ... + (-1)^m b: Vieta from the actual root
     tr = tower.to_base(tower.trace_rel(root, m))
     nrm = tower.to_base(tower.norm_rel(root, m))

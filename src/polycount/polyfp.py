@@ -4,24 +4,14 @@ An element index is a coefficient vector read as base-p digits, the
 coefficient of x^i digit i.  Over F_2 a polynomial is one int, bit i the
 coefficient of x^i, multiplied carry-less.  _PackedRing computes in
 F_p[x]/(f) on packed integers; _rootless_codes sieves candidate moduli for
-roots in F_p; poly_is_irreducible is Ben-Or's test, which decides.
+roots in F_p; poly_is_irreducible, Ben-Or's test over F_p alone, decides:
+carry-less at p = 2, else on _PackedRing's powers of x and one mod-p gcd.
+Nothing here computes over F_q[x] for q = p^r, r > 1.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    from .fields import FieldCtx
-
-
-def _ptrim(a):
-    n = len(a)
-    while n > 1 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
 
 
 # -- F_2[x] as ints, bit i the coefficient of x^i --
@@ -210,16 +200,29 @@ class _PackedRing:
         return self.unpacked(out)
 
 
-def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
-    """Ben-Or test for a monic polynomial over F_q, q = field.order.
+def _gcd(a, b, p: int) -> list[int]:
+    """The monic gcd of a and b over F_p, coefficient lists low degree first, b nonzero with no leading zeros."""
+    while b:
+        inv, d = pow(b[-1], -1, p), len(b) - 1
+        a, b = list(a), [c * inv % p for c in b]
+        for k in range(len(a) - 1, d - 1, -1):  # a mod b, from the top coefficient down
+            for j in range(d):
+                a[k - d + j] = (a[k - d + j] - a[k] * b[j]) % p
+        a, b = b, a[:d]
+        while b and not b[-1]:
+            b.pop()
+    return a
 
-    coeffs are F_q indices, low degree first.  f of degree t is irreducible
-    iff gcd(x^{q^k} - x, f) = 1 for every k <= t/2: x^{q^k} - x is the
-    product of the monic irreducibles of degree dividing k, and a reducible
-    f has an irreducible factor of degree at most t/2, so no x^{q^t} = x
-    check is needed.  Works on F_q arithmetic alone; over F_2 it runs
-    carry-less on one int, and over odd F_p each x^{p^k} mod f is a packed
-    power (_PackedRing).
+
+def poly_is_irreducible(coeffs, p: int) -> bool:
+    """Ben-Or test for a monic polynomial over F_p, coefficients low degree first.
+
+    f of degree t is irreducible iff gcd(x^{p^k} - x, f) = 1 for every
+    k <= t/2: x^{p^k} - x is the product of the monic irreducibles of
+    degree dividing k, and a reducible f has an irreducible factor of
+    degree at most t/2, so no x^{p^t} = x check is needed.  Over F_2 it runs
+    carry-less on one int; over odd F_p each x^{p^k} mod f is a packed
+    power (_PackedRing) and each gcd a plain Euclid mod p (_gcd).
     """
     f = list(coeffs)
     t = len(f) - 1
@@ -227,56 +230,13 @@ def poly_is_irreducible(coeffs, field: FieldCtx) -> bool:
         return False
     if t == 1:
         return True
-    p, r, q, mul = field.p, field.r, field.order, field._mul
-    if q == 2:
+    if p == 2:
         return _cl_is_irreducible(_undigits(f, 2))
-
-    def muladd(acc, x, y, sign=1):
-        # acc + sign x y in F_q, on plain residues over F_p
-        return (acc + sign * x * y) % p if r == 1 else _index_add(acc, mul(x, y), p, r, sign)
-
-    def rem(a, g):
-        # a mod monic g, in place; a has at least deg g entries
-        d = len(g) - 1
-        taps = [(j, gj) for j, gj in enumerate(g[:-1]) if gj]
-        for k in range(len(a) - 1, d - 1, -1):
-            c = a[k]
-            if c:
-                for j, gj in taps:
-                    a[k - d + j] = muladd(a[k - d + j], c, gj, -1)
-        return a[:d]
-
-    def mulmod(a, b):
-        out = [0] * (2 * t - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = muladd(out[i + j], ai, bj)
-        return rem(out, f)
-
-    def powq(a):
-        out = a
-        for bit in format(q, "b")[1:]:
-            out = mulmod(out, out)
-            if bit == "1":
-                out = mulmod(out, a)
-        return out
-
-    def coprime_to_f(a):
-        a, b = f, _ptrim(a)
-        while any(b):
-            inv = field._pow(b[-1], q - 2)
-            b = [mul(c, inv) for c in b]
-            a, b = b, _ptrim(rem(list(a), b))
-        return len(a) == 1
-
-    ring = _PackedRing(p, f) if r == 1 else None  # over F_p, x^(p^k) mod f is a packed power
-    xq = [0, 1] + [0] * (t - 2)  # x
-    for k in range(1, t // 2 + 1):
-        xq = _digits(ring.pow(_undigits(xq, p), p), p, t) if ring else powq(xq)  # x^{q^k} mod f
-        diff = list(xq)
-        diff[1] = _index_add(diff[1], 1, p, r, -1)
-        if not coprime_to_f(diff):
+    ring, xq = _PackedRing(p, f), p  # x, then x^(p^k) mod f, as indices
+    for _ in range(t // 2):
+        xq = ring.pow(xq, p)
+        diff = _digits(xq, p, t)
+        diff[1] = (diff[1] - 1) % p
+        if len(_gcd(diff, f, p)) > 1:
             return False
     return True

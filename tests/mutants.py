@@ -272,6 +272,27 @@ MUTANTS = [
         ("tests/test_fields.py",),
     ),
     Mutant(
+        "Ben-Or over odd F_p one step short",
+        "src/polycount/polyfp.py",
+        "for _ in range(t // 2):",
+        "for _ in range(t // 2 - 1):",
+        ("tests/test_intmath.py",),
+    ),
+    Mutant(
+        "the F_p gcd drops its leading-coefficient inverse",
+        "src/polycount/polyfp.py",
+        "inv, d = pow(b[-1], -1, p), len(b) - 1",
+        "inv, d = 1, len(b) - 1",
+        ("tests/test_fields.py",),
+    ),
+    Mutant(
+        "the listing's exact-degree check tests only the first prime of m",
+        "src/polycount/oracle.py",
+        "subfield_contains(root, m // ell) for ell in factorize(m)",
+        "subfield_contains(root, m // ell) for ell in list(factorize(m))[:1]",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
         "beta read as g^e0, not its first conjugate along the powers of g",
         "src/polycount/fields.py",
         "return min(e0 * p**i % n for i in range(r))",

@@ -7,7 +7,8 @@ polycount.fields can be compared with it.  The character sum checks
 compare two independent routes to the same sum.  The Jacobi tuple walk
 visits every one of the q^{t-1} tuples with sum 1 that the package counts
 by classes instead.  The schoolbook products and powers are what the
-package's packed-integer arithmetic must reproduce digit for digit.  The
+package's packed-integer arithmetic must reproduce digit for digit, and
+the F_q Ben-Or test on them is what its F_p test must agree with.  The
 paper's closed monomial-sum lemmas live here too, checked against the
 package's monomial sums; no count route reads them.
 """
@@ -27,7 +28,6 @@ from polycount.fields import (
     TowerCtx,
     _digits,
     _index_add,
-    build_field,
     build_tower,
     min_poly,
     poly_is_irreducible,
@@ -130,11 +130,85 @@ def naive_generator_index(field: FieldCtx) -> int:
     raise ValidationError("no element of full order")
 
 
+def _ptrim(a):
+    n = len(a)
+    while n > 1 and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def fq_is_irreducible(coeffs, field: FieldCtx) -> bool:
+    """Ben-Or test for a monic polynomial over F_q, q = field.order, on F_q arithmetic alone.
+
+    coeffs are F_q indices, low degree first.  f of degree t is irreducible
+    iff gcd(x^{q^k} - x, f) = 1 for every k <= t/2.  Products, remainders,
+    powers and gcds are schoolbook over F_q[x] through field._mul, so this
+    shares no code with the packed F_p test (polyfp.poly_is_irreducible)
+    it checks, nor with the minimal polynomials it checks.
+    """
+    f = list(coeffs)
+    t = len(f) - 1
+    if t < 1 or f[-1] != 1:
+        return False
+    if t == 1:
+        return True
+    p, r, q, mul = field.p, field.r, field.order, field._mul
+
+    def muladd(acc, x, y, sign=1):
+        # acc + sign x y in F_q, on plain residues over F_p
+        return (acc + sign * x * y) % p if r == 1 else _index_add(acc, mul(x, y), p, r, sign)
+
+    def rem(a, g):
+        # a mod monic g, in place; a has at least deg g entries
+        d = len(g) - 1
+        taps = [(j, gj) for j, gj in enumerate(g[:-1]) if gj]
+        for k in range(len(a) - 1, d - 1, -1):
+            c = a[k]
+            if c:
+                for j, gj in taps:
+                    a[k - d + j] = muladd(a[k - d + j], c, gj, -1)
+        return a[:d]
+
+    def mulmod(a, b):
+        out = [0] * (2 * t - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] = muladd(out[i + j], ai, bj)
+        return rem(out, f)
+
+    def powq(a):
+        out = a
+        for bit in format(q, "b")[1:]:
+            out = mulmod(out, out)
+            if bit == "1":
+                out = mulmod(out, a)
+        return out
+
+    def coprime_to_f(a):
+        a, b = f, _ptrim(a)
+        while any(b):
+            inv = field._pow(b[-1], q - 2)
+            b = [mul(c, inv) for c in b]
+            a, b = b, _ptrim(rem(list(a), b))
+        return len(a) == 1
+
+    xq = [0, 1] + [0] * (t - 2)  # x
+    for k in range(1, t // 2 + 1):
+        xq = powq(xq)  # x^{q^k} mod f
+        diff = list(xq)
+        diff[1] = _index_add(diff[1], 1, p, r, -1)
+        if not coprime_to_f(diff):
+            return False
+    return True
+
+
 def index_order_modulus(p: int, r: int) -> tuple[int, ...]:
     """The first monic irreducible of degree r over F_p in index order, by Ben-Or on every code in turn."""
     for code in range(p**r):
         coeffs = _digits(code, p, r) + [1]
-        if poly_is_irreducible(coeffs, build_field(p, 1)):
+        if poly_is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise ValidationError(f"no irreducible polynomial of degree {r} over F_{p}")
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     element_order,
+    fq_is_irreducible,
     index_order_modulus,
     naive_generator_index,
     whole_orbit_log_table,
@@ -65,7 +66,7 @@ def test_modulus_is_smallest_irreducible():
     for p, r in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
         ctx = build_field(p, r)
         code = sum(c * p**i for i, c in enumerate(ctx.modulus[:-1]))
-        assert poly_is_irreducible(list(ctx.modulus), build_field(p, 1))
+        assert poly_is_irreducible(list(ctx.modulus), p)
         for smaller in range(code):
             coeffs = []
             v = smaller
@@ -73,7 +74,22 @@ def test_modulus_is_smallest_irreducible():
                 coeffs.append(v % p)
                 v //= p
             coeffs.append(1)
-            assert not poly_is_irreducible(coeffs, build_field(p, 1))
+            assert not poly_is_irreducible(coeffs, p)
+
+
+def test_fp_ben_or_matches_the_reference_at_large_p():
+    # random monic polynomials, and products of two of degree 2 or 3, some reducible with no root
+    # in F_p; past 2^16 the modulus search sieves no roots, so the gcd refuses every rooted candidate
+    rng = random.Random(1)
+    for p in (101, 257, 1021, 65537, 100003):
+        base = build_field(p, 1)
+        for _ in range(20):
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+            g = [rng.randrange(p) for _ in range(rng.randint(2, 3))] + [1]
+            h = [rng.randrange(p) for _ in range(rng.randint(2, 3))] + [1]
+            gh = [sum(g[j] * h[i - j] for j in range(len(g)) if 0 <= i - j < len(h)) % p for i in range(len(g) + len(h) - 1)]
+            for poly in (f, gh):
+                assert poly_is_irreducible(poly, p) == fq_is_irreducible(poly, base), (p, poly)
 
 
 def test_modulus_matches_the_index_order_search():
@@ -417,7 +433,7 @@ def test_f_p_linear_maps_refuse_past_the_int64_bound():
     for e in (1, 12345, p + 2):
         coeffs, t = min_poly(tower, tower.gamma[2] ** e)
         assert t == 2 and len(coeffs) == 3
-        assert poly_is_irreducible([c.index for c in coeffs], tower.base)
+        assert poly_is_irreducible([c.index for c in coeffs], p)
     assert min_poly(tower, tower.gamma[2] ** (p + 1))[1] == 1  # a norm to F_p
 
 
@@ -596,7 +612,7 @@ def test_min_poly_root_and_irreducibility():
         x = tw.gamma[3] ** e
         coeffs, t = min_poly(tw, x)
         assert tw.m % t == 0
-        assert poly_is_irreducible([c.index for c in coeffs], tw.base)
+        assert fq_is_irreducible([c.index for c in coeffs], tw.base)
         acc = tw.top.zero
         for c in reversed(coeffs):
             acc = acc * x + tw.embed(c)

@@ -2,13 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import brute_n_t, brute_t_t, necklace_count, whole_orbit_counts, whole_orbit_listing
+from reference import brute_n_t, brute_t_t, fq_is_irreducible, necklace_count, whole_orbit_counts, whole_orbit_listing
 
 from polycount import fields
 from polycount.cli import main
 from polycount.counting import CountSpec
-from polycount.errors import ListingCapExceeded, OracleCapExceeded
-from polycount.fields import build_field, build_tower, poly_is_irreducible
+from polycount.errors import InvariantError, ListingCapExceeded, OracleCapExceeded
+from polycount.fields import build_field, build_tower, min_poly
 from polycount.intmath import divisors
 from polycount import oracle
 from polycount.oracle import brute_p_m, brute_scan, list_polys
@@ -289,13 +289,48 @@ def test_listing_full_verification():
     for coeffs in polys:
         elems = [base.from_index(c) for c in coeffs]
         assert elems[-1] == base.one
-        assert poly_is_irreducible(list(coeffs), base)
+        assert fq_is_irreducible(list(coeffs), base)
         assert elems[len(elems) - 2] == -spec.a  # coefficient of x^{m-1} is -a
         const = elems[0]
         sign = base.one if spec.m % 2 == 0 else -base.one
         b_val = sign * const  # constant term is (-1)^m b
         hb = tower.dlog_g(tower.embed(b_val)) % spec.s
         assert hb == tower.dlog_g(spec.b) % spec.s
+
+
+def test_listing_refuses_a_wrong_coefficient_the_rabin_test_accepts(monkeypatch):
+    # the first F_9 listing's x^2 coefficient bumped by one stays irreducible with the right
+    # x^4 and x^0 coefficients, so only f(root) = 0 refuses it
+    spec = CountSpec.make(3, 2, 5, 4, a=1, h=1)
+    verify, calls = oracle._verify_listed, []
+    monkeypatch.setattr(oracle, "_verify_listed", lambda *args: calls.append(args))
+    polys = list_polys(spec)
+    _, tower, root, coeffs, h = next(args for args in calls if args[3] == polys[0])
+    verify(spec, tower, root, coeffs, h)
+    planted = list(coeffs)
+    planted[2] = (planted[2] + 1) % 9
+    with pytest.raises(InvariantError, match="does not vanish"):
+        verify(spec, tower, root, tuple(planted), h)
+
+
+def test_listing_refuses_a_zero_in_a_proper_subfield():
+    # over the (2, 2, 6) tower, a power of the minimal polynomial of gamma_t, t in {2, 3}, is
+    # monic of degree 6, vanishes at gamma_t and has the Vieta coefficients of gamma_t's trace
+    # and norm, yet is reducible
+    tower = build_tower(2, 2, 6)
+    base = tower.base
+    for t in (2, 3):
+        root = tower.gamma[t]
+        factor, f = min_poly(tower, root)[0], [base.one]
+        for _ in range(6 // t):
+            prod = [base.zero] * (len(f) + t)
+            for i, x in enumerate(f):
+                for j, y in enumerate(factor):
+                    prod[i + j] = prod[i + j] + x * y
+            f = prod
+        spec = CountSpec.make(2, 2, 6, 1, a=tower.to_base(tower.trace_rel(root, 6)))
+        with pytest.raises(InvariantError, match="proper subfield"):
+            oracle._verify_listed(spec, tower, root, tuple(c.index for c in f), 0)
 
 
 def test_listing_is_sorted_and_counts_match():
