@@ -18,8 +18,8 @@ character sum M_t by one of several routes:
     p counts c_tau of zeta_p^tau give M_t = c_0 - c_1.
 
 `plan` picks the route of every N_t up front, from the spec alone, and
-refuses a method or cap it cannot serve before any work; `n_t` and
-`run_plan` (which `p_m` calls) run what it picks.
+refuses a method or cap it cannot serve before any work; `run_plan`
+(which `p_m` calls) runs what it picks.
 
 All routes return the same integer; disagreement is a test failure, never
 something to smooth over.  Internally every route keys the coset by an
@@ -695,14 +695,6 @@ def _run_route(spec: CountSpec, t: int, route: str, cap: int) -> int:
     else:
         m_t = m_t_general(build_tower(spec.p, spec.r, spec.m), spec, t, cap)
     return _n_from_m(spec, t, m_t)
-
-
-def n_t(spec: CountSpec, t: int, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> int:
-    """N_t = |S_t| along the route the planner picks for t (see plan)."""
-    if spec.m % t != 0:
-        raise ValidationError(f"{t} does not divide m = {spec.m}")
-    route = _route(spec, t, method, cap, _tables_for(spec, method))
-    return _run_route(spec, t, route, cap)
 
 
 def p_m(spec: CountSpec, method: str = "auto", cap: int = DEFAULT_ENUM_CAP) -> int:

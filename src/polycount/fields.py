@@ -64,7 +64,7 @@ from .errors import (
     ValidationError,
     ZeroHasNoLog,
 )
-from .intmath import divisors, factor_prime_power_order, is_prime
+from .intmath import cyclotomic_poly, divisors, factorize, is_prime
 from .polyfp import (
     _clmod,
     _clmul,
@@ -328,11 +328,26 @@ class FieldCtx:
         yield next(powers) == 1
         yield from powers
 
+    @cached_property
+    def _order_factors(self) -> dict[int, int]:
+        """{l: e}, l ascending, with q - 1 = prod l^e, merged from the factors of the Phi_d(p), d | r, whose
+        product it is: factored whole, 2^122 - 1 = 3 (2^61 - 1) (2^61 + 1)/3 leaves rho two 61-bit primes."""
+        out: dict[int, int] = {}
+        for d in divisors(self.r):
+            value = 0
+            for c in reversed(cyclotomic_poly(d)):
+                value = value * self.p + c
+            for l, e in factorize(value).items():
+                out[l] = out.get(l, 0) + e
+        if math.prod(l**e for l, e in out.items()) != self.group_order:
+            raise InvariantError(f"the factors of {self.p}^{self.r} - 1 do not multiply back")
+        return dict(sorted(out.items()))
+
     @property
     def generator(self) -> FieldElement:
         """First element, in index order, of multiplicative order p^r - 1."""
         if self._gen is None:
-            primes = [q for q, _ in factor_prime_power_order(self.p, self.r)]
+            primes = list(self._order_factors)
             # indices below p are F_p, whose orders divide p - 1 < q - 1 when r > 1
             for idx in range(self.p if self.r > 1 else 1, self.order):
                 if all(self._order_chain(idx, self.group_order, primes)):
@@ -593,7 +608,8 @@ class FieldCtx:
         """Exponent e in [0, q - 1) with generator^e = x: the only discrete log.
 
         A read of the log table for q <= LOG_TABLE_MAX_ORDER, Pohlig-Hellman
-        above it.  TowerCtx.dlog_g and dlog_gamma multiply or divide it.
+        above it.  TowerCtx.dlog_g relabels it to g.  A log to gamma_t is the
+        top field's log divided by k = (q^m - 1)/(q^t - 1), exact for x in F_{q^t}.
         """
         if x.ctx is not self:
             raise ValueError("element from a different field")
@@ -631,10 +647,10 @@ class FieldCtx:
         enumeration cap bounds before any step is taken.
         """
         gen, order = self.generator, self.group_order
-        fac = factor_prime_power_order(self.p, self.r)
-        check_cap(math.isqrt(fac[-1][0] - 1) + 1, None, f"the baby steps of a log in F_{self.order}*")
+        fac = self._order_factors
+        check_cap(math.isqrt(max(fac) - 1) + 1, None, f"the baby steps of a log in F_{self.order}*")
         result, mod = 0, 1
-        for q, e in fac:
+        for q, e in fac.items():
             pe = q**e
             g_sub = gen ** (order // pe)
             x_sub = x ** (order // pe)
@@ -766,7 +782,7 @@ class TowerCtx:
         # is also the subfield test gamma_t^(q^t) = gamma_t, so g, checked at t = 1, lies in F_q
         for t, gt in self.gamma.items():
             n = self.q**t - 1
-            primes = [qq for qq, _ in factor_prime_power_order(self.p, self.r * t)]
+            primes = [l for l in self.top._order_factors if n % l == 0]  # q^t - 1 divides q^m - 1
             checks = self.top._order_chain(gt.index, n, primes, n // (self.q - 1))
             if not all(next(checks) for _ in range(len(primes) + 1)):
                 raise InvariantError(f"gamma_{t} does not have order q^{t} - 1")
@@ -809,41 +825,6 @@ class TowerCtx:
             acc = self._power_sum(self.top.frob_matrix(1), self.r * t)
             self._abs_trace_cols[t] = np.ascontiguousarray(acc[:, :1])
         return self._abs_trace_cols[t]
-
-    def trace_rel(self, x: FieldElement, t: int) -> FieldElement:
-        """Tr from F_{q^t} to F_q; x must lie in F_{q^t}."""
-        self._require_subfield(x, t)
-        acc = self.top.zero
-        cur = x
-        for _ in range(t):
-            acc = acc + cur
-            cur = cur**self.q
-        if not self.subfield_contains(acc, 1):
-            raise InvariantError("trace left the base field")
-        return acc
-
-    def norm_rel(self, x: FieldElement, t: int) -> FieldElement:
-        """Norm from F_{q^t} to F_q; norm of zero is zero."""
-        self._require_subfield(x, t)
-        if x.is_zero():
-            return self.top.zero
-        y = x ** ((self.q**t - 1) // (self.q - 1))
-        if not self.subfield_contains(y, 1):
-            raise InvariantError("norm left the base field")
-        return y
-
-    def abs_trace(self, x: FieldElement, t: int) -> int:
-        """Absolute trace of x as an element of F_{q^t}, a residue mod p."""
-        self._require_subfield(x, t)
-        v = np.array(x.coords, dtype=np.int64)
-        out = (v @ self.abs_trace_column(t)) % self.p
-        return int(out[0])
-
-    def _require_subfield(self, x: FieldElement, t: int):
-        if t not in self.gamma:
-            raise InvalidDegree(f"{t} does not divide {self.m}")
-        if not self.subfield_contains(x, t):
-            raise SubfieldViolation(f"element not in F_{{q^{t}}}")
 
     # -- base field embedding --
 
@@ -956,20 +937,6 @@ class TowerCtx:
             raise InvariantError("g does not generate F_q*")
         return pow(log_g, -1, n)
 
-    def dlog_gamma(self, x: FieldElement, t: int) -> int:
-        """Index of x in the cyclic group generated by gamma_t.
-
-        gamma_t = gamma_m^k with k = (q^m - 1)/(q^t - 1), so for t > 1 this is
-        the top field's log of x divided by k.
-        """
-        if t == 1:
-            return self.dlog_g(x)
-        self._require_subfield(x, t)
-        e, k = self.top.dlog(x), self.top.group_order // (self.q**t - 1)
-        if e % k:
-            raise InvariantError(f"x is not a power of gamma_{t}")
-        return e // k
-
     def dlog_g(self, x: FieldElement) -> int:
         """Index of x in the group generated by g, taken in F_q; x may be given in the top field."""
         return self.base.dlog(self.to_base(x)) * self.g_log_inv % (self.q - 1)
@@ -977,7 +944,7 @@ class TowerCtx:
     # -- bulk enumeration --
 
     def trace_blocks(self, t: int, cap: int | None = None):
-        """orbit_blocks of abs_trace(gamma_t^j, t), j < q^t - 1; refuses t not dividing m or q^t over the cap."""
+        """orbit_blocks of the absolute trace of gamma_t^j in F_{q^t}, j < q^t - 1; refuses t not dividing m or q^t over the cap."""
         if t not in self.gamma:
             raise InvalidDegree(f"{t} does not divide {self.m}")
         check_cap(self.q**t, cap, f"the orbit of F_{{q^{t}}}")
@@ -990,7 +957,7 @@ class TowerCtx:
 
     @cached_property
     def base_traces(self) -> np.ndarray:
-        """abs_trace(g^c, 1) at c < 2(q - 1), int64: the traces of g^(k + w), w < q - 1, are one slice."""
+        """The absolute trace of g^c at c < 2(q - 1), int64: the traces of g^(k + w), w < q - 1, are one slice."""
         hist = self._trace_hists.get((1, self.q - 1))
         if hist is not None:  # a cached trace_hist(1, q - 1): row c is one-hot at the trace of g^c
             labels = hist.argmax(axis=1)
@@ -999,7 +966,7 @@ class TowerCtx:
         return np.concatenate([labels, labels])
 
     def trace_hist(self, t: int, g: int, cap: int | None = None) -> np.ndarray:
-        """H[c, tau] = #{j < q^t - 1 : j = c mod g, abs_trace(gamma_t^j, t) = tau}.
+        """H[c, tau] = #{j < q^t - 1 : j = c mod g, Tr_{q^t/p}(gamma_t^j) = tau}.
 
         A read-only int64 array of shape (g, p); g must divide q^t - 1.  A
         character sum over F_{q^t}* whose summand at gamma_t^j depends only

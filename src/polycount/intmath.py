@@ -63,25 +63,24 @@ def _pollard_rho(n: int) -> int:
 
 @lru_cache(maxsize=128)
 def factorize(n: int) -> MappingProxyType[int, int]:
-    """Prime factorization as a read-only {prime: exponent}."""
+    """Prime factorization as a read-only {prime: exponent}, checked to multiply back to n."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out: dict[int, int] = {}
+    rest = n
     for p in _SMALL_PRIMES:
-        while n % p == 0:
+        while rest % p == 0:
             out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return MappingProxyType(dict(sorted(out.items())))
+            rest //= p
     # trial division up to 2^16 keeps rho off easy composites
     f = 49
-    while f * f <= n and f < 1 << 16:
-        if n % f == 0:
+    while f * f <= rest and f < 1 << 16:
+        if rest % f == 0:
             out[f] = out.get(f, 0) + 1
-            n //= f
+            rest //= f
         else:
             f += 2
-    stack = [n] if n > 1 else []
+    stack = [rest] if rest > 1 else []
     while stack:
         v = stack.pop()
         if v == 1:
@@ -92,6 +91,8 @@ def factorize(n: int) -> MappingProxyType[int, int]:
         d = _pollard_rho(v)
         stack.append(d)
         stack.append(v // d)
+    if math.prod(q**e for q, e in out.items()) != n:
+        raise InvariantError(f"the factors of {n} do not multiply back")
     return MappingProxyType(dict(sorted(out.items())))
 
 
@@ -207,26 +208,3 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if rem != [0]:
             raise InvariantError("cyclotomic division must be exact")
     return tuple(num)
-
-
-@lru_cache(maxsize=128)
-def factor_prime_power_order(p: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Factorization of p^n - 1, split along cyclotomic values first.
-
-    p^n - 1 = prod_{d | n} Phi_d(p); each value is far smaller than the
-    whole, which keeps Pollard rho comfortable at desk scale.
-    """
-    merged: dict[int, int] = {}
-    for d in divisors(n):
-        phi = cyclotomic_poly(d)
-        val = 0
-        for c in reversed(phi):
-            val = val * p + c
-        for q, e in factorize(val).items():
-            merged[q] = merged.get(q, 0) + e
-    check = 1
-    for q, e in merged.items():
-        check *= q**e
-    if check != p**n - 1:
-        raise InvariantError(f"factors of {p}^{n} - 1 do not multiply back")
-    return tuple(sorted(merged.items()))

@@ -153,13 +153,6 @@ MUTANTS = [
         ("tests/test_fields.py",),
     ),
     Mutant(
-        "dlog_gamma returns e // k + 1",
-        "src/polycount/fields.py",
-        "        return e // k\n",
-        "        return e // k + 1\n",
-        ("tests/test_fields.py",),
-    ),
-    Mutant(
         "brute_scan labels with canonical logs",
         "src/polycount/oracle.py",
         "logs * g_log_inv % n",
@@ -293,6 +286,20 @@ MUTANTS = [
         ("tests/test_oracle.py",),
     ),
     Mutant(
+        "the listing reads the trace coefficient at x^{m-2}",
+        "src/polycount/oracle.py",
+        "if coeffs[m - 1] != (-spec.a).index:",
+        "if coeffs[m - 2] != (-spec.a).index:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "the listing reads the norm as the constant term, without its (-1)^m",
+        "src/polycount/oracle.py",
+        "const if m % 2 == 0 else -const",
+        "const",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
         "beta read as g^e0, not its first conjugate along the powers of g",
         "src/polycount/fields.py",
         "return min(e0 * p**i % n for i in range(r))",
@@ -312,6 +319,13 @@ MUTANTS = [
         'check_cap(self.q, None, f"the log table of F_{self.q} for its embedding")',
         "pass",
         ("tests/test_embedding.py",),
+    ),
+    Mutant(
+        "the field's group order leaves out Phi_1(p) = p - 1",
+        "src/polycount/fields.py",
+        "for d in divisors(self.r):",
+        "for d in divisors(self.r)[1:]:",
+        ("tests/test_fields.py",),
     ),
     Mutant(
         "the order-check chain drops the smallest prime",

@@ -9,7 +9,9 @@ visits every one of the q^{t-1} tuples with sum 1 that the package counts
 by classes instead.  The schoolbook products and powers are what the
 package's packed-integer arithmetic must reproduce digit for digit, and
 the F_q Ben-Or test on them is what its F_p test must agree with.  The
-paper's closed monomial-sum lemmas live here too, checked against the
+relative trace and norm of one element, by its q-th powers, are the naive
+oracles of the package's trace forms and of the listing's coefficients.
+The paper's closed monomial-sum lemmas live here too, checked against the
 package's monomial sums; no count route reads them.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from polycount.charsums import gauss_sum, gauss_sum_folded, gauss_sum_lifted, monomial_sum
 from polycount.counting import CountSpec
 from polycount.cyclotomic import CycInt
-from polycount.errors import InvariantError, ValidationError
+from polycount.errors import InvalidDegree, InvariantError, SubfieldViolation, ValidationError
 from polycount.fields import (
     FieldCtx,
     FieldElement,
@@ -32,7 +34,7 @@ from polycount.fields import (
     min_poly,
     poly_is_irreducible,
 )
-from polycount.intmath import divisors, factor_prime_power_order, factorize, mobius, multiplicative_order
+from polycount.intmath import divisors, factorize, mobius, multiplicative_order
 from polycount.oracle import DEFAULT_ORACLE_CAP, _check_oracle_cap, brute_scan
 
 
@@ -54,6 +56,45 @@ def brute_n_t(spec: CountSpec, t: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     scan = brute_scan(tower, t, cap)
     h = _h(spec, tower)
     return sum(scan.cell(tt, spec.a.index, h, spec.s) for tt in divisors(t))
+
+
+def _require_subfield(tower: TowerCtx, x: FieldElement, t: int):
+    if t not in tower.gamma:
+        raise InvalidDegree(f"{t} does not divide {tower.m}")
+    if not tower.subfield_contains(x, t):
+        raise SubfieldViolation(f"element not in F_{{q^{t}}}")
+
+
+def trace_rel(tower: TowerCtx, x: FieldElement, t: int) -> FieldElement:
+    """Tr from F_{q^t} to F_q, as t q-th powers of x; x must lie in F_{q^t}."""
+    _require_subfield(tower, x, t)
+    acc = tower.top.zero
+    cur = x
+    for _ in range(t):
+        acc = acc + cur
+        cur = cur**tower.q
+    if not tower.subfield_contains(acc, 1):
+        raise InvariantError("trace left the base field")
+    return acc
+
+
+def norm_rel(tower: TowerCtx, x: FieldElement, t: int) -> FieldElement:
+    """Norm from F_{q^t} to F_q, as one power of x; norm of zero is zero."""
+    _require_subfield(tower, x, t)
+    if x.is_zero():
+        return tower.top.zero
+    y = x ** ((tower.q**t - 1) // (tower.q - 1))
+    if not tower.subfield_contains(y, 1):
+        raise InvariantError("norm left the base field")
+    return y
+
+
+def abs_trace(tower: TowerCtx, x: FieldElement, t: int) -> int:
+    """Absolute trace of x as an element of F_{q^t}, a residue mod p, through the tower's linear form."""
+    _require_subfield(tower, x, t)
+    v = np.array(x.coords, dtype=np.int64)
+    out = (v @ tower.abs_trace_column(t)) % tower.p
+    return int(out[0])
 
 
 def necklace_count(q: int, m: int) -> int:
@@ -109,7 +150,7 @@ def element_order(field: FieldCtx, x: FieldElement) -> int:
     if x.is_zero():
         raise ValueError("zero has no multiplicative order")
     order = field.group_order
-    for q, e in factor_prime_power_order(field.p, field.r):
+    for q, e in factorize(order).items():
         for _ in range(e):
             if x ** (order // q) == field.one:
                 order //= q
@@ -390,11 +431,13 @@ def char_connect_check(tower: TowerCtx, t: int, alpha: FieldElement, n: int) -> 
     q = tower.q
     if (q - 1) % n != 0:
         raise ValidationError("n must divide q - 1")
-    i = tower.dlog_gamma(alpha, t)
-    lhs = monomial_sum(tower, t, i, n)
+    e, k = tower.top.dlog(alpha), tower.top.group_order // (q**t - 1)  # gamma_t = gamma_m^k
+    if e % k:
+        raise InvariantError(f"alpha is not a power of gamma_{t}")
+    lhs = monomial_sum(tower, t, e // k, n)
     p = tower.p
     order = p * n
-    norm_log = tower.dlog_g(tower.norm_rel(alpha, t))
+    norm_log = tower.dlog_g(norm_rel(tower, alpha, t))
     rhs = CycInt(order)
     for j in range(n):
         # lambda_j sends g to zeta_n^j, so lambda_j . Norm_t is the level-t

@@ -139,7 +139,6 @@ def test_intmath_caches_are_bounded_and_outlive_clear_caches():
     calls = [
         (intmath.mobius, (30,)),
         (intmath.cyclotomic_poly, (30,)),
-        (intmath.factor_prime_power_order, (2, 30)),
         (intmath.factorize, (30,)),
     ]
     for cache, key in calls:

@@ -4,7 +4,6 @@ from polycount.fields import build_field
 from polycount.intmath import (
     cyclotomic_poly,
     divisors,
-    factor_prime_power_order,
     factorize,
     is_prime,
     legendre,
@@ -87,7 +86,7 @@ def test_cyclotomic_poly_values():
 
 def test_factor_prime_power_order():
     for p, n in [(2, 12), (3, 6), (5, 4)]:
-        fac = dict(factor_prime_power_order(p, n))
+        fac = dict(factorize(p**n - 1))
         prod = 1
         for q, e in fac.items():
             prod *= q**e

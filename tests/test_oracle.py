@@ -2,7 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import brute_n_t, brute_t_t, fq_is_irreducible, necklace_count, whole_orbit_counts, whole_orbit_listing
+from reference import (
+    brute_n_t,
+    brute_t_t,
+    fq_is_irreducible,
+    necklace_count,
+    norm_rel,
+    trace_rel,
+    whole_orbit_counts,
+    whole_orbit_listing,
+)
 
 from polycount import fields
 from polycount.cli import main
@@ -63,7 +72,7 @@ def test_base_trace_form_gives_the_base_index_of_the_trace(p, r, m):
     form = tower.base_trace_form()
     for x in tower.top.elements():
         digits = (np.array(x.coords, dtype=np.int64) @ form) % p
-        assert tower.base.elem(digits.tolist()) == tower.to_base(tower.trace_rel(x, m))
+        assert tower.base.elem(digits.tolist()) == tower.to_base(trace_rel(tower, x, m))
 
 
 @pytest.mark.parametrize("p, r, m", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 6), (3, 1, 4)])
@@ -81,8 +90,8 @@ def test_brute_scan_matches_naive_buckets(p, r, m):
         for x in tower.top.elements():
             if x.is_zero() or not tower.subfield_contains(x, t):
                 continue
-            a = tower.to_base(tower.trace_rel(x, m)).index
-            w = tower.dlog_g(tower.norm_rel(x, m))
+            a = tower.to_base(trace_rel(tower, x, m)).index
+            w = tower.dlog_g(norm_rel(tower, x, m))
             degree = next(d for d in scan.divs if tower.subfield_contains(x, d))
             want[scan.divs.index(degree), a, w] += 1
         assert np.array_equal(scan.counts, want)
@@ -313,6 +322,20 @@ def test_listing_refuses_a_wrong_coefficient_the_rabin_test_accepts(monkeypatch)
         verify(spec, tower, root, tuple(planted), h)
 
 
+def test_listing_refuses_a_minimal_polynomial_from_another_cell(monkeypatch):
+    # the true minimal polynomial of a listed F_9 root, under a spec with another a and under one
+    # with another coset; its trace and norm are read off its coefficients
+    spec = CountSpec.make(3, 2, 5, 4, a=1, h=1)
+    verify, calls = oracle._verify_listed, []
+    monkeypatch.setattr(oracle, "_verify_listed", lambda *args: calls.append(args))
+    list_polys(spec)
+    _, tower, root, coeffs, h = calls[0]
+    verify(spec, tower, root, coeffs, h)
+    for other in (CountSpec.make(3, 2, 5, 4, a=2, h=1), CountSpec.make(3, 2, 5, 4, a=1, h=2)):
+        with pytest.raises(InvariantError):
+            verify(other, tower, root, coeffs, oracle._h_for_tower(other, tower))
+
+
 def test_listing_refuses_a_zero_in_a_proper_subfield():
     # over the (2, 2, 6) tower, a power of the minimal polynomial of gamma_t, t in {2, 3}, is
     # monic of degree 6, vanishes at gamma_t and has the Vieta coefficients of gamma_t's trace
@@ -328,7 +351,7 @@ def test_listing_refuses_a_zero_in_a_proper_subfield():
                 for j, y in enumerate(factor):
                     prod[i + j] = prod[i + j] + x * y
             f = prod
-        spec = CountSpec.make(2, 2, 6, 1, a=tower.to_base(tower.trace_rel(root, 6)))
+        spec = CountSpec.make(2, 2, 6, 1, a=tower.to_base(trace_rel(tower, root, 6)))
         with pytest.raises(InvariantError, match="proper subfield"):
             oracle._verify_listed(spec, tower, root, tuple(c.index for c in f), 0)
 
